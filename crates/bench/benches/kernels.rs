@@ -1,7 +1,8 @@
 //! Criterion benches of the numeric kernels: chunked vs scalar
 //! distance primitives across the paper's dimensionality range,
-//! one-at-a-time vs one-to-many candidate verification, and packed
-//! matrix–vector hashing vs `k` separate scalar dot products.
+//! one-at-a-time vs one-to-many candidate verification, packed
+//! matrix–vector hashing vs `k` separate scalar dot products, and the
+//! Hamming popcount scan / one-to-many kernels vs the per-point loops.
 //!
 //! `d ∈ {16, 64, 256, 960}` spans Corel (32), CoverType (54), MNIST
 //! (784) and GIST-like (960) regimes. The committed baseline lives in
@@ -11,7 +12,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlsh_families::family::{combine_atoms, GFunction};
 use hlsh_families::sampling::{normal_vector, rng_stream};
 use hlsh_families::{LshFamily, PStableL2};
-use hlsh_vec::{dense, kernels};
+use hlsh_hll::hash::splitmix64;
+use hlsh_vec::metric::{scan_scalar, verify_scalar};
+use hlsh_vec::{dense, kernels, BinaryDataset, Distance, GrowablePointSet, Hamming, PointSet};
 
 const DIMS: [usize; 4] = [16, 64, 256, 960];
 
@@ -150,12 +153,72 @@ fn bench_hashing(c: &mut Criterion) {
     group.finish();
 }
 
+/// Both S3 arms in Hamming space (the MNIST analog's 64-bit
+/// fingerprints, and 256-bit rows): the full linear scan and the
+/// one-to-many verification of a random candidate list, each through
+/// `Hamming`'s kernel dispatch and through the per-point scalar loop it
+/// replaces. Same answers by construction; only the time differs.
+fn bench_hamming(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hamming");
+    let n = 16_384;
+    for wpr in [1usize, 4] {
+        let q: Vec<u64> = (0..wpr as u64).map(|w| splitmix64(w ^ 0x51)).collect();
+        // Rows near q (each bit flipped with probability 1/8), so the
+        // radius below both accepts and rejects (about 30% accepted at
+        // 64 bits, about 7% at 256).
+        let mut data = BinaryDataset::new(64 * wpr);
+        for i in 0..n as u64 {
+            let row: Vec<u64> = (0..wpr as u64)
+                .map(|w| {
+                    let h = |salt: u64| splitmix64((i * 8 + w) ^ (salt << 56));
+                    q[w as usize] ^ (h(1) & h(2) & h(3))
+                })
+                .collect();
+            data.push_point(&row);
+        }
+        let r = (6 * wpr) as f64;
+        let ids: Vec<u32> = (0..4096u64).map(|i| (splitmix64(i) % n as u64) as u32).collect();
+        let label = 64 * wpr;
+
+        group.bench_with_input(BenchmarkId::new("scan_scalar", label), &wpr, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                scan_scalar(&Hamming, std::hint::black_box(&data), &q[..], r, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("scan_kernel", label), &wpr, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                Hamming.scan_within(std::hint::black_box(&data), &q[..], r, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("verify_scalar", label), &wpr, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                verify_scalar(&Hamming, std::hint::black_box(&data), &ids, &q[..], r, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("one_to_many", label), &wpr, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                Hamming.verify_many(std::hint::black_box(&data), &ids, &q[..], r, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        assert!(data.binary_view().is_some(), "the kernel arms must take the binary view");
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(100))
         .measurement_time(std::time::Duration::from_millis(400));
-    targets = bench_pair_kernels, bench_verify, bench_hashing
+    targets = bench_pair_kernels, bench_verify, bench_hashing, bench_hamming
 }
 criterion_main!(benches);

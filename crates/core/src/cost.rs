@@ -5,13 +5,15 @@
 //! LinearCost = β·n                             (Eq. 2)
 //! ```
 //!
-//! `α` is the average cost of removing one duplicate (one hash-set
-//! insert while merging the `L` buckets), `β` the cost of one distance
+//! `α` is the average cost of removing one duplicate (one bitmap test
+//! while merging the `L` buckets), `β` the cost of one distance
 //! computation. Only the ratio `β/α` matters for the Algorithm 2
 //! decision; the paper calibrates it per data set on "a random set of
 //! 100 queries and 10,000 data points" and reports 10, 10, 6 and 1 for
 //! Webspam, CoverType, Corel and MNIST. [`CostModel::calibrate`]
-//! reproduces that procedure by timing both primitive operations.
+//! reproduces that procedure by timing both primitive operations as
+//! the query engine runs them (the metric's scan and verification
+//! kernels, the LSH arm's dedup).
 //!
 //! # Refinement over the paper's single β
 //!
@@ -28,9 +30,9 @@
 
 use std::time::Instant;
 
-use hlsh_vec::{Distance, PointSet};
+use hlsh_vec::{Distance, PointId, PointSet};
 
-use crate::hasher::FxHashSet;
+use crate::dedup::SeenBitmap;
 
 /// The calibrated `(α, β_scan, β_cand)` triple.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -112,15 +114,22 @@ impl CostModel {
     }
 
     /// Calibrates `α` and `β` by timing the two primitive operations on
-    /// a sample of the data, mirroring the paper's procedure (§4.2).
+    /// a sample of the data, mirroring the paper's procedure (§4.2) —
+    /// through the very calls the query engine runs:
     ///
-    /// * `β`: mean wall time of one distance evaluation during a
-    ///   *sequential scan* against a fixed query point — exactly the
+    /// * `β`: wall time per point of the metric's
+    ///   [`scan_within`](Distance::scan_within) over the first
+    ///   `sample_pairs` points against a fixed query — exactly the
     ///   per-point cost that `LinearCost = β·n` (Eq. 2) charges;
-    /// * `β_cand`: the same distance evaluated in random visiting
-    ///   order, as the LSH arm does over its candidates;
-    /// * `α`: mean wall time of one duplicate-removal step, i.e. one
-    ///   insert into the hash set used by the LSH merge path.
+    /// * `β_cand`: wall time per candidate of the metric's
+    ///   [`verify_many`](Distance::verify_many) over ids in random
+    ///   order, as the LSH arm verifies its deduplicated candidates;
+    /// * `α`: wall time per collision of the LSH arm's candidate dedup.
+    ///
+    /// Both distance timings run at radius `NaN`: every comparison with
+    /// `NaN` is false, so each point is fully evaluated (no kernel exits
+    /// early) and none is appended — the radius-independent per-point
+    /// cost.
     ///
     /// Each measurement is repeated three times after a warm-up pass
     /// and the minimum is kept, which rejects scheduler and cache-warm
@@ -143,72 +152,91 @@ impl CostModel {
             state = state.wrapping_add(hlsh_hll::hash::GOLDEN_GAMMA);
             hlsh_hll::hash::splitmix64(state)
         };
+        // Minimum per-op time over three timed repetitions of `run`
+        // (`ops` operations each) after one warm-up pass.
+        let per_op = |ops: usize, run: &mut dyn FnMut()| {
+            let mut best = f64::INFINITY;
+            for rep in 0..4 {
+                let t0 = Instant::now();
+                run();
+                let ns = t0.elapsed().as_nanos() as f64 / ops as f64;
+                if rep > 0 {
+                    best = best.min(ns);
+                }
+            }
+            best
+        };
 
-        // Time β: a sequential scan of `sample_pairs` points against a
-        // fixed query, as the linear arm does.
-        let q_idx = (next() % n as u64) as usize;
+        // Opaque, so the optimizer cannot fold the always-false filter
+        // and drop the distance computations with it.
+        let reject_all = std::hint::black_box(f64::NAN);
+
+        // Time β: the linear arm's scan kernel over a prefix sample.
+        let q = data.point((next() % n as u64) as usize);
         let scan_len = sample_pairs.min(n);
-        let mut beta = f64::INFINITY;
-        for rep in 0..4 {
-            let t0 = Instant::now();
-            let mut sink = 0.0f64;
-            for i in 0..scan_len {
-                sink += distance.distance(data.point(i), data.point(q_idx));
-            }
-            std::hint::black_box(sink);
-            let per_op = t0.elapsed().as_nanos() as f64 / scan_len as f64;
-            if rep > 0 {
-                // rep 0 is the cache warm-up.
-                beta = beta.min(per_op);
-            }
-        }
+        let sample = Prefix { data, len: scan_len };
+        let mut out = Vec::new();
+        let beta = per_op(scan_len, &mut || {
+            distance.scan_within(&sample, q, reject_all, &mut out);
+        });
 
-        // Time α: hash-set inserts of point ids (the duplicate-removal
-        // primitive of Step S2). The regime the decision exists for is
-        // a hard query whose candidates collide in many of the L
-        // tables: each distinct candidate is inserted once and then
-        // repeatedly looked up in a set of roughly `sample` entries. We
-        // replay exactly that — `16×` duplication over a `sample`-sized
-        // id range — so α reflects hot-hit cost at a realistic set
-        // size, not cold growth.
+        // Time α: the LSH arm's dedup. The regime the decision exists
+        // for is a hard query whose candidates collide in many of the L
+        // tables: each distinct candidate is emitted once and then
+        // repeatedly met again. We replay exactly that — `16×`
+        // duplication over a `sample`-sized id range — so α reflects
+        // the hot-hit cost at a realistic candidate count.
         let dup_factor = 16;
         let alpha_ops = sample_pairs * dup_factor;
-        let ids: Vec<u32> = (0..alpha_ops).map(|_| (next() % sample_pairs as u64) as u32).collect();
-        let mut alpha = f64::INFINITY;
-        for rep in 0..4 {
-            let mut set: FxHashSet<u32> = FxHashSet::default();
-            let t1 = Instant::now();
-            for &id in &ids {
-                set.insert(id);
-            }
-            std::hint::black_box(set.len());
-            let per_op = t1.elapsed().as_nanos() as f64 / alpha_ops as f64;
-            if rep > 0 {
-                alpha = alpha.min(per_op);
-            }
-        }
+        let ids: Vec<PointId> =
+            (0..alpha_ops).map(|_| (next() % sample_pairs as u64) as PointId).collect();
+        let mut seen = SeenBitmap::default();
+        let alpha = per_op(alpha_ops, &mut || {
+            out.clear();
+            seen.dedup_into(sample_pairs, [&ids[..]], &mut out);
+            std::hint::black_box(out.len());
+        });
 
-        // Time β_cand: distances evaluated in random order, as the LSH
-        // arm visits its deduplicated candidates.
-        let order: Vec<usize> = (0..scan_len).map(|_| (next() % n as u64) as usize).collect();
-        let mut beta_cand = f64::INFINITY;
-        for rep in 0..4 {
-            let t2 = Instant::now();
-            let mut sink = 0.0f64;
-            for &i in &order {
-                sink += distance.distance(data.point(i), data.point(q_idx));
-            }
-            std::hint::black_box(sink);
-            let per_op = t2.elapsed().as_nanos() as f64 / scan_len as f64;
-            if rep > 0 {
-                beta_cand = beta_cand.min(per_op);
-            }
-        }
+        // Time β_cand: the LSH arm's verification kernel over ids in
+        // random order.
+        let order: Vec<PointId> = (0..scan_len).map(|_| (next() % n as u64) as PointId).collect();
+        let beta_cand = per_op(scan_len, &mut || {
+            distance.verify_many(data, &order, q, reject_all, &mut out);
+        });
 
         // Guard against timer quantisation producing zeros; random
         // access can only be dearer than the sequential scan.
         let beta = beta.max(0.1);
         Self::new_split(alpha.max(0.1), beta, beta_cand.max(beta))
+    }
+}
+
+/// The first `len` points of a set, with its dense and binary storage
+/// views cut to match — so calibration times the metric's own scan
+/// kernel over a sample rather than the whole data set.
+struct Prefix<'a, S: ?Sized> {
+    data: &'a S,
+    len: usize,
+}
+
+impl<S: PointSet + ?Sized> PointSet for Prefix<'_, S> {
+    type Point = S::Point;
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn point(&self, i: usize) -> &S::Point {
+        assert!(i < self.len, "point {i} past the sample of {}", self.len);
+        self.data.point(i)
+    }
+
+    fn dense_view(&self) -> Option<(&[f32], usize)> {
+        self.data.dense_view().map(|(flat, dim)| (&flat[..self.len * dim], dim))
+    }
+
+    fn binary_view(&self) -> Option<(&[u64], usize)> {
+        self.data.binary_view().map(|(words, wpr)| (&words[..self.len * wpr], wpr))
     }
 }
 

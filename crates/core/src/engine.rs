@@ -3,9 +3,9 @@
 //!
 //! A single Algorithm 2 query needs three pieces of transient state —
 //! the probed bucket list, the HLL merge accumulator, and the
-//! candidate-dedup hash set. Allocating them per query is fine for one
-//! call but wasteful under batch load, where the dedup set alone can
-//! reach `n` entries. [`QueryEngine`] owns that scratch and reuses it
+//! candidate-dedup bitmap. Allocating them per query is fine for one
+//! call but wasteful under batch load, where the dedup bitmap alone
+//! spans all `n` ids. [`QueryEngine`] owns that scratch and reuses it
 //! across queries; [`HybridLshIndex::query_batch`] shards a query slice
 //! over scoped threads, one engine per thread, and returns outputs in
 //! input order — byte-identical ids to a sequential loop.
@@ -16,7 +16,7 @@ use hlsh_families::LshFamily;
 use hlsh_hll::MergeAccumulator;
 use hlsh_vec::{Distance, PointId, PointSet};
 
-use crate::hasher::FxHashSet;
+use crate::dedup::SeenBitmap;
 use crate::index::HybridLshIndex;
 use crate::report::{QueryOutput, QueryReport};
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
@@ -25,11 +25,11 @@ use crate::store::BucketStore;
 /// Reusable scratch state for running queries.
 ///
 /// One engine serves one thread: methods take `&mut self` and recycle
-/// the dedup set, candidate list and merge accumulator between calls.
-/// Results are identical to the allocate-per-query path.
+/// the dedup bitmap, candidate list and merge accumulator between
+/// calls. Results are identical to the allocate-per-query path.
 #[derive(Debug, Default)]
 pub struct QueryEngine {
-    seen: FxHashSet<PointId>,
+    seen: SeenBitmap,
     cands: Vec<PointId>,
     acc: Option<MergeAccumulator>,
     verify: VerifyMode,
@@ -512,15 +512,12 @@ impl QueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        self.seen.clear();
         self.cands.clear();
-        for b in buckets {
-            for &id in b.members() {
-                if self.seen.insert(id) {
-                    self.cands.push(id);
-                }
-            }
-        }
+        self.seen.dedup_into(
+            index.len(),
+            buckets.iter().map(crate::bucket::BucketRef::members),
+            &mut self.cands,
+        );
         let (data, distance) = (index.data(), index.distance());
         let mut out = Vec::new();
         match self.verify {
@@ -571,15 +568,12 @@ impl QueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        self.seen.clear();
         self.cands.clear();
-        for b in buckets {
-            for &id in b.members() {
-                if self.seen.insert(id) {
-                    self.cands.push(id);
-                }
-            }
-        }
+        self.seen.dedup_into(
+            index.len(),
+            buckets.iter().map(crate::bucket::BucketRef::members),
+            &mut self.cands,
+        );
         let (data, distance) = (index.data(), index.distance());
         let mut out = Vec::new();
         match self.verify {

@@ -73,6 +73,7 @@
 pub mod bucket;
 pub mod builder;
 pub mod cost;
+mod dedup;
 pub mod diverse;
 pub mod engine;
 pub mod hasher;

@@ -51,6 +51,7 @@ use hlsh_vec::{Distance, PointId, PointSet, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
+use crate::dedup::SeenBitmap;
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
 use crate::report::{QueryOutput, QueryReport};
@@ -155,23 +156,20 @@ pub(crate) fn ensure_accumulator(
 }
 
 /// Collects one shard's deduped candidates from its probed buckets:
-/// `seen` dedups the **global** member ids, `cands` receives the
-/// corresponding shard-local rows (via `local_of`) ready for slab
+/// `seen` dedups the **global** member ids in first-collision order,
+/// then `cands` is rewritten to the corresponding shard-local rows (via
+/// `local_of`, whose length is the global id space) ready for slab
 /// verification. Shared by the rNNR LSH arm and the top-k level query.
 fn collect_shard_cands(
-    seen: &mut FxHashSet<PointId>,
+    seen: &mut SeenBitmap,
     cands: &mut Vec<PointId>,
     buckets: &[BucketRef<'_>],
     local_of: &[PointId],
 ) {
-    seen.clear();
     cands.clear();
-    for b in buckets {
-        for &global in b.members() {
-            if seen.insert(global) {
-                cands.push(local_of[global as usize]);
-            }
-        }
+    seen.dedup_into(local_of.len(), buckets.iter().map(BucketRef::members), cands);
+    for c in cands.iter_mut() {
+        *c = local_of[*c as usize];
     }
 }
 
@@ -404,10 +402,10 @@ where
 }
 
 /// Reusable scratch for querying a [`ShardedIndex`]: per-shard dedup
-/// set and candidate list plus the *global* merge accumulator.
+/// bitmap and candidate list plus the *global* merge accumulator.
 #[derive(Debug, Default)]
 pub struct ShardedQueryEngine {
-    seen: FxHashSet<PointId>,
+    seen: SeenBitmap,
     cands: Vec<PointId>,
     acc: Option<MergeAccumulator>,
     verify: VerifyMode,
@@ -863,7 +861,7 @@ where
 /// cross-level dedup set.
 #[derive(Debug, Default)]
 pub struct ShardedTopKEngine {
-    seen: FxHashSet<PointId>,
+    seen: SeenBitmap,
     cands: Vec<PointId>,
     acc: Option<MergeAccumulator>,
     reported: FxHashSet<PointId>,
@@ -1194,7 +1192,7 @@ where
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
-        let mut seen = FxHashSet::default();
+        let mut seen = SeenBitmap::default();
         let mut cands = Vec::new();
         self.shard_arm_with(shard, q, r, lsh, &mut seen, &mut cands)
     }
@@ -1205,7 +1203,7 @@ where
         q: &S::Point,
         r: f64,
         lsh: bool,
-        seen: &mut FxHashSet<PointId>,
+        seen: &mut SeenBitmap,
         cands: &mut Vec<PointId>,
     ) -> Vec<PointId> {
         let sh = &self.shards[shard];
@@ -1268,7 +1266,7 @@ where
         par_map_with(
             queries.len(),
             threads,
-            || (FxHashSet::default(), Vec::new()),
+            || (SeenBitmap::default(), Vec::new()),
             |(seen, cands), qi| {
                 self.shard_arm_with(shard, queries[qi].as_ref(), r, lsh, seen, cands)
             },
@@ -1323,7 +1321,7 @@ where
         q: &S::Point,
         r: f64,
         lsh: bool,
-        seen: &mut FxHashSet<PointId>,
+        seen: &mut SeenBitmap,
         cands: &mut Vec<PointId>,
     ) -> Vec<(PointId, f64)> {
         let sh = &self.shards[shard];
@@ -1394,7 +1392,7 @@ where
         par_map_with(
             queries.len(),
             threads,
-            || (FxHashSet::default(), Vec::new()),
+            || (SeenBitmap::default(), Vec::new()),
             |(seen, cands), qi| {
                 self.shard_level_arm_with(shard, li, queries[qi].as_ref(), r, lsh, seen, cands)
             },

@@ -200,7 +200,7 @@ struct Shared {
     waker: std::io::PipeWriter,
     /// Collapses redundant wake bytes so a slow loop iteration cannot
     /// fill the pipe: set by the first poster, cleared by the loop
-    /// before it drains.
+    /// after it reads the pipe and before it drains.
     wake_pending: AtomicBool,
     arrivals: Mutex<Arrivals>,
     ticks: AtomicU64,
@@ -465,9 +465,16 @@ impl EventLoop {
                 match e.token {
                     TOKEN_LISTENER => self.accept_ready(&mut touched),
                     TOKEN_WAKE => {
+                        // Read first, then clear: a completion posted
+                        // in between finds the flag still set and
+                        // writes no byte, but `drain_completions`
+                        // below picks it up. Clearing first would let
+                        // this read swallow that poster's byte and
+                        // leave the flag set over an empty pipe, so
+                        // no later post would wake the loop.
                         let mut sink = [0u8; 1024];
-                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                         let _ = (&self.wake_rx).read(&mut sink);
+                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                     }
                     token => self.conn_event(token, e, &mut touched),
                 }

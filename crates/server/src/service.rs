@@ -24,6 +24,7 @@ use hlsh_core::{
     ShardedIndex, ShardedTopKIndex, Strategy,
 };
 use hlsh_families::LshFamily;
+use hlsh_vec::parallel::par_map_with;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::protocol::{
@@ -594,16 +595,13 @@ where
         radius: f64,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        // Sequential on purpose: one engine's scratch is reused across
-        // the batch, and the reference box is single-core anyway. The
-        // per-query answers are byte-identical either way.
-        let _ = threads;
+        // One engine per worker thread under the batch's thread
+        // budget; answers are byte-identical to a sequential loop.
         let rnnr = self.rnnr.read().map_err(|_| ServiceError::internal("rnnr lock poisoned"))?;
-        let mut engine = SegmentedQueryEngine::new();
-        Ok(queries
-            .iter()
-            .map(|q| engine.query_with_strategy(&rnnr, q, radius, Strategy::Hybrid).ids)
-            .collect())
+        let rnnr = &*rnnr;
+        Ok(par_map_with(queries.len(), threads, SegmentedQueryEngine::new, |engine, qi| {
+            engine.query_with_strategy(rnnr, &queries[qi], radius, Strategy::Hybrid).ids
+        }))
     }
 
     fn topk_batch(
@@ -612,19 +610,20 @@ where
         k: usize,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        let _ = threads;
         let topk = self
             .topk
             .as_ref()
             .ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
         let topk = topk.read().map_err(|_| ServiceError::internal("topk lock poisoned"))?;
-        let mut engine = SegmentedTopKEngine::new();
-        Ok(queries
-            .iter()
-            .map(|q| {
-                engine.query_topk(&topk, q, k).neighbors.iter().map(|n| (n.id, n.dist)).collect()
-            })
-            .collect())
+        let topk = &*topk;
+        Ok(par_map_with(queries.len(), threads, SegmentedTopKEngine::new, |engine, qi| {
+            engine
+                .query_topk(topk, &queries[qi], k)
+                .neighbors
+                .iter()
+                .map(|n| (n.id, n.dist))
+                .collect()
+        }))
     }
 
     fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {

@@ -17,7 +17,7 @@
 //! Every child is reaped by a drop guard, so a failing assertion never
 //! leaks server processes into the test host.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -39,38 +39,54 @@ const RADIUS: f64 = 1.5;
 struct Server {
     child: Child,
     addr: String,
+    /// Drains the child's standard error until it exits.
+    stderr_log: Option<std::thread::JoinHandle<String>>,
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        if let Some(log) = self.stderr_log.take() {
+            let _ = log.join();
+        }
     }
 }
 
 /// Launches `serve` with the given flags and blocks until it prints
-/// its parseable listening line, returning the bound address.
+/// its parseable listening line, returning the bound address. A child
+/// that exits first fails the test with its standard error.
 fn spawn_serve(extra: &[&str]) -> Server {
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(extra)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn serve");
+    // Drained on a thread of its own so a chatty child never blocks on
+    // a full pipe; the text is read back only if the child dies early.
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    let stderr_log = std::thread::spawn(move || {
+        let mut text = String::new();
+        let _ = stderr.read_to_string(&mut text);
+        text
+    });
     let stdout = child.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let deadline = Instant::now() + Duration::from_secs(120);
     let addr = loop {
         assert!(Instant::now() < deadline, "serve never printed its listening line");
-        let line = lines
-            .next()
-            .unwrap_or_else(|| panic!("serve exited before listening: {extra:?}"))
-            .expect("read serve stdout");
+        let Some(line) = lines.next() else {
+            let status = child.wait();
+            let log = stderr_log.join().unwrap_or_default();
+            panic!("serve exited before listening ({status:?}): {extra:?}\nstderr:\n{log}");
+        };
+        let line = line.expect("read serve stdout");
         if let Some(rest) = line.strip_prefix("hlsh-server listening on ") {
             break rest.split_whitespace().next().expect("address token").to_string();
         }
     };
-    Server { child, addr }
+    Server { child, addr, stderr_log: Some(stderr_log) }
 }
 
 /// Common corpus flags, shared by every role so manifests agree.
@@ -108,16 +124,20 @@ fn shard_flags(shards: usize, sid: usize, port: &str, snap: &Path) -> Vec<String
     flags
 }
 
-fn snapshot_path(shards: usize) -> PathBuf {
+/// A snapshot file of the calling test's own: the tests of this file
+/// run in parallel, so the name carries the test as well as the
+/// process and shard count — a sibling must never rewrite or remove
+/// the file a shard is about to cold-start from.
+fn snapshot_path(test: &str, shards: usize) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("hlsh-multiproc-{}-{shards}.hlsh", std::process::id()));
+    p.push(format!("hlsh-multiproc-{}-{test}-{shards}.hlsh", std::process::id()));
     p
 }
 
 /// Builds the snapshot (ship step), cold-starts one shard process per
 /// shard from it, and fronts them with a coordinator process.
-fn deploy(shards: usize) -> (Vec<Server>, Server, PathBuf) {
-    let snap = snapshot_path(shards);
+fn deploy(test: &str, shards: usize) -> (Vec<Server>, Server, PathBuf) {
+    let snap = snapshot_path(test, shards);
     let _ = std::fs::remove_file(&snap);
 
     // Build once and save — then immediately reap the builder; its only
@@ -174,7 +194,7 @@ fn reference(snap: &Path, queries: &[Vec<f32>], k: usize) -> (Vec<Vec<u32>>, Vec
 fn snapshot_shipped_processes_answer_byte_identically() {
     let queries = queries();
     for shards in [1usize, 2, 4] {
-        let (fleet, coordinator, snap) = deploy(shards);
+        let (fleet, coordinator, snap) = deploy("byte-identity", shards);
         let (expect_rnnr, expect_topk) = reference(&snap, &queries, 5);
 
         let mut client = Client::connect_retry(coordinator.addr.as_str(), Duration::from_secs(30))
@@ -202,7 +222,7 @@ fn snapshot_shipped_processes_answer_byte_identically() {
 #[test]
 fn sigkilled_shard_is_typed_unavailable_then_rejoins_on_its_port() {
     let queries = queries();
-    let (mut fleet, coordinator, snap) = deploy(2);
+    let (mut fleet, coordinator, snap) = deploy("kill-rejoin", 2);
     let (expect_rnnr, _) = reference(&snap, &queries, 5);
 
     let mut client = Client::connect_retry(coordinator.addr.as_str(), Duration::from_secs(30))

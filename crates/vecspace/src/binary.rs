@@ -254,6 +254,11 @@ impl PointSet for BinaryDataset {
     fn point(&self, i: usize) -> &[u64] {
         self.row(i)
     }
+
+    /// `None` only for the zero-width `Default` set, which holds no rows.
+    fn binary_view(&self) -> Option<(&[u64], usize)> {
+        (self.words_per_row > 0).then_some((&self.data, self.words_per_row))
+    }
 }
 
 #[cfg(test)]
@@ -356,6 +361,16 @@ mod tests {
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.row(0), &[10]);
         assert_eq!(ds.row(1), &[12]);
+    }
+
+    #[test]
+    fn binary_view_exposes_the_slab_and_forwards() {
+        let ds = BinaryDataset::from_fingerprints(&[4, 5, 6]);
+        assert_eq!(ds.binary_view(), Some((&[4u64, 5, 6][..], 1)));
+        let by_ref = &ds;
+        assert_eq!(PointSet::binary_view(&by_ref), ds.binary_view());
+        assert_eq!(std::sync::Arc::new(ds.clone()).binary_view(), ds.binary_view());
+        assert!(BinaryDataset::default().binary_view().is_none());
     }
 
     #[test]

@@ -55,6 +55,19 @@ pub trait PointSet {
     fn dense_block(&self, start: usize, len: usize) -> Option<&[f32]> {
         self.dense_view().map(|(flat, dim)| &flat[start * dim..(start + len) * dim])
     }
+
+    /// The set's row-major packed binary storage `(words,
+    /// words_per_row)`, if it has one. Point `i` must be
+    /// `words[i·wpr .. (i+1)·wpr]` with `wpr > 0`.
+    ///
+    /// The binary counterpart of [`dense_view`](Self::dense_view):
+    /// [`Hamming`](crate::Hamming) asks for it to run the popcount scan
+    /// and verification kernels ([`crate::kernels::hamming_scan`]) and
+    /// falls back to per-point `distance()` calls when it is `None`
+    /// (the default).
+    fn binary_view(&self) -> Option<(&[u64], usize)> {
+        None
+    }
 }
 
 impl<T: PointSet + ?Sized> PointSet for &T {
@@ -70,6 +83,10 @@ impl<T: PointSet + ?Sized> PointSet for &T {
 
     fn dense_view(&self) -> Option<(&[f32], usize)> {
         (**self).dense_view()
+    }
+
+    fn binary_view(&self) -> Option<(&[u64], usize)> {
+        (**self).binary_view()
     }
 }
 
@@ -90,6 +107,10 @@ impl<T: PointSet + ?Sized> PointSet for std::sync::Arc<T> {
 
     fn dense_view(&self) -> Option<(&[f32], usize)> {
         (**self).dense_view()
+    }
+
+    fn binary_view(&self) -> Option<(&[u64], usize)> {
+        (**self).binary_view()
     }
 }
 
@@ -152,9 +173,11 @@ mod tests {
         assert_eq!(by_ref.len(), 3);
         assert_eq!(by_ref.point(2), "c");
         assert!(by_ref.dense_view().is_none());
+        assert!(by_ref.binary_view().is_none());
         let shared = std::sync::Arc::new(Three);
         assert_eq!(shared.len(), 3);
         assert_eq!(shared.point(0), "a");
         assert!(shared.dense_view().is_none());
+        assert!(shared.binary_view().is_none());
     }
 }

@@ -1,9 +1,10 @@
-//! Throughput-oriented numeric kernels for dense `f32` data.
+//! Throughput-oriented numeric kernels for dense `f32` and packed
+//! binary data.
 //!
-//! Every function here is the chunked counterpart of a scalar reference
-//! in [`crate::dense`]. The scalar versions promote each element to
-//! `f64` before multiplying, which is numerically conservative but
-//! compiles to serial scalar code; the kernels instead keep
+//! Every dense function here is the chunked counterpart of a scalar
+//! reference in [`crate::dense`]. The scalar versions promote each
+//! element to `f64` before multiplying, which is numerically
+//! conservative but compiles to serial scalar code; the kernels keep
 //! [`LANES`]-wide arrays of `f32` accumulators in the inner loop — a
 //! shape LLVM autovectorizes on stable Rust without `std::simd` — and
 //! fold the lanes into one `f64` at the end. The remainder tail
@@ -24,7 +25,22 @@
 //! slightly and make the final accept/reject decision on the fully
 //! accumulated value, so an early exit never rejects a candidate the
 //! non-exiting kernel would accept.
+//!
+//! # Binary kernels
+//!
+//! The Hamming kernels ([`hamming_scan`], [`hamming_one_to_many`] and
+//! their `_dist` twins) work on row-major packed `u64` words. A Hamming
+//! distance is an integer popcount, so they carry no accuracy envelope:
+//! accepted ids, their order and every emitted distance equal the
+//! per-point `hamming_words(row, q) as f64 <= r` loop bit for bit, for
+//! every radius including negative, `NaN` and infinite ones. They run
+//! in two passes per block of rows — popcount the XORs into a small
+//! buffer (a loop LLVM vectorizes on baseline x86-64), then filter that
+//! buffer on the unchanged predicate `(d as f64) <= r` (evaluated as
+//! the equivalent integer compare), compacting accepted entries through
+//! a stack buffer without a data-dependent branch.
 
+use crate::binary::hamming_words;
 use crate::dataset::PointId;
 
 /// Accumulator width of every chunked kernel (8 × `f32` = one AVX2
@@ -615,6 +631,189 @@ pub fn l1_scan_dist(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<(
     }
 }
 
+// ---------------------------------------------------------------------
+// Binary (Hamming) kernels — exact; see the module docs.
+// ---------------------------------------------------------------------
+
+/// Rows per block of the two-pass Hamming kernels: the distance buffer
+/// (512 B) and the compaction buffer stay in L1 while a block is large
+/// enough to amortise the per-block bookkeeping.
+const HAMMING_BLOCK: usize = 128;
+
+/// Pass 1 over contiguous rows: `dist[i]` = Hamming distance of row `i`
+/// of `rows` to `q`. Single-word rows (64-bit fingerprints) take a
+/// straight XOR-popcount loop that LLVM vectorizes.
+#[inline]
+fn hamming_rows(rows: &[u64], wpr: usize, q: &[u64], dist: &mut [u32]) {
+    if wpr == 1 {
+        let q0 = q[0];
+        for (d, &w) in dist.iter_mut().zip(rows) {
+            *d = (w ^ q0).count_ones();
+        }
+    } else {
+        for (d, row) in dist.iter_mut().zip(rows.chunks_exact(wpr)) {
+            *d = hamming_words(row, q);
+        }
+    }
+}
+
+/// Pass 1 over listed rows: `dist[i]` = Hamming distance of row
+/// `ids[i]` of the slab `words` to `q`.
+#[inline]
+fn hamming_gather(words: &[u64], wpr: usize, ids: &[PointId], q: &[u64], dist: &mut [u32]) {
+    if wpr == 1 {
+        let q0 = q[0];
+        for (d, &id) in dist.iter_mut().zip(ids) {
+            *d = (words[id as usize] ^ q0).count_ones();
+        }
+    } else {
+        for (d, &id) in dist.iter_mut().zip(ids) {
+            let start = id as usize * wpr;
+            *d = hamming_words(&words[start..start + wpr], q);
+        }
+    }
+}
+
+/// The accept predicate `(d as f64) <= r` over integer distances
+/// `d ≤ max_d`, restated as `d < limit`: for an integer `d` and any
+/// `r ≥ 0`, `d ≤ r` exactly when `d ≤ ⌊r⌋`, so `limit = ⌊min(r,
+/// max_d)⌋ + 1`; a negative or `NaN` radius accepts nothing (`limit =
+/// 0`), an infinite one everything. The same rows pass either form —
+/// the integer compare merely skips a `u32 → f64` conversion per row.
+#[inline]
+fn hamming_limit(r: f64, max_d: u32) -> u32 {
+    if r >= 0.0 {
+        r.min(max_d as f64) as u32 + 1
+    } else {
+        0
+    }
+}
+
+/// Pass 2: appends `emit(i, d)` for every `i` with `dist[i] < limit`
+/// (see [`hamming_limit`]), in order. Every entry is written to `buf`
+/// and the write cursor advances by the predicate's value, so there is
+/// no branch on the data; the accepted prefix is then copied out in one
+/// call.
+#[inline]
+fn hamming_filter<T: Copy>(
+    dist: &[u32],
+    limit: u32,
+    buf: &mut [T; HAMMING_BLOCK],
+    emit: impl Fn(usize, u32) -> T,
+    out: &mut Vec<T>,
+) {
+    let mut k = 0;
+    for (i, &d) in dist.iter().enumerate() {
+        buf[k] = emit(i, d);
+        k += usize::from(d < limit);
+    }
+    out.extend_from_slice(&buf[..k]);
+}
+
+/// Shared body of the full-scan Hamming kernels.
+fn hamming_scan_with<T: Copy + Default>(
+    words: &[u64],
+    wpr: usize,
+    q: &[u64],
+    r: f64,
+    emit: impl Fn(PointId, u32) -> T,
+    out: &mut Vec<T>,
+) {
+    assert!(wpr > 0, "row width must be positive");
+    assert_eq!(q.len(), wpr, "query length mismatch");
+    let limit = hamming_limit(r, (64 * wpr) as u32);
+    let mut dist = [0u32; HAMMING_BLOCK];
+    let mut buf = [T::default(); HAMMING_BLOCK];
+    for (b, rows) in words.chunks(HAMMING_BLOCK * wpr).enumerate() {
+        let dist = &mut dist[..rows.len() / wpr];
+        hamming_rows(rows, wpr, q, dist);
+        let base = (b * HAMMING_BLOCK) as PointId;
+        hamming_filter(dist, limit, &mut buf, |i, d| emit(base + i as PointId, d), out);
+    }
+}
+
+/// Shared body of the one-to-many Hamming kernels.
+fn hamming_one_to_many_with<T: Copy + Default>(
+    words: &[u64],
+    wpr: usize,
+    ids: &[PointId],
+    q: &[u64],
+    r: f64,
+    emit: impl Fn(PointId, u32) -> T,
+    out: &mut Vec<T>,
+) {
+    assert!(wpr > 0, "row width must be positive");
+    assert_eq!(q.len(), wpr, "query length mismatch");
+    let limit = hamming_limit(r, (64 * wpr) as u32);
+    let mut dist = [0u32; HAMMING_BLOCK];
+    let mut buf = [T::default(); HAMMING_BLOCK];
+    for block in ids.chunks(HAMMING_BLOCK) {
+        let dist = &mut dist[..block.len()];
+        hamming_gather(words, wpr, block, q, dist);
+        hamming_filter(dist, limit, &mut buf, |i, d| emit(block[i], d), out);
+    }
+}
+
+/// Full-scan Hamming filter: appends the id of every row of the
+/// row-major packed slab `words` (`wpr` words per row) whose Hamming
+/// distance to `q` satisfies `(d as f64) <= r`, in row order — the
+/// linear arm's kernel on binary data.
+///
+/// # Panics
+/// Panics if `wpr == 0` or `q.len() != wpr`.
+pub fn hamming_scan(words: &[u64], wpr: usize, q: &[u64], r: f64, out: &mut Vec<PointId>) {
+    hamming_scan_with(words, wpr, q, r, |id, _| id, out);
+}
+
+/// One-to-many Hamming filter: appends every id in `ids` whose row of
+/// `words` lies within `r` of `q`, preserving the order (and any
+/// repeats) of `ids`.
+///
+/// # Panics
+/// Panics if `wpr == 0`, `q.len() != wpr` or an id indexes past the
+/// slab.
+pub fn hamming_one_to_many(
+    words: &[u64],
+    wpr: usize,
+    ids: &[PointId],
+    q: &[u64],
+    r: f64,
+    out: &mut Vec<PointId>,
+) {
+    hamming_one_to_many_with(words, wpr, ids, q, r, |id, _| id, out);
+}
+
+/// [`hamming_scan`] variant emitting `(id, distance)` pairs, each
+/// distance the exact popcount as `f64`.
+///
+/// # Panics
+/// Panics if `wpr == 0` or `q.len() != wpr`.
+pub fn hamming_scan_dist(
+    words: &[u64],
+    wpr: usize,
+    q: &[u64],
+    r: f64,
+    out: &mut Vec<(PointId, f64)>,
+) {
+    hamming_scan_with(words, wpr, q, r, |id, d| (id, d as f64), out);
+}
+
+/// [`hamming_one_to_many`] variant emitting `(id, distance)` pairs.
+///
+/// # Panics
+/// Panics if `wpr == 0`, `q.len() != wpr` or an id indexes past the
+/// slab.
+pub fn hamming_one_to_many_dist(
+    words: &[u64],
+    wpr: usize,
+    ids: &[PointId],
+    q: &[u64],
+    r: f64,
+    out: &mut Vec<(PointId, f64)>,
+) {
+    hamming_one_to_many_with(words, wpr, ids, q, r, |id, d| (id, d as f64), out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -890,6 +1089,16 @@ mod tests {
         for (i, &(id, d)) in pairs.iter().enumerate() {
             assert_eq!(id as usize, i);
             assert_eq!(d.to_bits(), l2(&flat[i * dim..(i + 1) * dim], &q).to_bits());
+        }
+    }
+
+    #[test]
+    fn hamming_limit_restates_the_f64_predicate() {
+        for r in [-1.0, -0.0, 0.0, 0.5, 3.99, 4.0, 63.5, 64.0, 1e9, f64::INFINITY, f64::NAN] {
+            let limit = hamming_limit(r, 64);
+            for d in 0..=64u32 {
+                assert_eq!(d < limit, (d as f64) <= r, "d {d} r {r}");
+            }
         }
     }
 

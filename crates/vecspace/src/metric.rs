@@ -25,10 +25,12 @@ pub trait Distance<P: ?Sized>: Clone + Send + Sync {
     ///
     /// The default is the per-id [`distance`](Self::distance) loop;
     /// dense metrics override it to score the whole candidate list with
-    /// a one-to-many kernel straight out of the dataset's flat storage
-    /// (see [`crate::kernels`]). Overrides must preserve ordering and
-    /// may differ from the default only within the kernel accuracy
-    /// envelope documented in [`crate::kernels`].
+    /// a one-to-many kernel straight out of the dataset's flat storage,
+    /// and [`Hamming`] with a popcount kernel over the packed binary
+    /// storage (see [`crate::kernels`]). Overrides must preserve
+    /// ordering and may differ from the default only within the kernel
+    /// accuracy envelope documented in [`crate::kernels`] (the binary
+    /// kernels are exact).
     fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<PointId>)
     where
         S: PointSet<Point = P> + ?Sized,
@@ -552,6 +554,54 @@ impl Distance<[u64]> for Hamming {
 
     fn name(&self) -> &'static str {
         "Hamming"
+    }
+
+    // Integer distances make the popcount kernels exact: every override
+    // equals its scalar loop bit for bit (see `crate::kernels`).
+    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[u64], r: f64, out: &mut Vec<PointId>)
+    where
+        S: PointSet<Point = [u64]> + ?Sized,
+    {
+        match data.binary_view() {
+            Some((words, wpr)) => kernels::hamming_one_to_many(words, wpr, ids, q, r, out),
+            None => verify_scalar(self, data, ids, q, r, out),
+        }
+    }
+
+    fn scan_within<S>(&self, data: &S, q: &[u64], r: f64, out: &mut Vec<PointId>)
+    where
+        S: PointSet<Point = [u64]> + ?Sized,
+    {
+        match data.binary_view() {
+            Some((words, wpr)) => kernels::hamming_scan(words, wpr, q, r, out),
+            None => scan_scalar(self, data, q, r, out),
+        }
+    }
+
+    fn verify_many_dist<S>(
+        &self,
+        data: &S,
+        ids: &[PointId],
+        q: &[u64],
+        r: f64,
+        out: &mut Vec<(PointId, f64)>,
+    ) where
+        S: PointSet<Point = [u64]> + ?Sized,
+    {
+        match data.binary_view() {
+            Some((words, wpr)) => kernels::hamming_one_to_many_dist(words, wpr, ids, q, r, out),
+            None => verify_scalar_dist(self, data, ids, q, r, out),
+        }
+    }
+
+    fn scan_within_dist<S>(&self, data: &S, q: &[u64], r: f64, out: &mut Vec<(PointId, f64)>)
+    where
+        S: PointSet<Point = [u64]> + ?Sized,
+    {
+        match data.binary_view() {
+            Some((words, wpr)) => kernels::hamming_scan_dist(words, wpr, q, r, out),
+            None => scan_scalar_dist(self, data, q, r, out),
+        }
     }
 }
 

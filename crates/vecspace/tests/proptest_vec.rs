@@ -4,7 +4,11 @@
 
 use hlsh_vec::binary::{hamming, jaccard_distance};
 use hlsh_vec::dense::{cosine_distance, dot, l1, l2, norm};
-use hlsh_vec::{kernels, BinaryVec, DenseDataset};
+use hlsh_vec::metric::{scan_scalar, scan_scalar_dist, verify_scalar, verify_scalar_dist};
+use hlsh_vec::{
+    kernels, BinaryDataset, BinaryVec, DenseDataset, Distance, GrowablePointSet, Hamming, PointId,
+    PointSet,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -243,6 +247,72 @@ proptest! {
         }
     }
 
+    /// The Hamming kernels behind `Hamming`'s `scan_within` /
+    /// `verify_many` and their `_dist` twins equal the scalar loops
+    /// exactly — same ids, same order (repeats and unsorted ids kept),
+    /// same distance bits — on one- and multi-word rows and at every
+    /// kind of radius: exact integer boundaries and their neighbours,
+    /// zero, negative, `NaN` and infinite.
+    #[test]
+    fn hamming_kernels_equal_scalar_loops_exactly(
+        wpr in 1usize..4,
+        q in vec(any::<u64>(), 3),
+        masks in vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..1200),
+        raw_ids in vec(any::<u32>(), 0..400),
+        pick in any::<u64>(),
+    ) {
+        let q = &q[..wpr];
+        // Rows near q (each bit flipped with probability 1/8), so the
+        // distances spread over a range the radii below cut through;
+        // row 0 is q itself.
+        let mut data = BinaryDataset::new(64 * wpr);
+        for row in masks.chunks_exact(wpr) {
+            let words: Vec<u64> =
+                row.iter().zip(q).map(|(&(a, b, c), &w)| w ^ (a & b & c)).collect();
+            data.push_point(&words);
+        }
+        data.push_point(q);
+        prop_assert!(data.binary_view().is_some(), "the kernel path must be the one tested");
+        let n = data.len() as u32;
+        let ids: Vec<PointId> = raw_ids.iter().map(|&id| id % n).collect();
+
+        let boundary = Hamming.distance(data.point((pick % n as u64) as usize), q);
+        let mut radii = vec![
+            boundary,
+            boundary + 0.5,
+            boundary - 0.5,
+            f64::from_bits(boundary.to_bits().saturating_sub(1)),
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        radii.push((64 * wpr) as f64);
+        for r in radii {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            Hamming.scan_within(&data, q, r, &mut got);
+            scan_scalar(&Hamming, &data, q, r, &mut want);
+            prop_assert_eq!(&got, &want, "scan, wpr {} r {}", wpr, r);
+
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            Hamming.verify_many(&data, &ids, q, r, &mut got);
+            verify_scalar(&Hamming, &data, &ids, q, r, &mut want);
+            prop_assert_eq!(&got, &want, "verify, wpr {} r {}", wpr, r);
+
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            Hamming.scan_within_dist(&data, q, r, &mut got);
+            scan_scalar_dist(&Hamming, &data, q, r, &mut want);
+            prop_assert_eq!(bits(&got), bits(&want), "scan_dist, wpr {} r {}", wpr, r);
+
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            Hamming.verify_many_dist(&data, &ids, q, r, &mut got);
+            verify_scalar_dist(&Hamming, &data, &ids, q, r, &mut want);
+            prop_assert_eq!(bits(&got), bits(&want), "verify_dist, wpr {} r {}", wpr, r);
+        }
+    }
+
     #[test]
     fn libsvm_parser_never_panics(text in "[ -~\\n]{0,300}") {
         // Totality: arbitrary printable input either parses or errors,
@@ -250,4 +320,10 @@ proptest! {
         let _ = hlsh_vec::io::parse_libsvm(text.as_bytes(), 8);
         let _ = hlsh_vec::io::parse_dense(text.as_bytes(), 4);
     }
+}
+
+/// `(id, distance bits)` — exact comparison of distance-returning
+/// kernel output.
+fn bits(pairs: &[(PointId, f64)]) -> Vec<(PointId, u64)> {
+    pairs.iter().map(|&(id, d)| (id, d.to_bits())).collect()
 }

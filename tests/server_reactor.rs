@@ -15,7 +15,9 @@
 //!   idle timeout (the slow-loris defence);
 //! * request deadlines — an expired request gets an
 //!   [`ErrorCode::Deadline`] frame and the connection survives to
-//!   serve later requests.
+//!   serve later requests;
+//! * wake-ups — responses finished on several threads at once each
+//!   wake the event loop, so none waits for the idle-timer tick.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -24,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use hybrid_lsh::prelude::*;
 use hybrid_lsh::server::{
-    spawn, Client, ClientError, ErrorCode, QueryBlock, QueryService, Request, ServerConfig,
-    ServerHandle, ShardedLshService,
+    spawn, Client, ClientError, ErrorCode, LiveLshService, QueryBlock, QueryService, Request,
+    ServerConfig, ServerHandle, ShardedLshService,
 };
 
 const DIM: usize = 8;
@@ -210,4 +212,66 @@ fn expired_deadline_answers_deadline_frame_and_connection_survives() {
     // keeps serving (Info bypasses the batcher, so no deadline).
     assert_eq!(client.info().expect("connection survived the deadline").points, 600);
     fx.server.shutdown();
+}
+
+#[test]
+fn concurrent_completions_never_wait_for_the_timer_tick() {
+    // A living index under the default config (60 s idle timeout, so
+    // the timer wheel ticks once a second). Every write completes on a
+    // thread of its own and every query on the batcher, so several
+    // threads post responses at once while the event loop drains. A
+    // lost wake-up would leave the loop asleep until the next tick:
+    // the response would take up to a second instead of milliseconds.
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 200;
+    const LIMIT: Duration = Duration::from_millis(500);
+    let (data, _) = hybrid_lsh::datagen::benchmark_mixture(DIM, 600, RADIUS, 5);
+    let ids: Vec<PointId> = (0..data.len() as PointId).collect();
+    let builder = IndexBuilder::new(PStableL2::new(DIM, 2.0 * RADIUS), L2)
+        .tables(8)
+        .hash_len(4)
+        .seed(5)
+        .cost_model(CostModel::from_ratio(6.0));
+    let rnnr = SegmentedIndex::build_bulk(data.clone(), &ids, ShardAssignment::new(5, 2), builder);
+    let service: Arc<dyn QueryService> = Arc::new(LiveLshService::new(rnnr, None));
+    let mut server = spawn(service, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let slowest = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let data = &data;
+                scope.spawn(move || {
+                    let mut client =
+                        Client::connect_retry(addr, Duration::from_secs(10)).expect("connect");
+                    let mut slowest = Duration::ZERO;
+                    for round in 0..ROUNDS {
+                        if slowest >= LIMIT {
+                            // Stuck loops answer once a tick; one is
+                            // enough to fail, the rest would only wait.
+                            break;
+                        }
+                        let fresh = (10_000 + c * ROUNDS + round) as PointId;
+                        let row = data.row((c * ROUNDS + round) % data.len()).to_vec();
+                        let t = Instant::now();
+                        client.insert_batch(&[fresh], std::slice::from_ref(&row)).expect("insert");
+                        slowest = slowest.max(t.elapsed());
+                        let t = Instant::now();
+                        client.query_batch(std::slice::from_ref(&row), RADIUS).expect("query");
+                        slowest = slowest.max(t.elapsed());
+                        let t = Instant::now();
+                        client.delete_batch(&[fresh]).expect("delete");
+                        slowest = slowest.max(t.elapsed());
+                    }
+                    slowest
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("client thread")).max().unwrap()
+    });
+    assert!(
+        slowest < LIMIT,
+        "a response took {slowest:?}: it waited for the timer tick, not a wake-up"
+    );
+    server.shutdown();
 }
