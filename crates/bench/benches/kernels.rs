@@ -120,6 +120,14 @@ fn bench_verify(c: &mut Criterion) {
                 std::hint::black_box(out.len())
             })
         });
+        // The engine's L2 verification kernel (unsquared radius), ids only.
+        group.bench_with_input(BenchmarkId::new("l2_one_to_many", d), &d, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::<u32>::new();
+                kernels::l2_one_to_many(std::hint::black_box(&flat), d, &ids, &q, r, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
     }
     group.finish();
 }
@@ -182,7 +190,7 @@ fn bench_hamming(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("scan_scalar", label), &wpr, |bch, _| {
             bch.iter(|| {
-                let mut out = Vec::new();
+                let mut out = Vec::<u32>::new();
                 scan_scalar(&Hamming, std::hint::black_box(&data), &q[..], r, &mut out);
                 std::hint::black_box(out.len())
             })
@@ -196,7 +204,7 @@ fn bench_hamming(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("verify_scalar", label), &wpr, |bch, _| {
             bch.iter(|| {
-                let mut out = Vec::new();
+                let mut out = Vec::<u32>::new();
                 verify_scalar(&Hamming, std::hint::black_box(&data), &ids, &q[..], r, &mut out);
                 std::hint::black_box(out.len())
             })

@@ -34,6 +34,16 @@ use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::dedup::SeenBitmap;
 
+/// Shortest timed sample in [`CostModel::calibrate`]: a sample repeats
+/// its primitive until it has run this long, so a nanosecond-scale
+/// primitive (α, one bitmap test) is never timed over a fraction of a
+/// millisecond, which one burst of load on a shared host can double.
+const MIN_SAMPLE_NANOS: u128 = 2_000_000;
+
+/// Timed samples per primitive in [`CostModel::calibrate`], after one
+/// warm-up sample; the minimum is kept.
+const SAMPLES: usize = 9;
+
 /// The calibrated `(α, β_scan, β_cand)` triple.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -131,9 +141,11 @@ impl CostModel {
     /// early) and none is appended — the radius-independent per-point
     /// cost.
     ///
-    /// Each measurement is repeated three times after a warm-up pass
-    /// and the minimum is kept, which rejects scheduler and cache-warm
-    /// noise (single-shot timings were observed to swing β by ±20%).
+    /// Each primitive is timed in nine samples of at least 2 ms each
+    /// (after a warm-up sample) and the minimum is kept, which rejects scheduler and cache-warm noise.
+    /// The three primitives take their samples in turn, so a burst of
+    /// load on the host inflates all of them alike instead of one — the
+    /// decision reads only their ratios.
     ///
     /// # Panics
     /// Panics if the data set has fewer than 2 points or
@@ -152,36 +164,19 @@ impl CostModel {
             state = state.wrapping_add(hlsh_hll::hash::GOLDEN_GAMMA);
             hlsh_hll::hash::splitmix64(state)
         };
-        // Minimum per-op time over three timed repetitions of `run`
-        // (`ops` operations each) after one warm-up pass.
-        let per_op = |ops: usize, run: &mut dyn FnMut()| {
-            let mut best = f64::INFINITY;
-            for rep in 0..4 {
-                let t0 = Instant::now();
-                run();
-                let ns = t0.elapsed().as_nanos() as f64 / ops as f64;
-                if rep > 0 {
-                    best = best.min(ns);
-                }
-            }
-            best
-        };
-
         // Opaque, so the optimizer cannot fold the always-false filter
         // and drop the distance computations with it.
         let reject_all = std::hint::black_box(f64::NAN);
 
-        // Time β: the linear arm's scan kernel over a prefix sample.
+        // β: the linear arm's scan kernel over a prefix sample.
         let q = data.point((next() % n as u64) as usize);
         let scan_len = sample_pairs.min(n);
         let sample = Prefix { data, len: scan_len };
-        let mut out = Vec::new();
-        let beta = per_op(scan_len, &mut || {
-            distance.scan_within(&sample, q, reject_all, &mut out);
-        });
+        let mut scan_out = Vec::new();
+        let mut scan = || distance.scan_within(&sample, q, reject_all, &mut scan_out);
 
-        // Time α: the LSH arm's dedup. The regime the decision exists
-        // for is a hard query whose candidates collide in many of the L
+        // α: the LSH arm's dedup. The regime the decision exists for is
+        // a hard query whose candidates collide in many of the L
         // tables: each distinct candidate is emitted once and then
         // repeatedly met again. We replay exactly that — `16×`
         // duplication over a `sample`-sized id range — so α reflects
@@ -191,18 +186,44 @@ impl CostModel {
         let ids: Vec<PointId> =
             (0..alpha_ops).map(|_| (next() % sample_pairs as u64) as PointId).collect();
         let mut seen = SeenBitmap::default();
-        let alpha = per_op(alpha_ops, &mut || {
-            out.clear();
-            seen.dedup_into(sample_pairs, [&ids[..]], &mut out);
-            std::hint::black_box(out.len());
-        });
+        let mut cands = Vec::new();
+        let mut dedup = || {
+            cands.clear();
+            seen.dedup_into(sample_pairs, [&ids[..]], &mut cands);
+            std::hint::black_box(cands.len());
+        };
 
-        // Time β_cand: the LSH arm's verification kernel over ids in
-        // random order.
+        // β_cand: the LSH arm's verification kernel over ids in random
+        // order.
         let order: Vec<PointId> = (0..scan_len).map(|_| (next() % n as u64) as PointId).collect();
-        let beta_cand = per_op(scan_len, &mut || {
-            distance.verify_many(data, &order, q, reject_all, &mut out);
-        });
+        let mut verify_out = Vec::new();
+        let mut verify = || distance.verify_many(data, &order, q, reject_all, &mut verify_out);
+
+        // Minimum per-op time of each primitive over its samples. A
+        // sample runs its primitive in doubling batches until it has
+        // lasted `MIN_SAMPLE_NANOS`, so the clock is read O(log reps)
+        // times.
+        let mut primitives: [(usize, &mut dyn FnMut()); 3] =
+            [(scan_len, &mut scan), (alpha_ops, &mut dedup), (scan_len, &mut verify)];
+        let mut best = [f64::INFINITY; 3];
+        for round in 0..=SAMPLES {
+            for ((ops, run), best) in primitives.iter_mut().zip(&mut best) {
+                let t0 = Instant::now();
+                let (mut reps, mut batch) = (0usize, 1usize);
+                while t0.elapsed().as_nanos() < MIN_SAMPLE_NANOS {
+                    for _ in 0..batch {
+                        run();
+                    }
+                    reps += batch;
+                    batch *= 2;
+                }
+                let ns = t0.elapsed().as_nanos() as f64 / (reps * *ops) as f64;
+                if round > 0 {
+                    *best = best.min(ns);
+                }
+            }
+        }
+        let [beta, alpha, beta_cand] = best;
 
         // Guard against timer quantisation producing zeros; random
         // access can only be dearer than the sequential scan.

@@ -74,7 +74,6 @@ pub mod bucket;
 pub mod builder;
 pub mod cost;
 mod dedup;
-pub mod diverse;
 pub mod engine;
 pub mod hasher;
 pub mod index;
@@ -94,8 +93,7 @@ pub mod topk;
 pub use bucket::BucketRef;
 pub use builder::{BuildMode, IndexBuilder};
 pub use cost::{CostEstimate, CostModel};
-pub use diverse::DiverseOutput;
-pub use engine::{QueryDistOutput, QueryEngine};
+pub use engine::QueryEngine;
 pub use index::{HybridLshIndex, IndexStats};
 pub use pipeline::{BuildPipeline, KeyRuns};
 pub use presets::MixturePreset;

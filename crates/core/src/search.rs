@@ -1,5 +1,7 @@
 //! Search strategies (Algorithm 2's two arms plus the adaptive choice).
 
+use hlsh_vec::{Distance, Hit, PointId, PointSet};
+
 /// Which search strategy to run for a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
@@ -36,9 +38,9 @@ impl std::fmt::Display for Strategy {
 ///
 /// The engine defaults to [`Kernel`](VerifyMode::Kernel): candidates
 /// are deduplicated first and then verified as one batched
-/// [`verify_many`](hlsh_vec::Distance::verify_many) call, which on
-/// dense data dispatches to the chunked one-to-many kernels in
-/// `hlsh_vec::kernels`. [`Scalar`](VerifyMode::Scalar) forces the
+/// [`verify_hits`](hlsh_vec::Distance::verify_hits) call, which on
+/// dense and packed binary data dispatches to the one-to-many kernels
+/// in `hlsh_vec::kernels`. [`Scalar`](VerifyMode::Scalar) forces the
 /// per-candidate `distance()` loop — the pre-kernel behaviour, kept as
 /// a benchmark baseline and a cross-check in equivalence tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -51,6 +53,44 @@ pub enum VerifyMode {
 }
 
 impl VerifyMode {
+    /// Step S3 of the LSH arm: appends a hit for every id in `ids`
+    /// within `r` of `q`, in the order of `ids` — through the metric's
+    /// batched [`verify_hits`](Distance::verify_hits) or the per-id
+    /// [`verify_scalar`](hlsh_vec::metric::verify_scalar) loop.
+    pub fn verify<S, D, H>(
+        self,
+        distance: &D,
+        data: &S,
+        ids: &[PointId],
+        q: &S::Point,
+        r: f64,
+        out: &mut Vec<H>,
+    ) where
+        S: PointSet + ?Sized,
+        D: Distance<S::Point>,
+        H: Hit,
+    {
+        match self {
+            VerifyMode::Kernel => distance.verify_hits(data, ids, q, r, out),
+            VerifyMode::Scalar => hlsh_vec::metric::verify_scalar(distance, data, ids, q, r, out),
+        }
+    }
+
+    /// The linear arm: appends a hit for every point of `data` within
+    /// `r` of `q`, in ascending id order; same dispatch as
+    /// [`verify`](Self::verify).
+    pub fn scan<S, D, H>(self, distance: &D, data: &S, q: &S::Point, r: f64, out: &mut Vec<H>)
+    where
+        S: PointSet + ?Sized,
+        D: Distance<S::Point>,
+        H: Hit,
+    {
+        match self {
+            VerifyMode::Kernel => distance.scan_hits(data, q, r, out),
+            VerifyMode::Scalar => hlsh_vec::metric::scan_scalar(distance, data, q, r, out),
+        }
+    }
+
     /// Display label for reports and bench output.
     pub fn label(&self) -> &'static str {
         match self {

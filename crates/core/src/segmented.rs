@@ -67,7 +67,7 @@ use std::time::Instant;
 
 use hlsh_families::LshFamily;
 use hlsh_hll::{HllConfig, MergeAccumulator};
-use hlsh_vec::{DenseDataset, Distance, PointId, SubsetPointSet};
+use hlsh_vec::{DenseDataset, Distance, Hit, PointId, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
@@ -77,7 +77,7 @@ use crate::index::HybridLshIndex;
 use crate::report::{QueryOutput, QueryReport};
 use crate::schedule::RadiusSchedule;
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
-use crate::sharded::{ensure_accumulator, ShardAssignment};
+use crate::sharded::{ensure_accumulator, relabel_from, ShardAssignment};
 use crate::store::{FrozenStore, MapStore};
 use crate::topk::{fallback_scan_pairs, BoundedHeap, Neighbor, TopKIndex, TopKOutput, TopKReport};
 
@@ -223,6 +223,16 @@ where
     }
 }
 
+impl<F: LshFamily<[f32]>, D: Distance<[f32]>> Memtable<F, D> {
+    fn source(&self) -> Source<'_, D> {
+        Source {
+            data: self.index.data(),
+            distance: self.index.distance(),
+            ids: SourceIds::Mem(&self.rows),
+        }
+    }
+}
+
 /// One immutable frozen segment: buckets and sketches keyed by global
 /// ids, plus tombstones for logical deletes.
 struct Segment<F, D>
@@ -250,6 +260,16 @@ where
 {
     let index = builder.clone().cost_model(cost).sequential().build_frozen_mapped(data, Some(&ids));
     Segment { index, meta: SegMeta::new(ids) }
+}
+
+impl<F: LshFamily<[f32]>, D: Distance<[f32]>> Segment<F, D> {
+    fn source(&self) -> Source<'_, D> {
+        Source {
+            data: self.index.data(),
+            distance: self.index.distance(),
+            ids: SourceIds::Seg(&self.meta),
+        }
+    }
 }
 
 /// One shard's LSM hierarchy: the memtable plus its frozen segments.
@@ -547,6 +567,15 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
+    /// Every source that can hold live points — per shard, the
+    /// memtable (if it has live rows) and then each segment.
+    fn sources(&self) -> impl Iterator<Item = Source<'_, D>> {
+        self.shards.iter().flat_map(|shard| {
+            let mem = (shard.mem.rows.live_rows > 0).then(|| shard.mem.source());
+            mem.into_iter().chain(shard.segments.iter().map(Segment::source))
+        })
+    }
+
     /// Number of live points.
     pub fn len(&self) -> usize {
         self.live
@@ -618,11 +647,83 @@ where
     }
 }
 
-/// One probed source's buckets: `seg == None` is the shard's memtable,
-/// `Some(i)` its `i`-th segment.
-struct ProbedSource<'a> {
-    shard: usize,
-    seg: Option<usize>,
+/// How one source's local rows map to global ids: a memtable's row
+/// bookkeeping, or a segment's ascending id list and tombstones.
+#[derive(Clone, Copy)]
+enum SourceIds<'a> {
+    Mem(&'a Rows),
+    Seg(&'a SegMeta),
+}
+
+impl SourceIds<'_> {
+    /// The global id of local row `local`, live or not.
+    fn global(self, local: PointId) -> PointId {
+        match self {
+            SourceIds::Mem(rows) => rows.ids[local as usize],
+            SourceIds::Seg(meta) => meta.ids[local as usize],
+        }
+    }
+
+    /// The global id of local row `local`, or `None` when the row is a
+    /// dead memtable row or a tombstoned segment row.
+    fn live_global(self, local: PointId) -> Option<PointId> {
+        match self {
+            SourceIds::Mem(rows) => rows.live[local as usize].then(|| rows.ids[local as usize]),
+            SourceIds::Seg(meta) => {
+                let id = meta.ids[local as usize];
+                (!meta.tombstones.contains(&id)).then_some(id)
+            }
+        }
+    }
+}
+
+/// One memtable or segment (at one schedule level, for top-k) as S3
+/// sees it: its slab, its metric and its row → global id map.
+struct Source<'a, D> {
+    data: &'a DenseDataset,
+    distance: &'a D,
+    ids: SourceIds<'a>,
+}
+
+impl<D: Distance<[f32]>> Source<'_, D> {
+    /// This source's LSH-arm S3, shared by the rNNR and top-k engines:
+    /// dedups the surviving colliding members, verifies them against
+    /// the source's slab, and appends the accepted hits, relabelled to
+    /// global ids, to `out` in first-collision order. Returns the
+    /// source's distinct candidate count.
+    fn lsh_into<H: Hit>(
+        &self,
+        buckets: &[BucketRef<'_>],
+        q: &[f32],
+        r: f64,
+        verify: VerifyMode,
+        (seen, cands): (&mut FxHashSet<PointId>, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize {
+        match self.ids {
+            SourceIds::Mem(rows) => collect_mem_cands(seen, cands, buckets, rows),
+            SourceIds::Seg(meta) => collect_seg_cands(seen, cands, buckets, meta),
+        }
+        let start = out.len();
+        verify.verify(self.distance, self.data, cands, q, r, out);
+        relabel_from(out, start, |local| Some(self.ids.global(local)));
+        cands.len()
+    }
+
+    /// This source's linear-arm S3: scans the slab and appends the hits
+    /// of live rows, relabelled to global ids, to `out` in row order.
+    /// Per-point acceptance is the predicate the rebuild's scan
+    /// applies, so dropping dead rows afterwards changes nothing else.
+    fn scan_into<H: Hit>(&self, q: &[f32], r: f64, verify: VerifyMode, out: &mut Vec<H>) {
+        let start = out.len();
+        verify.scan(self.distance, self.data, q, r, out);
+        relabel_from(out, start, |local| self.ids.live_global(local));
+    }
+}
+
+/// One probed source and its buckets.
+struct ProbedSource<'a, D> {
+    source: Source<'a, D>,
     buckets: Vec<BucketRef<'a>>,
 }
 
@@ -663,14 +764,9 @@ where
 /// [`BucketRef::contribute_to`]; dirty segments and the memtable feed
 /// surviving **global** ids raw, so the merged registers equal the
 /// rebuild's bit for bit.
-fn contribute_source(
-    acc: &mut MergeAccumulator,
-    buckets: &[BucketRef<'_>],
-    mem_rows: Option<&Rows>,
-    seg_meta: Option<&SegMeta>,
-) {
-    match (mem_rows, seg_meta) {
-        (Some(rows), None) => {
+fn contribute_source(acc: &mut MergeAccumulator, buckets: &[BucketRef<'_>], ids: SourceIds<'_>) {
+    match ids {
+        SourceIds::Mem(rows) => {
             for b in buckets {
                 acc.add_raw(
                     b.members()
@@ -680,7 +776,7 @@ fn contribute_source(
                 );
             }
         }
-        (None, Some(meta)) if meta.is_dirty() => {
+        SourceIds::Seg(meta) if meta.is_dirty() => {
             for b in buckets {
                 acc.add_raw(
                     b.members()
@@ -690,12 +786,11 @@ fn contribute_source(
                 );
             }
         }
-        (None, Some(_)) => {
+        SourceIds::Seg(_) => {
             for b in buckets {
                 b.contribute_to(acc);
             }
         }
-        _ => unreachable!("a source is a memtable or a segment"),
     }
 }
 
@@ -819,14 +914,14 @@ impl SegmentedQueryEngine {
         // bucket members across memtables and segments (together they
         // partition the rebuild's buckets).
         let t_hash = Instant::now();
-        let mut probed: Vec<ProbedSource<'_>> = Vec::new();
+        let mut probed: Vec<ProbedSource<'_, D>> = Vec::new();
         let mut collisions = 0usize;
-        for (si, shard) in index.shards.iter().enumerate() {
+        for shard in &index.shards {
             if shard.mem.rows.live_rows > 0 {
                 let buckets = probe_memtable(&shard.mem.index, &shard.mem.rows, q, &mut collisions);
-                probed.push(ProbedSource { shard: si, seg: None, buckets });
+                probed.push(ProbedSource { source: shard.mem.source(), buckets });
             }
-            for (gi, seg) in shard.segments.iter().enumerate() {
+            for seg in &shard.segments {
                 let (buckets, c, _) = seg.index.probe(q);
                 if seg.meta.is_dirty() {
                     collisions += buckets
@@ -836,7 +931,7 @@ impl SegmentedQueryEngine {
                 } else {
                     collisions += c;
                 }
-                probed.push(ProbedSource { shard: si, seg: Some(gi), buckets });
+                probed.push(ProbedSource { source: seg.source(), buckets });
             }
         }
         let hash_nanos = t_hash.elapsed().as_nanos() as u64;
@@ -849,13 +944,7 @@ impl SegmentedQueryEngine {
             let t_hll = Instant::now();
             let acc = ensure_accumulator(&mut self.acc, index.hll);
             for src in &probed {
-                let shard = &index.shards[src.shard];
-                match src.seg {
-                    None => contribute_source(acc, &src.buckets, Some(&shard.mem.rows), None),
-                    Some(gi) => {
-                        contribute_source(acc, &src.buckets, None, Some(&shard.segments[gi].meta))
-                    }
-                }
+                contribute_source(acc, &src.buckets, src.source.ids);
             }
             (acc.estimate(), t_hll.elapsed().as_nanos() as u64)
         };
@@ -866,7 +955,7 @@ impl SegmentedQueryEngine {
             _ => index.cost.prefer_lsh(collisions, cand_estimate, index.live),
         };
         let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, distinct) = self.lsh_arm(index, q, r, &probed);
+            let (ids, distinct) = self.lsh_arm(q, r, &probed);
             (ExecutedArm::Lsh, ids, Some(distinct))
         } else {
             (ExecutedArm::Linear, self.linear_arm(index, q, r), None)
@@ -897,100 +986,35 @@ impl SegmentedQueryEngine {
     /// Live ids are disjoint across sources, so no cross-source dedup
     /// is needed; the concatenation is sorted into the canonical
     /// ascending order. Returns `(ids, distinct candidate count)`.
-    fn lsh_arm<F, D>(
+    fn lsh_arm<D: Distance<[f32]>>(
         &mut self,
-        index: &SegmentedIndex<F, D>,
         q: &[f32],
         r: f64,
-        probed: &[ProbedSource<'_>],
-    ) -> (Vec<PointId>, usize)
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let mut out_global = Vec::new();
+        probed: &[ProbedSource<'_, D>],
+    ) -> (Vec<PointId>, usize) {
+        let mut out = Vec::new();
         let mut distinct = 0usize;
-        let mut local_out = Vec::new();
         for src in probed {
-            let shard = &index.shards[src.shard];
-            let (data, distance, to_global): (_, _, &dyn Fn(PointId) -> PointId) = match src.seg {
-                None => {
-                    let mem = &shard.mem;
-                    collect_mem_cands(&mut self.seen, &mut self.cands, &src.buckets, &mem.rows);
-                    (mem.index.data(), mem.index.distance(), &|l: PointId| mem.rows.ids[l as usize])
-                }
-                Some(gi) => {
-                    let seg = &shard.segments[gi];
-                    collect_seg_cands(&mut self.seen, &mut self.cands, &src.buckets, &seg.meta);
-                    (seg.index.data(), seg.index.distance(), &|l: PointId| seg.meta.ids[l as usize])
-                }
-            };
-            distinct += self.cands.len();
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.verify_many(data, &self.cands, q, r, &mut local_out),
-                VerifyMode::Scalar => hlsh_vec::metric::verify_scalar(
-                    distance,
-                    data,
-                    &self.cands,
-                    q,
-                    r,
-                    &mut local_out,
-                ),
-            }
-            out_global.extend(local_out.iter().map(|&l| to_global(l)));
+            let scratch = (&mut self.seen, &mut self.cands);
+            distinct += src.source.lsh_into(&src.buckets, q, r, self.verify, scratch, &mut out);
         }
-        out_global.sort_unstable();
-        (out_global, distinct)
+        out.sort_unstable();
+        (out, distinct)
     }
 
     /// The brute-force arm across sources: scan each slab, keep live
-    /// rows, map to global ids, sort ascending. Per-point acceptance
-    /// is the same predicate the rebuild's scan applies, so filtering
-    /// dead rows afterwards changes nothing else.
+    /// rows, map to global ids, sort ascending.
     fn linear_arm<F, D>(&mut self, index: &SegmentedIndex<F, D>, q: &[f32], r: f64) -> Vec<PointId>
     where
         F: LshFamily<[f32]>,
         D: Distance<[f32]>,
     {
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for shard in &index.shards {
-            if shard.mem.rows.live_rows > 0 {
-                let (data, distance) = (shard.mem.index.data(), shard.mem.index.distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .filter(|&&l| shard.mem.rows.live[l as usize])
-                        .map(|&l| shard.mem.rows.ids[l as usize]),
-                );
-            }
-            for seg in &shard.segments {
-                let (data, distance) = (seg.index.data(), seg.index.distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .map(|&l| seg.meta.ids[l as usize])
-                        .filter(|id| !seg.meta.tombstones.contains(id)),
-                );
-            }
+        let mut out = Vec::new();
+        for source in index.sources() {
+            source.scan_into(q, r, self.verify, &mut out);
         }
-        out_global.sort_unstable();
-        out_global
+        out.sort_unstable();
+        out
     }
 }
 
@@ -1040,6 +1064,14 @@ where
     }
 }
 
+impl<F: LshFamily<[f32]>, D: Distance<[f32]>> TopKMemtable<F, D> {
+    /// The memtable at schedule level `li` (each level has its own slab).
+    fn source(&self, li: usize) -> Source<'_, D> {
+        let level = &self.levels[li];
+        Source { data: level.data(), distance: level.distance(), ids: SourceIds::Mem(&self.rows) }
+    }
+}
+
 /// One immutable top-k segment: a frozen radius-schedule ladder keyed
 /// by global ids, plus tombstones.
 struct TopKSegment<F, D>
@@ -1071,6 +1103,14 @@ where
     )
     .freeze();
     TopKSegment { index, meta: SegMeta::new(ids) }
+}
+
+impl<F: LshFamily<[f32]>, D: Distance<[f32]>> TopKSegment<F, D> {
+    /// The segment at schedule level `li` (the levels share one slab).
+    fn source(&self, li: usize) -> Source<'_, D> {
+        let distance = self.index.levels()[li].distance();
+        Source { data: self.index.data(), distance, ids: SourceIds::Seg(&self.meta) }
+    }
 }
 
 /// One top-k shard's LSM hierarchy.
@@ -1367,6 +1407,15 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
+    /// Every source that can hold live points at schedule level `li`,
+    /// in the order of [`SegmentedIndex`]'s sources.
+    fn level_sources(&self, li: usize) -> impl Iterator<Item = Source<'_, D>> {
+        self.shards.iter().flat_map(move |shard| {
+            let mem = (shard.mem.rows.live_rows > 0).then(|| shard.mem.source(li));
+            mem.into_iter().chain(shard.segments.iter().map(move |seg| seg.source(li)))
+        })
+    }
+
     /// Number of live points.
     pub fn len(&self) -> usize {
         self.live
@@ -1542,33 +1591,15 @@ impl SegmentedTopKEngine {
             // equals the rebuild's fallback set.
             report.exact_fallback = true;
             report.levels_skipped = deferred.len();
-            for shard in &index.shards {
-                if shard.mem.rows.live_rows > 0 {
-                    let mem = &shard.mem;
-                    for (local, dist) in fallback_scan_pairs(
-                        mem.levels[0].data(),
-                        mem.levels[0].distance(),
-                        q,
-                        self.verify,
-                    ) {
-                        if !mem.rows.live[local as usize] {
-                            continue;
-                        }
-                        let id = mem.rows.ids[local as usize];
-                        if !self.reported.contains(&id) {
+            for source in index.level_sources(0) {
+                for (local, dist) in
+                    fallback_scan_pairs(source.data, source.distance, q, self.verify)
+                {
+                    match source.ids.live_global(local) {
+                        Some(id) if !self.reported.contains(&id) => {
                             heap.push(Neighbor { id, dist });
                         }
-                    }
-                }
-                for seg in &shard.segments {
-                    for (local, dist) in
-                        fallback_scan_pairs(seg.index.data(), seg.index.distance(), q, self.verify)
-                    {
-                        let id = seg.meta.ids[local as usize];
-                        if seg.meta.tombstones.contains(&id) || self.reported.contains(&id) {
-                            continue;
-                        }
-                        heap.push(Neighbor { id, dist });
+                        _ => {}
                     }
                 }
             }
@@ -1619,15 +1650,15 @@ impl SegmentedTopKEngine {
     {
         if !matches!(strategy, Strategy::LinearOnly) {
             // Merged S1 + S2 over every source's level-li index.
-            let mut probed: Vec<ProbedSource<'_>> = Vec::new();
+            let mut probed: Vec<ProbedSource<'_, D>> = Vec::new();
             let mut collisions = 0usize;
-            for (si, shard) in index.shards.iter().enumerate() {
+            for shard in &index.shards {
                 if shard.mem.rows.live_rows > 0 {
                     let buckets =
                         probe_memtable(&shard.mem.levels[li], &shard.mem.rows, q, &mut collisions);
-                    probed.push(ProbedSource { shard: si, seg: None, buckets });
+                    probed.push(ProbedSource { source: shard.mem.source(li), buckets });
                 }
-                for (gi, seg) in shard.segments.iter().enumerate() {
+                for seg in &shard.segments {
                     let (buckets, c, _) = seg.index.levels()[li].probe(q);
                     if seg.meta.is_dirty() {
                         collisions += buckets
@@ -1637,18 +1668,12 @@ impl SegmentedTopKEngine {
                     } else {
                         collisions += c;
                     }
-                    probed.push(ProbedSource { shard: si, seg: Some(gi), buckets });
+                    probed.push(ProbedSource { source: seg.source(li), buckets });
                 }
             }
             let acc = ensure_accumulator(&mut self.acc, index.level_hll[li]);
             for src in &probed {
-                let shard = &index.shards[src.shard];
-                match src.seg {
-                    None => contribute_source(acc, &src.buckets, Some(&shard.mem.rows), None),
-                    Some(gi) => {
-                        contribute_source(acc, &src.buckets, None, Some(&shard.segments[gi].meta))
-                    }
-                }
+                contribute_source(acc, &src.buckets, src.source.ids);
             }
             let cand_estimate = acc.estimate();
             if cand_estimate <= skip_at_most {
@@ -1659,97 +1684,21 @@ impl SegmentedTopKEngine {
                 _ => index.level_costs[li].prefer_lsh(collisions, cand_estimate, index.live),
             };
             if prefer_lsh {
-                let mut out_global = Vec::new();
-                let mut local_out = Vec::new();
+                let mut out = Vec::new();
                 for src in &probed {
-                    let shard = &index.shards[src.shard];
-                    let (data, distance, to_global): (_, _, &dyn Fn(PointId) -> PointId) = match src
-                        .seg
-                    {
-                        None => {
-                            let mem = &shard.mem;
-                            collect_mem_cands(
-                                &mut self.seen,
-                                &mut self.cands,
-                                &src.buckets,
-                                &mem.rows,
-                            );
-                            (mem.levels[li].data(), mem.levels[li].distance(), &|l: PointId| {
-                                mem.rows.ids[l as usize]
-                            })
-                        }
-                        Some(gi) => {
-                            let seg = &shard.segments[gi];
-                            collect_seg_cands(
-                                &mut self.seen,
-                                &mut self.cands,
-                                &src.buckets,
-                                &seg.meta,
-                            );
-                            (seg.index.data(), seg.index.levels()[li].distance(), &|l: PointId| {
-                                seg.meta.ids[l as usize]
-                            })
-                        }
-                    };
-                    local_out.clear();
-                    match self.verify {
-                        VerifyMode::Kernel => {
-                            distance.verify_many_dist(data, &self.cands, q, r, &mut local_out)
-                        }
-                        VerifyMode::Scalar => hlsh_vec::metric::verify_scalar_dist(
-                            distance,
-                            data,
-                            &self.cands,
-                            q,
-                            r,
-                            &mut local_out,
-                        ),
-                    }
-                    out_global.extend(local_out.iter().map(|&(l, d)| (to_global(l), d)));
+                    let scratch = (&mut self.seen, &mut self.cands);
+                    src.source.lsh_into(&src.buckets, q, r, self.verify, scratch, &mut out);
                 }
-                return Some(out_global);
+                return Some(out);
             }
         }
         // Linear arm (forced or chosen): scan every source with
         // distances, dead rows filtered.
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for shard in &index.shards {
-            if shard.mem.rows.live_rows > 0 {
-                let mem = &shard.mem;
-                let (data, distance) = (mem.levels[li].data(), mem.levels[li].distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .filter(|&&(l, _)| mem.rows.live[l as usize])
-                        .map(|&(l, d)| (mem.rows.ids[l as usize], d)),
-                );
-            }
-            for seg in &shard.segments {
-                let (data, distance) = (seg.index.data(), seg.index.levels()[li].distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .map(|&(l, d)| (seg.meta.ids[l as usize], d))
-                        .filter(|(id, _)| !seg.meta.tombstones.contains(id)),
-                );
-            }
+        let mut out = Vec::new();
+        for source in index.level_sources(li) {
+            source.scan_into(q, r, self.verify, &mut out);
         }
-        Some(out_global)
+        Some(out)
     }
 }
 

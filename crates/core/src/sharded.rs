@@ -47,7 +47,7 @@ use hlsh_families::LshFamily;
 use hlsh_hll::hash::splitmix64;
 use hlsh_hll::MergeAccumulator;
 use hlsh_vec::parallel::par_map_with;
-use hlsh_vec::{Distance, PointId, PointSet, SubsetPointSet};
+use hlsh_vec::{Distance, Hit, PointId, PointSet, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
@@ -171,6 +171,77 @@ fn collect_shard_cands(
     for c in cands.iter_mut() {
         *c = local_of[*c as usize];
     }
+}
+
+/// Relabels the hits `out` gained since `start` from source-local rows
+/// to global ids, in place and in order, dropping every row `to_global`
+/// maps to `None` (a dead or tombstoned row of a segmented source).
+pub(crate) fn relabel_from<H: Hit>(
+    out: &mut Vec<H>,
+    start: usize,
+    to_global: impl Fn(PointId) -> Option<PointId>,
+) {
+    let mut kept = start;
+    for i in start..out.len() {
+        let hit = out[i];
+        if let Some(id) = to_global(hit.id()) {
+            out[kept] = hit.with_id(id);
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// One shard's LSH-arm S3, shared by the rNNR and top-k engines and the
+/// distributed hooks: dedups the probed buckets' global members,
+/// verifies them against the shard's own slab, and appends the accepted
+/// hits, relabelled to global ids, to `out` in first-collision order.
+/// Returns the shard's distinct candidate count.
+#[allow(clippy::too_many_arguments)]
+fn shard_lsh_into<S, F, D, B, H>(
+    shard: &HybridLshIndex<S, F, D, B>,
+    owners: &[PointId],
+    local_of: &[PointId],
+    buckets: &[BucketRef<'_>],
+    q: &S::Point,
+    r: f64,
+    verify: VerifyMode,
+    (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+    out: &mut Vec<H>,
+) -> usize
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+    H: Hit,
+{
+    collect_shard_cands(seen, cands, buckets, local_of);
+    let start = out.len();
+    verify.verify(shard.distance(), shard.data(), cands, q, r, out);
+    relabel_from(out, start, |local| Some(owners[local as usize]));
+    cands.len()
+}
+
+/// One shard's linear-arm S3: scans the shard's slab and appends the
+/// accepted hits, relabelled to global ids, to `out` in row order.
+fn shard_scan_into<S, F, D, B, H>(
+    shard: &HybridLshIndex<S, F, D, B>,
+    owners: &[PointId],
+    q: &S::Point,
+    r: f64,
+    verify: VerifyMode,
+    out: &mut Vec<H>,
+) where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+    H: Hit,
+{
+    let start = out.len();
+    verify.scan(shard.distance(), shard.data(), q, r, out);
+    relabel_from(out, start, |local| Some(owners[local as usize]));
 }
 
 impl<S, F, D> ShardedIndex<S, F, D, MapStore>
@@ -551,8 +622,8 @@ impl ShardedQueryEngine {
 
     /// The LSH arm across shards: per shard, dedup the colliding
     /// members (global ids), translate them to rows of the shard's own
-    /// dense slab, verify the whole list in one batched kernel call,
-    /// and map accepts back to global ids. Shards are disjoint, so no
+    /// slab, verify the whole list in one batched kernel call, and map
+    /// accepts back to global ids. Shards are disjoint, so no
     /// cross-shard dedup is needed; the concatenation is sorted into
     /// the canonical ascending order. Returns `(ids, distinct
     /// candidate count)`.
@@ -569,30 +640,23 @@ impl ShardedQueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let mut out_global = Vec::new();
+        let mut out = Vec::new();
         let mut distinct = 0usize;
-        let mut local_out = Vec::new();
         for (si, buckets) in per_shard.iter().enumerate() {
-            collect_shard_cands(&mut self.seen, &mut self.cands, buckets, &index.local_of);
-            distinct += self.cands.len();
-            let shard = &index.shards[si];
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.verify_many(data, &self.cands, q, r, &mut local_out),
-                VerifyMode::Scalar => hlsh_vec::metric::verify_scalar(
-                    distance,
-                    data,
-                    &self.cands,
-                    q,
-                    r,
-                    &mut local_out,
-                ),
-            }
-            out_global.extend(local_out.iter().map(|&l| index.owners[si][l as usize]));
+            distinct += shard_lsh_into(
+                &index.shards[si],
+                &index.owners[si],
+                &index.local_of,
+                buckets,
+                q,
+                r,
+                self.verify,
+                (&mut self.seen, &mut self.cands),
+                &mut out,
+            );
         }
-        out_global.sort_unstable();
-        (out_global, distinct)
+        out.sort_unstable();
+        (out, distinct)
     }
 
     /// The brute-force arm across shards: scan each shard's slab, map
@@ -609,21 +673,12 @@ impl ShardedQueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for (si, shard) in index.shards.iter().enumerate() {
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                VerifyMode::Scalar => {
-                    hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                }
-            }
-            out_global.extend(local_out.iter().map(|&l| index.owners[si][l as usize]));
+        let mut out = Vec::new();
+        for (shard, owners) in index.shards.iter().zip(&index.owners) {
+            shard_scan_into(shard, owners, q, r, self.verify, &mut out);
         }
-        out_global.sort_unstable();
-        out_global
+        out.sort_unstable();
+        out
     }
 }
 
@@ -1020,8 +1075,7 @@ impl ShardedTopKEngine {
     /// One level's rNNR query across every shard: merged probe +
     /// estimate, global skip and arm decisions, per-shard verification
     /// with distances, global ids out. `None` = deferred by the HLL
-    /// prediction (mirrors
-    /// [`QueryEngine::query_unless_cand_at_most_dist`](crate::engine::QueryEngine::query_unless_cand_at_most_dist)).
+    /// prediction (mirrors the unsharded engine's skip threshold).
     #[allow(clippy::too_many_arguments)]
     fn query_level<S, F, D, B>(
         &mut self,
@@ -1067,48 +1121,30 @@ impl ShardedTopKEngine {
                 ),
             };
             if prefer_lsh {
-                let mut out_global = Vec::new();
-                let mut local_out = Vec::new();
+                let mut out = Vec::new();
                 for (si, buckets) in per_shard.iter().enumerate() {
-                    collect_shard_cands(&mut self.seen, &mut self.cands, buckets, &index.local_of);
-                    let shard = &index.shards[si];
-                    let (data, distance) = (shard.data(), shard.distance());
-                    local_out.clear();
-                    match self.verify {
-                        VerifyMode::Kernel => {
-                            distance.verify_many_dist(data, &self.cands, q, r, &mut local_out)
-                        }
-                        VerifyMode::Scalar => hlsh_vec::metric::verify_scalar_dist(
-                            distance,
-                            data,
-                            &self.cands,
-                            q,
-                            r,
-                            &mut local_out,
-                        ),
-                    }
-                    out_global
-                        .extend(local_out.iter().map(|&(l, d)| (index.owners[si][l as usize], d)));
+                    shard_lsh_into(
+                        &index.shards[si].levels()[li],
+                        &index.owners[si],
+                        &index.local_of,
+                        buckets,
+                        q,
+                        r,
+                        self.verify,
+                        (&mut self.seen, &mut self.cands),
+                        &mut out,
+                    );
                 }
-                return Some(out_global);
+                return Some(out);
             }
         }
         // Linear arm (forced or chosen): scan every shard with
         // distances.
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for (si, shard) in index.shards.iter().enumerate() {
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                VerifyMode::Scalar => {
-                    hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                }
-            }
-            out_global.extend(local_out.iter().map(|&(l, d)| (index.owners[si][l as usize], d)));
+        let mut out = Vec::new();
+        for (shard, owners) in index.shards.iter().zip(&index.owners) {
+            shard_scan_into(&shard.levels()[li], owners, q, r, self.verify, &mut out);
         }
-        Some(out_global)
+        Some(out)
     }
 }
 
@@ -1124,6 +1160,49 @@ impl ShardedTopKEngine {
 // summaries and replays the global decisions reproduces the in-process
 // answers byte for byte. All of them verify in the default
 // [`VerifyMode::Kernel`], matching the engines the serving layer uses.
+
+/// One shard's chosen-arm execution for one query against one level
+/// index — the rNNR index, or one rung of the top-k ladder: the LSH arm
+/// (probe → dedup global members → batched kernel verification) or the
+/// linear arm (full shard scan), either way the shard's hits within
+/// `r` under **global** ids, in the shard-local order the in-process
+/// engines produce them (first-collision order for the LSH arm,
+/// ascending row order for the linear arm).
+fn shard_arm_hits<S, F, D, B, H>(
+    shard: &HybridLshIndex<S, F, D, B>,
+    owners: &[PointId],
+    local_of: &[PointId],
+    q: &S::Point,
+    r: f64,
+    lsh: bool,
+    scratch: (&mut SeenBitmap, &mut Vec<PointId>),
+) -> Vec<H>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+    H: Hit,
+{
+    let mut out = Vec::new();
+    if lsh {
+        let (buckets, _, _) = shard.probe(q);
+        shard_lsh_into(
+            shard,
+            owners,
+            local_of,
+            &buckets,
+            q,
+            r,
+            VerifyMode::Kernel,
+            scratch,
+            &mut out,
+        );
+    } else {
+        shard_scan_into(shard, owners, q, r, VerifyMode::Kernel, &mut out);
+    }
+    out
+}
 
 /// One query's compact S1/S2 summary from one shard: the summed bucket
 /// sizes (S1) and the shard-local merged HyperLogLog registers (S2).
@@ -1192,32 +1271,20 @@ where
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
-        let mut seen = SeenBitmap::default();
-        let mut cands = Vec::new();
-        self.shard_arm_with(shard, q, r, lsh, &mut seen, &mut cands)
+        self.shard_arm_sorted(shard, q, r, lsh, &mut (SeenBitmap::default(), Vec::new()))
     }
 
-    fn shard_arm_with(
+    fn shard_arm_sorted(
         &self,
         shard: usize,
         q: &S::Point,
         r: f64,
         lsh: bool,
-        seen: &mut SeenBitmap,
-        cands: &mut Vec<PointId>,
+        (seen, cands): &mut (SeenBitmap, Vec<PointId>),
     ) -> Vec<PointId> {
-        let sh = &self.shards[shard];
-        let (data, distance) = (sh.data(), sh.distance());
-        let mut local_out = Vec::new();
-        if lsh {
-            let (buckets, _, _) = sh.probe(q);
-            collect_shard_cands(seen, cands, &buckets, &self.local_of);
-            distance.verify_many(data, cands, q, r, &mut local_out);
-        } else {
-            distance.scan_within(data, q, r, &mut local_out);
-        }
-        let mut out: Vec<PointId> =
-            local_out.iter().map(|&l| self.owners[shard][l as usize]).collect();
+        let (sh, owners) = (&self.shards[shard], &self.owners[shard]);
+        let scratch = (seen, cands);
+        let mut out = shard_arm_hits(sh, owners, &self.local_of, q, r, lsh, scratch);
         out.sort_unstable();
         out
     }
@@ -1267,9 +1334,7 @@ where
             queries.len(),
             threads,
             || (SeenBitmap::default(), Vec::new()),
-            |(seen, cands), qi| {
-                self.shard_arm_with(shard, queries[qi].as_ref(), r, lsh, seen, cands)
-            },
+            |scratch, qi| self.shard_arm_sorted(shard, queries[qi].as_ref(), r, lsh, scratch),
         )
     }
 }
@@ -1311,30 +1376,6 @@ where
             b.contribute_to(acc);
         }
         ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn shard_level_arm_with(
-        &self,
-        shard: usize,
-        li: usize,
-        q: &S::Point,
-        r: f64,
-        lsh: bool,
-        seen: &mut SeenBitmap,
-        cands: &mut Vec<PointId>,
-    ) -> Vec<(PointId, f64)> {
-        let sh = &self.shards[shard];
-        let (data, distance) = (sh.data(), sh.distance());
-        let mut local_out = Vec::new();
-        if lsh {
-            let (buckets, _, _) = sh.levels()[li].probe(q);
-            collect_shard_cands(seen, cands, &buckets, &self.local_of);
-            distance.verify_many_dist(data, cands, q, r, &mut local_out);
-        } else {
-            distance.scan_within_dist(data, q, r, &mut local_out);
-        }
-        local_out.iter().map(|&(l, d)| (self.owners[shard][l as usize], d)).collect()
     }
 }
 
@@ -1394,7 +1435,15 @@ where
             threads,
             || (SeenBitmap::default(), Vec::new()),
             |(seen, cands), qi| {
-                self.shard_level_arm_with(shard, li, queries[qi].as_ref(), r, lsh, seen, cands)
+                shard_arm_hits(
+                    &self.shards[shard].levels()[li],
+                    &self.owners[shard],
+                    &self.local_of,
+                    queries[qi].as_ref(),
+                    r,
+                    lsh,
+                    (seen, cands),
+                )
             },
         )
     }

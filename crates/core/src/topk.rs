@@ -514,25 +514,18 @@ impl TopKEngine {
             } else {
                 f64::NEG_INFINITY // level 0 always runs
             };
-            // Distance-returning level query: every reported id arrives
-            // with the exact distance its verification kernel already
+            // Level query over `(id, distance)` hits: every reported id
+            // arrives with the exact distance its verification kernel already
             // computed, so nothing is recomputed per id below.
-            let out = match self.engine.query_unless_cand_at_most_dist(
-                level,
-                q,
-                r,
-                strategy,
-                skip_at_most,
-            ) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(out) => out,
+            let Some((pairs, _)) =
+                self.engine.query_hits(level, q, r, strategy, Some(skip_at_most))
+            else {
+                deferred.push(li);
+                continue;
             };
             report.levels_executed += 1;
             covered_r = r;
-            for &(id, dist) in &out.pairs {
+            for (id, dist) in pairs {
                 if self.reported.insert(id) {
                     heap.push(Neighbor { id, dist });
                 }
@@ -569,14 +562,12 @@ impl TopKEngine {
             // deferred levels — each was predicted near-empty, so this
             // is cheap, and it restores the no-silent-loss property.
             for li in deferred {
-                let out = self.engine.query_with_strategy_dist(
-                    &index.levels()[li],
-                    q,
-                    index.schedule.radius(li),
-                    strategy,
-                );
+                let (pairs, _) = self
+                    .engine
+                    .query_hits(&index.levels()[li], q, index.schedule.radius(li), strategy, None)
+                    .expect("a query without a skip threshold always runs");
                 report.levels_executed += 1;
-                for &(id, dist) in &out.pairs {
+                for (id, dist) in pairs {
                     if self.reported.insert(id) {
                         heap.push(Neighbor { id, dist });
                     }
@@ -638,12 +629,7 @@ where
 {
     let n = data.len();
     let mut pairs = Vec::with_capacity(n);
-    match verify {
-        VerifyMode::Kernel => distance.scan_within_dist(data, q, f64::INFINITY, &mut pairs),
-        VerifyMode::Scalar => {
-            hlsh_vec::metric::scan_scalar_dist(distance, data, q, f64::INFINITY, &mut pairs)
-        }
-    }
+    verify.scan(distance, data, q, f64::INFINITY, &mut pairs);
     if pairs.len() == n {
         // No NaN gaps: the ∞-radius scan already enumerated 0..n
         // ascending.

@@ -28,8 +28,8 @@
 //!
 //! # Binary kernels
 //!
-//! The Hamming kernels ([`hamming_scan`], [`hamming_one_to_many`] and
-//! their `_dist` twins) work on row-major packed `u64` words. A Hamming
+//! The Hamming kernels ([`hamming_scan`], [`hamming_one_to_many`]) work
+//! on row-major packed `u64` words. A Hamming
 //! distance is an integer popcount, so they carry no accuracy envelope:
 //! accepted ids, their order and every emitted distance equal the
 //! per-point `hamming_words(row, q) as f64 <= r` loop bit for bit, for
@@ -42,6 +42,7 @@
 
 use crate::binary::hamming_words;
 use crate::dataset::PointId;
+use crate::hit::Hit;
 
 /// Accumulator width of every chunked kernel (8 × `f32` = one AVX2
 /// register; narrower SIMD ISAs simply use two registers).
@@ -445,25 +446,28 @@ pub fn l2_sq_scan(flat: &[f32], dim: usize, q: &[f32], r_sq: f64, out: &mut Vec<
     }
 }
 
-/// One-to-many L2 filter in *unsquared* radius terms: accepts id iff
-/// `l2(row, q) <= r` — bit-for-bit the same predicate (same chunked
-/// `l2_sq`, same `sqrt`, same compare) as a per-candidate
-/// `kernels::l2(row, q) <= r` loop, so a batched caller and a scalar
-/// caller can never disagree, even exactly at the radius boundary or
-/// for `r < 0` (which rejects everything, distances being
-/// non-negative). The early exit still runs on the squared partial
-/// sums. Prefer this over [`l2_sq_one_to_many`] whenever the
-/// surrounding code thinks in radii rather than squared radii.
+/// One-to-many L2 filter in *unsquared* radius terms: appends
+/// `H::new(id, l2(row, q))` for every id in `ids` whose row lies within
+/// `r` of `q`, preserving the order (and any repeats) of `ids`. The
+/// accept test is bit-for-bit the predicate (same chunked `l2_sq`, same
+/// `sqrt`, same compare) of a per-candidate `kernels::l2(row, q) <= r`
+/// loop, so a batched caller and a scalar caller can never disagree,
+/// even exactly at the radius boundary or for `r < 0` (which rejects
+/// everything, distances being non-negative), and the emitted distance
+/// is bit-identical to a separate [`l2`] call on the same row. The
+/// early exit still runs on the squared partial sums. Prefer this over
+/// [`l2_sq_one_to_many`] whenever the surrounding code thinks in radii
+/// rather than squared radii.
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or an id indexes past the matrix.
-pub fn l2_one_to_many(
+pub fn l2_one_to_many<H: Hit>(
     flat: &[f32],
     dim: usize,
     ids: &[PointId],
     q: &[f32],
     r: f64,
-    out: &mut Vec<PointId>,
+    out: &mut Vec<H>,
 ) {
     assert_eq!(q.len(), dim, "query length mismatch");
     let exit_bound = inflate(r * r);
@@ -471,8 +475,9 @@ pub fn l2_one_to_many(
         let start = id as usize * dim;
         let row = &flat[start..start + dim];
         if let Some(d2) = l2_sq_within(row, q, exit_bound) {
-            if d2.sqrt() <= r {
-                out.push(id);
+            let d = d2.sqrt();
+            if d <= r {
+                out.push(H::new(id, d));
             }
         }
     }
@@ -483,124 +488,47 @@ pub fn l2_one_to_many(
 ///
 /// # Panics
 /// Panics if `q.len() != dim`.
-pub fn l2_scan(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<PointId>) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r * r);
-    for (id, row) in flat.chunks_exact(dim).enumerate() {
-        if let Some(d2) = l2_sq_within(row, q, exit_bound) {
-            if d2.sqrt() <= r {
-                out.push(id as PointId);
-            }
-        }
-    }
-}
-
-/// Full-scan L1 filter; see [`l2_sq_scan`].
-///
-/// # Panics
-/// Panics if `q.len() != dim`.
-pub fn l1_scan(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<PointId>) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r);
-    for (id, row) in flat.chunks_exact(dim).enumerate() {
-        if let Some(d) = l1_within(row, q, exit_bound) {
-            if d <= r {
-                out.push(id as PointId);
-            }
-        }
-    }
-}
-
-/// One-to-many L1 filter; see [`l2_sq_one_to_many`].
-///
-/// # Panics
-/// Panics if `q.len() != dim` or an id indexes past the matrix.
-pub fn l1_one_to_many(
-    flat: &[f32],
-    dim: usize,
-    ids: &[PointId],
-    q: &[f32],
-    r: f64,
-    out: &mut Vec<PointId>,
-) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r);
-    for &id in ids {
-        let start = id as usize * dim;
-        let row = &flat[start..start + dim];
-        if let Some(d) = l1_within(row, q, exit_bound) {
-            if d <= r {
-                out.push(id);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Distance-returning variants: same accept predicate, bit-identical
-// accepted set and ordering as their id-only counterparts, but they
-// also emit the distance each accept already computed — so callers that
-// rank by distance (top-k) never pay a second per-id distance pass.
-// Rejected candidates (early exit included) emit nothing.
-// ---------------------------------------------------------------------
-
-/// [`l2_one_to_many`] variant emitting `(id, distance)` pairs. The
-/// distance is the fully accumulated `sqrt(l2_sq(row, q))` — bit-
-/// identical to a separate [`l2`] call on the same row.
-///
-/// # Panics
-/// Panics if `q.len() != dim` or an id indexes past the matrix.
-pub fn l2_one_to_many_dist(
-    flat: &[f32],
-    dim: usize,
-    ids: &[PointId],
-    q: &[f32],
-    r: f64,
-    out: &mut Vec<(PointId, f64)>,
-) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r * r);
-    for &id in ids {
-        let start = id as usize * dim;
-        let row = &flat[start..start + dim];
-        if let Some(d2) = l2_sq_within(row, q, exit_bound) {
-            let d = d2.sqrt();
-            if d <= r {
-                out.push((id, d));
-            }
-        }
-    }
-}
-
-/// Full-scan counterpart of [`l2_one_to_many_dist`], in row order.
-///
-/// # Panics
-/// Panics if `q.len() != dim`.
-pub fn l2_scan_dist(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>) {
+pub fn l2_scan<H: Hit>(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<H>) {
     assert_eq!(q.len(), dim, "query length mismatch");
     let exit_bound = inflate(r * r);
     for (id, row) in flat.chunks_exact(dim).enumerate() {
         if let Some(d2) = l2_sq_within(row, q, exit_bound) {
             let d = d2.sqrt();
             if d <= r {
-                out.push((id as PointId, d));
+                out.push(H::new(id as PointId, d));
             }
         }
     }
 }
 
-/// [`l1_one_to_many`] variant emitting `(id, distance)` pairs; the
-/// distance is bit-identical to a separate [`l1`] call.
+/// Full-scan L1 filter; see [`l2_scan`]. Each emitted distance is
+/// bit-identical to a separate [`l1`] call.
+///
+/// # Panics
+/// Panics if `q.len() != dim`.
+pub fn l1_scan<H: Hit>(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<H>) {
+    assert_eq!(q.len(), dim, "query length mismatch");
+    let exit_bound = inflate(r);
+    for (id, row) in flat.chunks_exact(dim).enumerate() {
+        if let Some(d) = l1_within(row, q, exit_bound) {
+            if d <= r {
+                out.push(H::new(id as PointId, d));
+            }
+        }
+    }
+}
+
+/// One-to-many L1 filter; see [`l2_one_to_many`].
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or an id indexes past the matrix.
-pub fn l1_one_to_many_dist(
+pub fn l1_one_to_many<H: Hit>(
     flat: &[f32],
     dim: usize,
     ids: &[PointId],
     q: &[f32],
     r: f64,
-    out: &mut Vec<(PointId, f64)>,
+    out: &mut Vec<H>,
 ) {
     assert_eq!(q.len(), dim, "query length mismatch");
     let exit_bound = inflate(r);
@@ -609,23 +537,7 @@ pub fn l1_one_to_many_dist(
         let row = &flat[start..start + dim];
         if let Some(d) = l1_within(row, q, exit_bound) {
             if d <= r {
-                out.push((id, d));
-            }
-        }
-    }
-}
-
-/// Full-scan counterpart of [`l1_one_to_many_dist`], in row order.
-///
-/// # Panics
-/// Panics if `q.len() != dim`.
-pub fn l1_scan_dist(flat: &[f32], dim: usize, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r);
-    for (id, row) in flat.chunks_exact(dim).enumerate() {
-        if let Some(d) = l1_within(row, q, exit_bound) {
-            if d <= r {
-                out.push((id as PointId, d));
+                out.push(H::new(id, d));
             }
         }
     }
@@ -710,108 +622,52 @@ fn hamming_filter<T: Copy>(
     out.extend_from_slice(&buf[..k]);
 }
 
-/// Shared body of the full-scan Hamming kernels.
-fn hamming_scan_with<T: Copy + Default>(
-    words: &[u64],
-    wpr: usize,
-    q: &[u64],
-    r: f64,
-    emit: impl Fn(PointId, u32) -> T,
-    out: &mut Vec<T>,
-) {
+/// Full-scan Hamming filter: appends `H::new(id, d as f64)` for every
+/// row of the row-major packed slab `words` (`wpr` words per row) whose
+/// Hamming distance `d` to `q` satisfies `(d as f64) <= r`, in row
+/// order — the linear arm's kernel on binary data.
+///
+/// # Panics
+/// Panics if `wpr == 0` or `q.len() != wpr`.
+pub fn hamming_scan<H: Hit>(words: &[u64], wpr: usize, q: &[u64], r: f64, out: &mut Vec<H>) {
     assert!(wpr > 0, "row width must be positive");
     assert_eq!(q.len(), wpr, "query length mismatch");
     let limit = hamming_limit(r, (64 * wpr) as u32);
     let mut dist = [0u32; HAMMING_BLOCK];
-    let mut buf = [T::default(); HAMMING_BLOCK];
+    let mut buf = [H::default(); HAMMING_BLOCK];
     for (b, rows) in words.chunks(HAMMING_BLOCK * wpr).enumerate() {
         let dist = &mut dist[..rows.len() / wpr];
         hamming_rows(rows, wpr, q, dist);
         let base = (b * HAMMING_BLOCK) as PointId;
-        hamming_filter(dist, limit, &mut buf, |i, d| emit(base + i as PointId, d), out);
+        hamming_filter(dist, limit, &mut buf, |i, d| H::new(base + i as PointId, d as f64), out);
     }
 }
 
-/// Shared body of the one-to-many Hamming kernels.
-fn hamming_one_to_many_with<T: Copy + Default>(
+/// One-to-many Hamming filter: appends a hit for every id in `ids`
+/// whose row of `words` lies within `r` of `q`, preserving the order
+/// (and any repeats) of `ids`; see [`hamming_scan`].
+///
+/// # Panics
+/// Panics if `wpr == 0`, `q.len() != wpr` or an id indexes past the
+/// slab.
+pub fn hamming_one_to_many<H: Hit>(
     words: &[u64],
     wpr: usize,
     ids: &[PointId],
     q: &[u64],
     r: f64,
-    emit: impl Fn(PointId, u32) -> T,
-    out: &mut Vec<T>,
+    out: &mut Vec<H>,
 ) {
     assert!(wpr > 0, "row width must be positive");
     assert_eq!(q.len(), wpr, "query length mismatch");
     let limit = hamming_limit(r, (64 * wpr) as u32);
     let mut dist = [0u32; HAMMING_BLOCK];
-    let mut buf = [T::default(); HAMMING_BLOCK];
+    let mut buf = [H::default(); HAMMING_BLOCK];
     for block in ids.chunks(HAMMING_BLOCK) {
         let dist = &mut dist[..block.len()];
         hamming_gather(words, wpr, block, q, dist);
-        hamming_filter(dist, limit, &mut buf, |i, d| emit(block[i], d), out);
+        hamming_filter(dist, limit, &mut buf, |i, d| H::new(block[i], d as f64), out);
     }
-}
-
-/// Full-scan Hamming filter: appends the id of every row of the
-/// row-major packed slab `words` (`wpr` words per row) whose Hamming
-/// distance to `q` satisfies `(d as f64) <= r`, in row order — the
-/// linear arm's kernel on binary data.
-///
-/// # Panics
-/// Panics if `wpr == 0` or `q.len() != wpr`.
-pub fn hamming_scan(words: &[u64], wpr: usize, q: &[u64], r: f64, out: &mut Vec<PointId>) {
-    hamming_scan_with(words, wpr, q, r, |id, _| id, out);
-}
-
-/// One-to-many Hamming filter: appends every id in `ids` whose row of
-/// `words` lies within `r` of `q`, preserving the order (and any
-/// repeats) of `ids`.
-///
-/// # Panics
-/// Panics if `wpr == 0`, `q.len() != wpr` or an id indexes past the
-/// slab.
-pub fn hamming_one_to_many(
-    words: &[u64],
-    wpr: usize,
-    ids: &[PointId],
-    q: &[u64],
-    r: f64,
-    out: &mut Vec<PointId>,
-) {
-    hamming_one_to_many_with(words, wpr, ids, q, r, |id, _| id, out);
-}
-
-/// [`hamming_scan`] variant emitting `(id, distance)` pairs, each
-/// distance the exact popcount as `f64`.
-///
-/// # Panics
-/// Panics if `wpr == 0` or `q.len() != wpr`.
-pub fn hamming_scan_dist(
-    words: &[u64],
-    wpr: usize,
-    q: &[u64],
-    r: f64,
-    out: &mut Vec<(PointId, f64)>,
-) {
-    hamming_scan_with(words, wpr, q, r, |id, d| (id, d as f64), out);
-}
-
-/// [`hamming_one_to_many`] variant emitting `(id, distance)` pairs.
-///
-/// # Panics
-/// Panics if `wpr == 0`, `q.len() != wpr` or an id indexes past the
-/// slab.
-pub fn hamming_one_to_many_dist(
-    words: &[u64],
-    wpr: usize,
-    ids: &[PointId],
-    q: &[u64],
-    r: f64,
-    out: &mut Vec<(PointId, f64)>,
-) {
-    hamming_one_to_many_with(words, wpr, ids, q, r, |id, d| (id, d as f64), out);
 }
 
 #[cfg(test)]
@@ -937,7 +793,7 @@ mod tests {
         let mut d1: Vec<f64> = (0..n).map(|i| l1(&flat[i * dim..(i + 1) * dim], &q)).collect();
         d1.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for r in [d1[10] * 1.000001, d1[n / 2], d1[n - 2]] {
-            let mut got = Vec::new();
+            let mut got: Vec<PointId> = Vec::new();
             l1_one_to_many(&flat, dim, &ids, &q, r, &mut got);
             let expect: Vec<PointId> = ids
                 .iter()
@@ -973,7 +829,7 @@ mod tests {
         let ids: Vec<PointId> = (0..n as PointId).collect();
         for probe in [0usize, 7, n - 1] {
             let r = l2(&flat[probe * dim..(probe + 1) * dim], &q);
-            let mut got = Vec::new();
+            let mut got: Vec<PointId> = Vec::new();
             l2_one_to_many(&flat, dim, &ids, &q, r, &mut got);
             let expect: Vec<PointId> = ids
                 .iter()
@@ -983,11 +839,11 @@ mod tests {
             assert_eq!(got, expect, "boundary r from row {probe}");
             assert!(got.contains(&(probe as PointId)), "boundary row itself must be accepted");
 
-            let mut scan = Vec::new();
+            let mut scan: Vec<PointId> = Vec::new();
             l2_scan(&flat, dim, &q, r, &mut scan);
             assert_eq!(scan, expect);
         }
-        let mut got = Vec::new();
+        let mut got: Vec<PointId> = Vec::new();
         l2_one_to_many(&flat, dim, &ids, &q, -1.0, &mut got);
         assert!(got.is_empty(), "negative radius must reject everything");
     }
@@ -1043,34 +899,34 @@ mod tests {
         let mut d2s: Vec<f64> = (0..n).map(|i| l2(&flat[i * dim..(i + 1) * dim], &q)).collect();
         d2s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for r in [d2s[5], d2s[n / 2], d2s[n - 1], -1.0] {
-            let mut ids_only = Vec::new();
+            let mut ids_only: Vec<PointId> = Vec::new();
             l2_one_to_many(&flat, dim, &ids, &q, r, &mut ids_only);
-            let mut pairs = Vec::new();
-            l2_one_to_many_dist(&flat, dim, &ids, &q, r, &mut pairs);
+            let mut pairs: Vec<(PointId, f64)> = Vec::new();
+            l2_one_to_many(&flat, dim, &ids, &q, r, &mut pairs);
             assert_eq!(pairs.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids_only, "r={r}");
             for &(id, d) in &pairs {
                 let expect = l2(&flat[id as usize * dim..(id as usize + 1) * dim], &q);
                 assert_eq!(d.to_bits(), expect.to_bits(), "l2 dist for id {id}");
             }
-            let mut scan_pairs = Vec::new();
-            l2_scan_dist(&flat, dim, &q, r, &mut scan_pairs);
+            let mut scan_pairs: Vec<(PointId, f64)> = Vec::new();
+            l2_scan(&flat, dim, &q, r, &mut scan_pairs);
             assert_eq!(scan_pairs, pairs, "scan vs gather at r={r}");
         }
 
         let mut d1s: Vec<f64> = (0..n).map(|i| l1(&flat[i * dim..(i + 1) * dim], &q)).collect();
         d1s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for r in [d1s[5], d1s[n / 2], d1s[n - 1]] {
-            let mut ids_only = Vec::new();
+            let mut ids_only: Vec<PointId> = Vec::new();
             l1_one_to_many(&flat, dim, &ids, &q, r, &mut ids_only);
-            let mut pairs = Vec::new();
-            l1_one_to_many_dist(&flat, dim, &ids, &q, r, &mut pairs);
+            let mut pairs: Vec<(PointId, f64)> = Vec::new();
+            l1_one_to_many(&flat, dim, &ids, &q, r, &mut pairs);
             assert_eq!(pairs.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids_only, "r={r}");
             for &(id, d) in &pairs {
                 let expect = l1(&flat[id as usize * dim..(id as usize + 1) * dim], &q);
                 assert_eq!(d.to_bits(), expect.to_bits(), "l1 dist for id {id}");
             }
-            let mut scan_pairs = Vec::new();
-            l1_scan_dist(&flat, dim, &q, r, &mut scan_pairs);
+            let mut scan_pairs: Vec<(PointId, f64)> = Vec::new();
+            l1_scan(&flat, dim, &q, r, &mut scan_pairs);
             assert_eq!(scan_pairs, pairs, "l1 scan vs gather at r={r}");
         }
     }
@@ -1083,8 +939,8 @@ mod tests {
         let n = 33;
         let flat = wave(n * dim, 0.2);
         let q = wave(dim, 1.1);
-        let mut pairs = Vec::new();
-        l2_scan_dist(&flat, dim, &q, f64::INFINITY, &mut pairs);
+        let mut pairs: Vec<(PointId, f64)> = Vec::new();
+        l2_scan(&flat, dim, &q, f64::INFINITY, &mut pairs);
         assert_eq!(pairs.len(), n);
         for (i, &(id, d)) in pairs.iter().enumerate() {
             assert_eq!(id as usize, i);

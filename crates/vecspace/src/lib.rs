@@ -8,10 +8,11 @@
 //! * [`BinaryDataset`] / [`BinaryVec`] — packed bit vectors for Hamming
 //!   space (MNIST 64-bit SimHash fingerprints),
 //! * the [`Distance`] trait with [`L1`], [`L2`], [`Cosine`], [`Hamming`]
-//!   and [`Jaccard`] implementations, including batched
-//!   [`verify_many`](Distance::verify_many) /
-//!   [`scan_within`](Distance::scan_within) hooks backed by the
-//!   chunked [`kernels`] on dense data,
+//!   and [`Jaccard`] implementations, including the batched S3 filters
+//!   [`verify_hits`](Distance::verify_hits) /
+//!   [`scan_hits`](Distance::scan_hits), generic over the [`Hit`] they
+//!   emit (ids, or ids with distances) and backed by the [`kernels`] on
+//!   dense and packed binary data,
 //! * [`kernels`] — throughput-oriented chunked distance, projection
 //!   (matrix–vector) and one-to-many verification kernels over the
 //!   scalar references in [`dense`],
@@ -28,6 +29,7 @@
 pub mod binary;
 pub mod dataset;
 pub mod dense;
+pub mod hit;
 pub mod io;
 pub mod kernels;
 pub mod metric;
@@ -38,5 +40,6 @@ pub mod stats;
 pub use binary::{BinaryDataset, BinaryVec};
 pub use dataset::{GrowablePointSet, PointId, PointSet, SubsetPointSet};
 pub use dense::DenseDataset;
+pub use hit::Hit;
 pub use metric::{Cosine, Distance, Hamming, Jaccard, MetricKind, UnitCosine, L1, L2};
 pub use section::{Section, SliceBacking};

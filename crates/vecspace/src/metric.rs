@@ -9,6 +9,7 @@
 
 use crate::binary;
 use crate::dataset::{PointId, PointSet};
+use crate::hit::Hit;
 use crate::kernels;
 
 /// A distance function over borrowed points of type `P`.
@@ -20,8 +21,11 @@ pub trait Distance<P: ?Sized>: Clone + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Batched candidate verification (step S3 of the query pipeline):
-    /// appends to `out` every id in `ids` whose point lies within `r`
-    /// of `q`, preserving the order of `ids`.
+    /// appends a [`Hit`] for every id in `ids` whose point lies within
+    /// `r` of `q`, preserving the order (and any repeats) of `ids`. An
+    /// `(id, distance)` hit carries the distance the filter computed,
+    /// bit-identical to `self.distance(data.point(id), q)`, so rankers
+    /// (the top-k engine) never recompute it.
     ///
     /// The default is the per-id [`distance`](Self::distance) loop;
     /// dense metrics override it to score the whole candidate list with
@@ -31,59 +35,45 @@ pub trait Distance<P: ?Sized>: Clone + Send + Sync {
     /// ordering and may differ from the default only within the kernel
     /// accuracy envelope documented in [`crate::kernels`] (the binary
     /// kernels are exact).
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = P> + ?Sized,
+        H: Hit,
         Self: Sized,
     {
         verify_scalar(self, data, ids, q, r, out);
     }
 
-    /// Full linear scan: appends every id in `data` within `r` of `q`,
-    /// in ascending id order. Same contract and kernel dispatch as
-    /// [`verify_many`](Self::verify_many), walking all points.
-    fn scan_within<S>(&self, data: &S, q: &P, r: f64, out: &mut Vec<PointId>)
+    /// Full linear scan: appends a [`Hit`] for every point of `data`
+    /// within `r` of `q`, in ascending id order. Same contract and
+    /// kernel dispatch as [`verify_hits`](Self::verify_hits), walking
+    /// all points; `r = f64::INFINITY` yields the full distance table
+    /// in one pass — the top-k exact fallback's shape.
+    fn scan_hits<S, H>(&self, data: &S, q: &P, r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = P> + ?Sized,
+        H: Hit,
         Self: Sized,
     {
         scan_scalar(self, data, q, r, out);
     }
 
-    /// Distance-returning batched verification: like
-    /// [`verify_many`](Self::verify_many) but appends `(id, distance)`
-    /// pairs, emitting the distance the filter already computed. The
-    /// accepted id sequence is identical to `verify_many` and each
-    /// distance is bit-identical to `self.distance(data.point(id), q)`,
-    /// so rankers (the top-k engine) can consume verification output
-    /// directly instead of recomputing every reported neighbor's
-    /// distance per id.
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &P,
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = P> + ?Sized,
-        Self: Sized,
-    {
-        verify_scalar_dist(self, data, ids, q, r, out);
-    }
-
-    /// Distance-returning full scan: like
-    /// [`scan_within`](Self::scan_within) but appends `(id, distance)`
-    /// pairs in ascending id order, with the same bit-identity contract
-    /// as [`verify_many_dist`](Self::verify_many_dist). Passing
-    /// `r = f64::INFINITY` turns this into a full distance table in one
-    /// kernel pass — the top-k exact fallback's shape.
-    fn scan_within_dist<S>(&self, data: &S, q: &P, r: f64, out: &mut Vec<(PointId, f64)>)
+    /// [`verify_hits`](Self::verify_hits) keeping only the ids.
+    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<PointId>)
     where
         S: PointSet<Point = P> + ?Sized,
         Self: Sized,
     {
-        scan_scalar_dist(self, data, q, r, out);
+        self.verify_hits(data, ids, q, r, out);
+    }
+
+    /// [`scan_hits`](Self::scan_hits) keeping only the ids.
+    fn scan_within<S>(&self, data: &S, q: &P, r: f64, out: &mut Vec<PointId>)
+    where
+        S: PointSet<Point = P> + ?Sized,
+        Self: Sized,
+    {
+        self.scan_hits(data, q, r, out);
     }
 }
 
@@ -117,78 +107,38 @@ impl std::fmt::Display for MetricKind {
 }
 
 /// The canonical per-id verification loop: backs the trait's provided
-/// `verify_many` default, the dense metrics' non-dense fallback arms (a
+/// `verify_hits` default, the dense metrics' non-dense fallback arms (a
 /// metric override cannot call the default it replaced), and the query
 /// engine's forced-scalar mode, so "scalar baseline" means one loop
 /// everywhere.
-pub fn verify_scalar<P, S, D>(
-    d: &D,
-    data: &S,
-    ids: &[PointId],
-    q: &P,
-    r: f64,
-    out: &mut Vec<PointId>,
-) where
+pub fn verify_scalar<P, S, D, H>(d: &D, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<H>)
+where
     P: ?Sized,
     S: PointSet<Point = P> + ?Sized,
     D: Distance<P>,
+    H: Hit,
 {
     for &id in ids {
-        if d.distance(data.point(id as usize), q) <= r {
-            out.push(id);
+        let dist = d.distance(data.point(id as usize), q);
+        if dist <= r {
+            out.push(H::new(id, dist));
         }
     }
 }
 
 /// The canonical full-scan loop backing the trait's provided
-/// `scan_within` default; see [`verify_scalar`].
-pub fn scan_scalar<P, S, D>(d: &D, data: &S, q: &P, r: f64, out: &mut Vec<PointId>)
+/// `scan_hits` default; see [`verify_scalar`].
+pub fn scan_scalar<P, S, D, H>(d: &D, data: &S, q: &P, r: f64, out: &mut Vec<H>)
 where
     P: ?Sized,
     S: PointSet<Point = P> + ?Sized,
     D: Distance<P>,
-{
-    for id in 0..data.len() {
-        if d.distance(data.point(id), q) <= r {
-            out.push(id as PointId);
-        }
-    }
-}
-
-/// Distance-returning per-id verification loop backing the trait's
-/// provided `verify_many_dist` default; see [`verify_scalar`].
-pub fn verify_scalar_dist<P, S, D>(
-    d: &D,
-    data: &S,
-    ids: &[PointId],
-    q: &P,
-    r: f64,
-    out: &mut Vec<(PointId, f64)>,
-) where
-    P: ?Sized,
-    S: PointSet<Point = P> + ?Sized,
-    D: Distance<P>,
-{
-    for &id in ids {
-        let dist = d.distance(data.point(id as usize), q);
-        if dist <= r {
-            out.push((id, dist));
-        }
-    }
-}
-
-/// Distance-returning full-scan loop backing the trait's provided
-/// `scan_within_dist` default; see [`verify_scalar`].
-pub fn scan_scalar_dist<P, S, D>(d: &D, data: &S, q: &P, r: f64, out: &mut Vec<(PointId, f64)>)
-where
-    P: ?Sized,
-    S: PointSet<Point = P> + ?Sized,
-    D: Distance<P>,
+    H: Hit,
 {
     for id in 0..data.len() {
         let dist = d.distance(data.point(id), q);
         if dist <= r {
-            out.push((id as PointId, dist));
+            out.push(H::new(id as PointId, dist));
         }
     }
 }
@@ -197,67 +147,35 @@ where
 /// dedicated one-to-many kernel: accepts id iff `row_dist(row) <= r`,
 /// where `row_dist` must compute exactly what the metric's
 /// `distance()` would on the same row (shared by the cosine metrics).
-fn verify_dense_rows(
+fn verify_dense_rows<H: Hit>(
     flat: &[f32],
     dim: usize,
     ids: &[PointId],
     r: f64,
     row_dist: impl Fn(&[f32]) -> f64,
-    out: &mut Vec<PointId>,
-) {
-    for &id in ids {
-        let start = id as usize * dim;
-        if row_dist(&flat[start..start + dim]) <= r {
-            out.push(id);
-        }
-    }
-}
-
-/// Full-scan counterpart of [`verify_dense_rows`], in row order.
-fn scan_dense_rows(
-    flat: &[f32],
-    dim: usize,
-    r: f64,
-    row_dist: impl Fn(&[f32]) -> f64,
-    out: &mut Vec<PointId>,
-) {
-    for (id, row) in flat.chunks_exact(dim).enumerate() {
-        if row_dist(row) <= r {
-            out.push(id as PointId);
-        }
-    }
-}
-
-/// Distance-returning counterpart of [`verify_dense_rows`].
-fn verify_dense_rows_dist(
-    flat: &[f32],
-    dim: usize,
-    ids: &[PointId],
-    r: f64,
-    row_dist: impl Fn(&[f32]) -> f64,
-    out: &mut Vec<(PointId, f64)>,
+    out: &mut Vec<H>,
 ) {
     for &id in ids {
         let start = id as usize * dim;
         let dist = row_dist(&flat[start..start + dim]);
         if dist <= r {
-            out.push((id, dist));
+            out.push(H::new(id, dist));
         }
     }
 }
 
-/// Distance-returning counterpart of [`scan_dense_rows`].
-fn scan_dense_rows_dist(
+/// Full-scan counterpart of [`verify_dense_rows`], in row order.
+fn scan_dense_rows<H: Hit>(
     flat: &[f32],
     dim: usize,
     r: f64,
     row_dist: impl Fn(&[f32]) -> f64,
-    out: &mut Vec<(PointId, f64)>,
+    out: &mut Vec<H>,
 ) {
     for (id, row) in flat.chunks_exact(dim).enumerate() {
         let dist = row_dist(row);
         if dist <= r {
-            out.push((id as PointId, dist));
+            out.push(H::new(id as PointId, dist));
         }
     }
 }
@@ -276,9 +194,10 @@ impl Distance<[f32]> for L1 {
         "L1"
     }
 
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => kernels::l1_one_to_many(flat, dim, ids, q, r, out),
@@ -286,39 +205,14 @@ impl Distance<[f32]> for L1 {
         }
     }
 
-    fn scan_within<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn scan_hits<S, H>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => kernels::l1_scan(flat, dim, q, r, out),
             None => scan_scalar(self, data, q, r, out),
-        }
-    }
-
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &[f32],
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => kernels::l1_one_to_many_dist(flat, dim, ids, q, r, out),
-            None => verify_scalar_dist(self, data, ids, q, r, out),
-        }
-    }
-
-    fn scan_within_dist<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>)
-    where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => kernels::l1_scan_dist(flat, dim, q, r, out),
-            None => scan_scalar_dist(self, data, q, r, out),
         }
     }
 }
@@ -341,9 +235,10 @@ impl Distance<[f32]> for L2 {
     // predicate (`sqrt(l2_sq) <= r` on identical floats), so Kernel and
     // Scalar verification can never disagree, even at the boundary or
     // for r < 0.
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => kernels::l2_one_to_many(flat, dim, ids, q, r, out),
@@ -351,39 +246,14 @@ impl Distance<[f32]> for L2 {
         }
     }
 
-    fn scan_within<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn scan_hits<S, H>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => kernels::l2_scan(flat, dim, q, r, out),
             None => scan_scalar(self, data, q, r, out),
-        }
-    }
-
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &[f32],
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => kernels::l2_one_to_many_dist(flat, dim, ids, q, r, out),
-            None => verify_scalar_dist(self, data, ids, q, r, out),
-        }
-    }
-
-    fn scan_within_dist<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>)
-    where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => kernels::l2_scan_dist(flat, dim, q, r, out),
-            None => scan_scalar_dist(self, data, q, r, out),
         }
     }
 }
@@ -405,9 +275,10 @@ impl Distance<[f32]> for Cosine {
     // Cosine needs both norms, so there is no monotone early-exit
     // bound; the win is the single-pass chunked kernel per row, with
     // the exact `distance()` predicate.
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => {
@@ -417,50 +288,16 @@ impl Distance<[f32]> for Cosine {
         }
     }
 
-    fn scan_within<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn scan_hits<S, H>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => {
                 scan_dense_rows(flat, dim, r, |row| kernels::cosine_distance(row, q), out)
             }
             None => scan_scalar(self, data, q, r, out),
-        }
-    }
-
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &[f32],
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => verify_dense_rows_dist(
-                flat,
-                dim,
-                ids,
-                r,
-                |row| kernels::cosine_distance(row, q),
-                out,
-            ),
-            None => verify_scalar_dist(self, data, ids, q, r, out),
-        }
-    }
-
-    fn scan_within_dist<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>)
-    where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => {
-                scan_dense_rows_dist(flat, dim, r, |row| kernels::cosine_distance(row, q), out)
-            }
-            None => scan_scalar_dist(self, data, q, r, out),
         }
     }
 }
@@ -486,9 +323,10 @@ impl Distance<[f32]> for UnitCosine {
         "cosine(unit)"
     }
 
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => {
@@ -498,45 +336,16 @@ impl Distance<[f32]> for UnitCosine {
         }
     }
 
-    fn scan_within<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<PointId>)
+    fn scan_hits<S, H>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [f32]> + ?Sized,
+        H: Hit,
     {
         match data.dense_view() {
             Some((flat, dim)) => {
                 scan_dense_rows(flat, dim, r, |row| 1.0 - kernels::dot(row, q), out)
             }
             None => scan_scalar(self, data, q, r, out),
-        }
-    }
-
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &[f32],
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => {
-                verify_dense_rows_dist(flat, dim, ids, r, |row| 1.0 - kernels::dot(row, q), out)
-            }
-            None => verify_scalar_dist(self, data, ids, q, r, out),
-        }
-    }
-
-    fn scan_within_dist<S>(&self, data: &S, q: &[f32], r: f64, out: &mut Vec<(PointId, f64)>)
-    where
-        S: PointSet<Point = [f32]> + ?Sized,
-    {
-        match data.dense_view() {
-            Some((flat, dim)) => {
-                scan_dense_rows_dist(flat, dim, r, |row| 1.0 - kernels::dot(row, q), out)
-            }
-            None => scan_scalar_dist(self, data, q, r, out),
         }
     }
 }
@@ -558,9 +367,10 @@ impl Distance<[u64]> for Hamming {
 
     // Integer distances make the popcount kernels exact: every override
     // equals its scalar loop bit for bit (see `crate::kernels`).
-    fn verify_many<S>(&self, data: &S, ids: &[PointId], q: &[u64], r: f64, out: &mut Vec<PointId>)
+    fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &[u64], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [u64]> + ?Sized,
+        H: Hit,
     {
         match data.binary_view() {
             Some((words, wpr)) => kernels::hamming_one_to_many(words, wpr, ids, q, r, out),
@@ -568,39 +378,14 @@ impl Distance<[u64]> for Hamming {
         }
     }
 
-    fn scan_within<S>(&self, data: &S, q: &[u64], r: f64, out: &mut Vec<PointId>)
+    fn scan_hits<S, H>(&self, data: &S, q: &[u64], r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = [u64]> + ?Sized,
+        H: Hit,
     {
         match data.binary_view() {
             Some((words, wpr)) => kernels::hamming_scan(words, wpr, q, r, out),
             None => scan_scalar(self, data, q, r, out),
-        }
-    }
-
-    fn verify_many_dist<S>(
-        &self,
-        data: &S,
-        ids: &[PointId],
-        q: &[u64],
-        r: f64,
-        out: &mut Vec<(PointId, f64)>,
-    ) where
-        S: PointSet<Point = [u64]> + ?Sized,
-    {
-        match data.binary_view() {
-            Some((words, wpr)) => kernels::hamming_one_to_many_dist(words, wpr, ids, q, r, out),
-            None => verify_scalar_dist(self, data, ids, q, r, out),
-        }
-    }
-
-    fn scan_within_dist<S>(&self, data: &S, q: &[u64], r: f64, out: &mut Vec<(PointId, f64)>)
-    where
-        S: PointSet<Point = [u64]> + ?Sized,
-    {
-        match data.binary_view() {
-            Some((words, wpr)) => kernels::hamming_scan_dist(words, wpr, q, r, out),
-            None => scan_scalar_dist(self, data, q, r, out),
         }
     }
 }
@@ -705,8 +490,8 @@ mod tests {
             let r = dists[dists.len() / 2];
             let mut ids_only = Vec::new();
             d.verify_many(data, ids, q, r, &mut ids_only);
-            let mut pairs = Vec::new();
-            d.verify_many_dist(data, ids, q, r, &mut pairs);
+            let mut pairs: Vec<(PointId, f64)> = Vec::new();
+            d.verify_hits(data, ids, q, r, &mut pairs);
             assert_eq!(
                 pairs.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
                 ids_only,
@@ -723,8 +508,8 @@ mod tests {
             }
             let mut scan_ids = Vec::new();
             d.scan_within(data, q, r, &mut scan_ids);
-            let mut scan_pairs = Vec::new();
-            d.scan_within_dist(data, q, r, &mut scan_pairs);
+            let mut scan_pairs: Vec<(PointId, f64)> = Vec::new();
+            d.scan_hits(data, q, r, &mut scan_pairs);
             assert_eq!(
                 scan_pairs.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
                 scan_ids,
@@ -732,8 +517,8 @@ mod tests {
                 d.name()
             );
             // r = ∞ covers every row with its exact distance.
-            let mut all = Vec::new();
-            d.scan_within_dist(data, q, f64::INFINITY, &mut all);
+            let mut all: Vec<(PointId, f64)> = Vec::new();
+            d.scan_hits(data, q, f64::INFINITY, &mut all);
             assert_eq!(all.len(), data.len(), "{} full table", d.name());
         }
         check(&L1, &data, &ids, &q);
@@ -748,11 +533,11 @@ mod tests {
         let data = BinaryDataset::from_fingerprints(&[0b0001, 0b0011, 0b1111, 0b1000]);
         let q = [0b0001u64];
         let ids: Vec<PointId> = vec![0, 1, 2, 3];
-        let mut pairs = Vec::new();
-        Hamming.verify_many_dist(&data, &ids, &q[..], 1.0, &mut pairs);
+        let mut pairs: Vec<(PointId, f64)> = Vec::new();
+        Hamming.verify_hits(&data, &ids, &q[..], 1.0, &mut pairs);
         assert_eq!(pairs, vec![(0, 0.0), (1, 1.0)]);
-        let mut scan = Vec::new();
-        Hamming.scan_within_dist(&data, &q[..], 2.0, &mut scan);
+        let mut scan: Vec<(PointId, f64)> = Vec::new();
+        Hamming.scan_hits(&data, &q[..], 2.0, &mut scan);
         assert_eq!(scan, vec![(0, 0.0), (1, 1.0), (3, 2.0)]);
     }
 

@@ -4,10 +4,10 @@
 
 use hlsh_vec::binary::{hamming, jaccard_distance};
 use hlsh_vec::dense::{cosine_distance, dot, l1, l2, norm};
-use hlsh_vec::metric::{scan_scalar, scan_scalar_dist, verify_scalar, verify_scalar_dist};
+use hlsh_vec::metric::{scan_scalar, verify_scalar};
 use hlsh_vec::{
-    kernels, BinaryDataset, BinaryVec, DenseDataset, Distance, GrowablePointSet, Hamming, PointId,
-    PointSet,
+    kernels, BinaryDataset, BinaryVec, Cosine, DenseDataset, Distance, GrowablePointSet, Hamming,
+    Jaccard, PointId, PointSet, UnitCosine, L1, L2,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -247,8 +247,8 @@ proptest! {
         }
     }
 
-    /// The Hamming kernels behind `Hamming`'s `scan_within` /
-    /// `verify_many` and their `_dist` twins equal the scalar loops
+    /// The Hamming kernels behind `Hamming`'s `scan_hits` /
+    /// `verify_hits`, in both `Hit` instantiations, equal the scalar loops
     /// exactly — same ids, same order (repeats and unsorted ids kept),
     /// same distance bits — on one- and multi-word rows and at every
     /// kind of radius: exact integer boundaries and their neighbours,
@@ -291,26 +291,66 @@ proptest! {
         ];
         radii.push((64 * wpr) as f64);
         for r in radii {
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut got, mut want): (Vec<PointId>, Vec<PointId>) = (Vec::new(), Vec::new());
             Hamming.scan_within(&data, q, r, &mut got);
             scan_scalar(&Hamming, &data, q, r, &mut want);
             prop_assert_eq!(&got, &want, "scan, wpr {} r {}", wpr, r);
 
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut got, mut want): (Vec<PointId>, Vec<PointId>) = (Vec::new(), Vec::new());
             Hamming.verify_many(&data, &ids, q, r, &mut got);
             verify_scalar(&Hamming, &data, &ids, q, r, &mut want);
             prop_assert_eq!(&got, &want, "verify, wpr {} r {}", wpr, r);
 
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            Hamming.scan_within_dist(&data, q, r, &mut got);
-            scan_scalar_dist(&Hamming, &data, q, r, &mut want);
+            let (mut got, mut want): (Vec<Pair>, Vec<Pair>) = (Vec::new(), Vec::new());
+            Hamming.scan_hits(&data, q, r, &mut got);
+            scan_scalar(&Hamming, &data, q, r, &mut want);
             prop_assert_eq!(bits(&got), bits(&want), "scan_dist, wpr {} r {}", wpr, r);
 
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            Hamming.verify_many_dist(&data, &ids, q, r, &mut got);
-            verify_scalar_dist(&Hamming, &data, &ids, q, r, &mut want);
+            let (mut got, mut want): (Vec<Pair>, Vec<Pair>) = (Vec::new(), Vec::new());
+            Hamming.verify_hits(&data, &ids, q, r, &mut got);
+            verify_scalar(&Hamming, &data, &ids, q, r, &mut want);
             prop_assert_eq!(bits(&got), bits(&want), "verify_dist, wpr {} r {}", wpr, r);
         }
+    }
+
+    /// Every metric's S3 filters, through the storage views (dense
+    /// kernels, popcount kernels) and through a point set with no view
+    /// (the trait's scalar default): the `(id, distance)` instantiation
+    /// of `verify_hits` / `scan_hits` reports exactly the ids of the
+    /// `PointId` one — order and repeats included — with every distance
+    /// bit-identical to `distance()`, at radii on an exact distance,
+    /// 0, negative, `NaN` and `∞`.
+    #[test]
+    fn hit_instantiations_agree_on_every_metric(
+        dim in 1usize..20,
+        dense_pool in vec(-10.0f32..10.0, 20..400),
+        wpr in 1usize..3,
+        word_pool in vec(any::<u64>(), 2..200),
+        raw_ids in vec(any::<u32>(), 0..120),
+        pick in any::<u64>(),
+    ) {
+        let rows: Vec<Vec<f32>> = dense_pool.chunks_exact(dim).map(<[f32]>::to_vec).collect();
+        let dense = DenseDataset::from_rows(dim, rows.iter().cloned());
+        let q_dense: Vec<f32> = rows[0].iter().map(|x| x * 0.5 + 0.25).collect();
+        let dense_ids: Vec<PointId> = raw_ids.iter().map(|&id| id % rows.len() as u32).collect();
+        let dense_plain = RowsOnly(rows);
+        prop_assert!(dense.dense_view().is_some() && dense_plain.dense_view().is_none());
+        check_metric(&L1, &dense, &dense_plain, &dense_ids, &q_dense, pick);
+        check_metric(&L2, &dense, &dense_plain, &dense_ids, &q_dense, pick);
+        check_metric(&Cosine, &dense, &dense_plain, &dense_ids, &q_dense, pick);
+        check_metric(&UnitCosine, &dense, &dense_plain, &dense_ids, &q_dense, pick);
+
+        let words: Vec<Vec<u64>> = word_pool.chunks_exact(wpr).map(<[u64]>::to_vec).collect();
+        let mut binary = BinaryDataset::new(64 * wpr);
+        for row in &words {
+            binary.push_point(row);
+        }
+        let q_bits: Vec<u64> = words[0].iter().map(|w| w ^ 0b1011).collect();
+        let bit_ids: Vec<PointId> = raw_ids.iter().map(|&id| id % words.len() as u32).collect();
+        let binary_plain = RowsOnly(words);
+        prop_assert!(binary.binary_view().is_some() && binary_plain.binary_view().is_none());
+        check_metric(&Hamming, &binary, &binary_plain, &bit_ids, &q_bits, pick);
+        check_metric(&Jaccard, &binary, &binary_plain, &bit_ids, &q_bits, pick);
     }
 
     #[test]
@@ -322,8 +362,92 @@ proptest! {
     }
 }
 
+/// The distance-keeping [`hlsh_vec::Hit`].
+type Pair = (PointId, f64);
+
 /// `(id, distance bits)` — exact comparison of distance-returning
 /// kernel output.
-fn bits(pairs: &[(PointId, f64)]) -> Vec<(PointId, u64)> {
+fn bits(pairs: &[Pair]) -> Vec<(PointId, u64)> {
     pairs.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+}
+
+/// A point set over owned rows with neither a dense nor a binary view,
+/// so every metric runs the `Distance` trait's scalar default.
+struct RowsOnly<T>(Vec<Vec<T>>);
+
+impl<T> PointSet for RowsOnly<T> {
+    type Point = [T];
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn point(&self, i: usize) -> &[T] {
+        &self.0[i]
+    }
+}
+
+/// Runs [`check_hits`] for one metric on both point sets (the same
+/// rows, with and without a storage view) at every radius kind.
+fn check_metric<P, V, W, D>(d: &D, viewed: &V, plain: &W, ids: &[PointId], q: &P, pick: u64)
+where
+    P: ?Sized,
+    V: PointSet<Point = P>,
+    W: PointSet<Point = P>,
+    D: Distance<P>,
+{
+    let exact = d.distance(viewed.point((pick % viewed.len() as u64) as usize), q);
+    for r in [exact, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let on_view = check_hits(d, viewed, ids, q, r);
+        let on_plain = check_hits(d, plain, ids, q, r);
+        // The binary metrics are exact (Hamming's popcount kernels,
+        // Jaccard's one scalar loop), so their two paths agree bit for
+        // bit too; the dense kernels agree only within their envelope.
+        if d.name() == "Hamming" || d.name() == "Jaccard" {
+            assert_eq!(bits(&on_view), bits(&on_plain), "{} view vs no view, r {r}", d.name());
+        }
+    }
+}
+
+/// The generic S3 contract of `d` on `data` at radius `r`: both `Hit`
+/// instantiations of `verify_hits` and of `scan_hits` report the same
+/// id sequence, every kept distance equals `distance()` bit for bit,
+/// and the ids-only wrappers `verify_many` / `scan_within` match.
+/// Returns the verified pairs.
+fn check_hits<P, S, D>(d: &D, data: &S, ids: &[PointId], q: &P, r: f64) -> Vec<Pair>
+where
+    P: ?Sized,
+    S: PointSet<Point = P>,
+    D: Distance<P>,
+{
+    let name = d.name();
+    let exact = |pairs: &[Pair]| {
+        for &(id, dist) in pairs {
+            let want = d.distance(data.point(id as usize), q);
+            assert_eq!(dist.to_bits(), want.to_bits(), "{name} distance of {id}, r {r}");
+        }
+    };
+
+    let (mut id_hits, mut pairs, mut wrapped): (Vec<PointId>, Vec<Pair>, Vec<PointId>) =
+        (Vec::new(), Vec::new(), Vec::new());
+    d.verify_hits(data, ids, q, r, &mut id_hits);
+    d.verify_hits(data, ids, q, r, &mut pairs);
+    d.verify_many(data, ids, q, r, &mut wrapped);
+    assert_eq!(pairs.iter().map(|p| p.0).collect::<Vec<_>>(), id_hits, "{name} verify, r {r}");
+    assert_eq!(wrapped, id_hits, "{name} verify_many, r {r}");
+    exact(&pairs);
+
+    let (mut id_scan, mut scan_pairs, mut wrapped): (Vec<PointId>, Vec<Pair>, Vec<PointId>) =
+        (Vec::new(), Vec::new(), Vec::new());
+    d.scan_hits(data, q, r, &mut id_scan);
+    d.scan_hits(data, q, r, &mut scan_pairs);
+    d.scan_within(data, q, r, &mut wrapped);
+    assert_eq!(scan_pairs.iter().map(|p| p.0).collect::<Vec<_>>(), id_scan, "{name} scan, r {r}");
+    assert_eq!(wrapped, id_scan, "{name} scan_within, r {r}");
+    exact(&scan_pairs);
+    if r == f64::INFINITY {
+        // Only a NaN distance fails `d <= ∞`; none arise from finite rows.
+        assert_eq!(scan_pairs.len(), data.len(), "{name} full table");
+    }
+    pairs
 }
