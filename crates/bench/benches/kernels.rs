@@ -64,8 +64,8 @@ fn bench_pair_kernels(c: &mut Criterion) {
 }
 
 /// S3 verification: per-candidate scalar distance calls (the pre-kernel
-/// engine), per-candidate chunked calls, and the one-to-many kernel
-/// with its early-exit radius bound.
+/// engine), per-candidate chunked calls, and the engine's one-to-many
+/// kernel with its early-exit radius bound.
 fn bench_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify");
     for d in [64usize, 256] {
@@ -79,8 +79,7 @@ fn bench_verify(c: &mut Criterion) {
             .map(|&id| kernels::l2_sq(&flat[id as usize * d..(id as usize + 1) * d], &q))
             .collect();
         dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let r_sq = dists[dists.len() / 2];
-        let r = r_sq.sqrt();
+        let r = dists[dists.len() / 2].sqrt();
 
         group.bench_with_input(BenchmarkId::new("one_at_a_time_scalar", d), &d, |bch, _| {
             bch.iter(|| {
@@ -103,20 +102,6 @@ fn bench_verify(c: &mut Criterion) {
                         out.push(id);
                     }
                 }
-                std::hint::black_box(out.len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("one_to_many", d), &d, |bch, _| {
-            bch.iter(|| {
-                let mut out = Vec::new();
-                kernels::l2_sq_one_to_many(
-                    std::hint::black_box(&flat),
-                    d,
-                    &ids,
-                    &q,
-                    r_sq,
-                    &mut out,
-                );
                 std::hint::black_box(out.len())
             })
         });

@@ -1,26 +1,324 @@
-//! The query execution engine: reusable per-thread scratch state and
-//! the parallel batch API.
+//! The query execution engine: the one Algorithm 2 level query, its
+//! reusable per-thread scratch, and the parallel batch API.
 //!
-//! A single Algorithm 2 query needs three pieces of transient state —
-//! the probed bucket list, the HLL merge accumulator, and the
-//! candidate-dedup bitmap. Allocating them per query is fine for one
-//! call but wasteful under batch load, where the dedup bitmap alone
-//! spans all `n` ids. [`QueryEngine`] owns that scratch and reuses it
-//! across queries; [`HybridLshIndex::query_batch`] shards a query slice
-//! over scoped threads, one engine per thread, and returns outputs in
-//! input order — byte-identical ids to a sequential loop.
+//! Algorithm 2 is one rule whatever the deployment: probe the tables
+//! (S1) and sum the collisions, merge the probed sketches into one
+//! candSize estimate (S2), compare `α·#collisions + β·candSize` against
+//! `β·n`, and run the cheaper arm (S3). A `Level` is one source that
+//! rule runs over — the single index (or one rung of a top-k ladder), a
+//! sharded view, or a segmented view — and
+//! `LevelEngine::query_hits` is the rule, written once for all of
+//! them. Each source merges its parts' statistics before the decision,
+//! so a sharded or segmented query decides exactly as one index over
+//! the same points would.
+//!
+//! A query also needs transient state — the probed buckets, the HLL
+//! merge accumulator and the candidate-dedup scratch. Allocating it per
+//! query is fine for one call but wasteful under batch load, where the
+//! dedup bitmap alone spans all `n` ids. [`QueryEngine`] owns that
+//! scratch and reuses it across queries;
+//! [`HybridLshIndex::query_batch`] shards a query slice over scoped
+//! threads, one engine per thread, and returns outputs in input order —
+//! byte-identical ids to a sequential loop.
 
 use std::time::Instant;
 
 use hlsh_families::LshFamily;
-use hlsh_hll::MergeAccumulator;
+use hlsh_hll::{HllConfig, MergeAccumulator};
 use hlsh_vec::{Distance, Hit, PointId, PointSet};
 
+use crate::bucket::BucketRef;
+use crate::cost::CostModel;
 use crate::dedup::SeenBitmap;
 use crate::index::HybridLshIndex;
 use crate::report::{QueryOutput, QueryReport};
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::BucketStore;
+
+/// One Algorithm 2 source: what the level query needs to probe,
+/// estimate, decide and run either arm.
+///
+/// Sources made of several parts (shards, memtables, segments) sum their
+/// parts' collisions, feed every part's probed buckets into the one
+/// accumulator, dedup each part separately (live ids are disjoint across
+/// parts) and report hits under global ids.
+pub(crate) trait Level {
+    /// The point type of queries and data.
+    type Point: ?Sized;
+    /// Per-part candidate-dedup scratch, reused across queries.
+    type Seen: Default;
+    /// The probed buckets (S1), kept for S2 and the LSH arm.
+    type Probe<'a>
+    where
+        Self: 'a;
+
+    /// The live point count `n` the linear arm's cost is charged on.
+    fn n(&self) -> usize;
+
+    /// The HLL configuration every part's sketches share.
+    fn hll_config(&self) -> HllConfig;
+
+    /// The cost model the arm decision runs on.
+    fn cost_model(&self) -> CostModel;
+
+    /// S1: the probed buckets and the collision count (live members
+    /// only).
+    fn probe(&self, q: &Self::Point) -> (Self::Probe<'_>, usize);
+
+    /// S2: merges the probed buckets into `acc`.
+    fn contribute(&self, probe: &Self::Probe<'_>, acc: &mut MergeAccumulator);
+
+    /// The LSH arm's S3: dedups the probed members, verifies them, and
+    /// appends the hits within `r` to `out`. Returns the distinct
+    /// candidate count.
+    fn lsh_into<H: Hit>(
+        &self,
+        probe: &Self::Probe<'_>,
+        q: &Self::Point,
+        r: f64,
+        verify: VerifyMode,
+        scratch: (&mut Self::Seen, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize;
+
+    /// The linear arm's S3: scans every live point and appends the hits
+    /// within `r` to `out`.
+    fn scan_into<H: Hit>(&self, q: &Self::Point, r: f64, verify: VerifyMode, out: &mut Vec<H>);
+
+    /// The top-k walk's exact fallback: every live point exactly once as
+    /// `(id, distance)` (see [`crate::topk::fallback_scan_pairs`]).
+    fn fallback_pairs(&self, q: &Self::Point, verify: VerifyMode) -> Vec<(PointId, f64)>;
+}
+
+impl<S, F, D, B> Level for HybridLshIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+    type Seen = SeenBitmap;
+    type Probe<'a>
+        = Vec<BucketRef<'a>>
+    where
+        Self: 'a;
+
+    fn n(&self) -> usize {
+        self.len()
+    }
+
+    fn hll_config(&self) -> HllConfig {
+        HybridLshIndex::hll_config(self)
+    }
+
+    fn cost_model(&self) -> CostModel {
+        HybridLshIndex::cost_model(self)
+    }
+
+    fn probe(&self, q: &S::Point) -> (Vec<BucketRef<'_>>, usize) {
+        HybridLshIndex::probe(self, q)
+    }
+
+    fn contribute(&self, probe: &Vec<BucketRef<'_>>, acc: &mut MergeAccumulator) {
+        for b in probe {
+            b.contribute_to(acc);
+        }
+    }
+
+    /// Dedups with the bitmap, then verifies the whole candidate list in
+    /// one batched distance-filter call (under [`VerifyMode::Kernel`], a
+    /// one-to-many kernel straight over the dataset's flat storage).
+    /// Output order is first-collision order, filtered.
+    fn lsh_into<H: Hit>(
+        &self,
+        probe: &Vec<BucketRef<'_>>,
+        q: &S::Point,
+        r: f64,
+        verify: VerifyMode,
+        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize {
+        cands.clear();
+        seen.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
+        verify.verify(self.distance(), self.data(), cands, q, r, out);
+        cands.len()
+    }
+
+    fn scan_into<H: Hit>(&self, q: &S::Point, r: f64, verify: VerifyMode, out: &mut Vec<H>) {
+        verify.scan(self.distance(), self.data(), q, r, out);
+    }
+
+    fn fallback_pairs(&self, q: &S::Point, verify: VerifyMode) -> Vec<(PointId, f64)> {
+        crate::topk::fallback_scan_pairs(self.data(), self.distance(), q, verify)
+    }
+}
+
+/// Clears and returns the merge accumulator in `slot` for `config`,
+/// recreating it only when the config changes between sources.
+pub(crate) fn ensure_accumulator(
+    slot: &mut Option<MergeAccumulator>,
+    config: HllConfig,
+) -> &mut MergeAccumulator {
+    match &mut *slot {
+        Some(acc) if acc.config() == config => acc.clear(),
+        other => *other = Some(MergeAccumulator::new(config)),
+    }
+    slot.as_mut().expect("accumulator just ensured")
+}
+
+/// Reusable scratch for the level query — the per-part dedup scratch
+/// `S`, the candidate list and the merge accumulator — plus the S3
+/// verification mode. Every public rNNR and top-k engine wraps one.
+#[derive(Debug, Default)]
+pub(crate) struct LevelEngine<S> {
+    seen: S,
+    cands: Vec<PointId>,
+    acc: Option<MergeAccumulator>,
+    verify: VerifyMode,
+}
+
+impl<S: Default> LevelEngine<S> {
+    pub(crate) fn with_verify_mode(verify: VerifyMode) -> Self {
+        Self { verify, ..Self::default() }
+    }
+
+    pub(crate) fn verify_mode(&self) -> VerifyMode {
+        self.verify
+    }
+
+    /// One Algorithm 2 query against `level`, generic over what step S3
+    /// emits: ids ([`PointId`], the rNNR answer) or `(id, distance)`
+    /// pairs (the top-k walk, which ranks by the distances the filter
+    /// already computed). Both instantiations report the same ids in the
+    /// same order with the same [`QueryReport`].
+    ///
+    /// With `skip_at_most = Some(t)` the query probes and estimates
+    /// once, and runs neither arm — returning `None` — when the
+    /// estimated distinct-candidate count is at most `t`. This is the
+    /// top-k walk's level filter: a schedule level whose predicted
+    /// candidates are all already verified cannot improve the heap, and
+    /// deciding that from the sketches costs `O(mL)` — the same probe +
+    /// merge work the executed query needs anyway, done once here.
+    /// Under [`Strategy::LinearOnly`] the filter does not apply (a scan
+    /// forms no candidate set) and the query always runs. Under
+    /// [`Strategy::LshOnly`] the sketches are merged only when a
+    /// threshold needs the estimate, and the report's
+    /// `cand_size_estimate` then carries it; without one it carries the
+    /// exact candidate count.
+    pub(crate) fn query_hits<L, H>(
+        &mut self,
+        level: &L,
+        q: &L::Point,
+        r: f64,
+        strategy: Strategy,
+        skip_at_most: Option<f64>,
+    ) -> Option<(Vec<H>, QueryReport)>
+    where
+        L: Level<Seen = S>,
+        H: Hit,
+    {
+        let t_start = Instant::now();
+        let mut hits = Vec::new();
+        if matches!(strategy, Strategy::LinearOnly) {
+            level.scan_into(q, r, self.verify, &mut hits);
+            let report = QueryReport {
+                executed: ExecutedArm::Linear,
+                collisions: 0,
+                cand_size_estimate: 0.0,
+                cand_size_actual: None,
+                output_size: hits.len(),
+                hash_nanos: 0,
+                hll_nanos: 0,
+                total_nanos: t_start.elapsed().as_nanos() as u64,
+            };
+            return Some((hits, report));
+        }
+
+        // Algorithm 2 lines 1–2: collisions + candSize estimate.
+        let t_hash = Instant::now();
+        let (probe, collisions) = level.probe(q);
+        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
+        let (estimate, hll_nanos) =
+            if matches!(strategy, Strategy::LshOnly) && skip_at_most.is_none() {
+                (None, 0)
+            } else {
+                let t_hll = Instant::now();
+                let acc = ensure_accumulator(&mut self.acc, level.hll_config());
+                level.contribute(&probe, acc);
+                (Some(acc.estimate()), t_hll.elapsed().as_nanos() as u64)
+            };
+        if let (Some(estimate), Some(at_most)) = (estimate, skip_at_most) {
+            if estimate <= at_most {
+                return None;
+            }
+        }
+
+        // Lines 3–4: compare costs, run the cheaper arm.
+        let prefer_lsh = match (strategy, estimate) {
+            (Strategy::Hybrid, Some(estimate)) => {
+                level.cost_model().prefer_lsh(collisions, estimate, level.n())
+            }
+            _ => true,
+        };
+        let (executed, cand_actual) = if prefer_lsh {
+            let scratch = (&mut self.seen, &mut self.cands);
+            let distinct = level.lsh_into(&probe, q, r, self.verify, scratch, &mut hits);
+            (ExecutedArm::Lsh, Some(distinct))
+        } else {
+            level.scan_into(q, r, self.verify, &mut hits);
+            (ExecutedArm::Linear, None)
+        };
+        let report = QueryReport {
+            executed,
+            collisions,
+            // Only LshOnly skips the estimate, and its arm always
+            // counts the candidates exactly.
+            cand_size_estimate: estimate.unwrap_or(cand_actual.unwrap_or_default() as f64),
+            cand_size_actual: cand_actual,
+            output_size: hits.len(),
+            hash_nanos,
+            hll_nanos,
+            total_nanos: t_start.elapsed().as_nanos() as u64,
+        };
+        Some((hits, report))
+    }
+
+    /// The rNNR answer of one level query (no skip threshold).
+    pub(crate) fn query<L>(
+        &mut self,
+        level: &L,
+        q: &L::Point,
+        r: f64,
+        strategy: Strategy,
+    ) -> QueryOutput
+    where
+        L: Level<Seen = S>,
+    {
+        let (ids, report) = self
+            .query_hits(level, q, r, strategy, None)
+            .expect("a query without a skip threshold always runs");
+        QueryOutput { ids, report }
+    }
+
+    /// [`query`](Self::query) with the ids sorted ascending — the
+    /// canonical rNNR order of the sharded and segmented deployments,
+    /// where first-collision order is not meaningful across parts.
+    pub(crate) fn query_sorted<L>(
+        &mut self,
+        level: &L,
+        q: &L::Point,
+        r: f64,
+        strategy: Strategy,
+    ) -> QueryOutput
+    where
+        L: Level<Seen = S>,
+    {
+        let mut out = self.query(level, q, r, strategy);
+        out.ids.sort_unstable();
+        out
+    }
+}
 
 /// Reusable scratch state for running queries.
 ///
@@ -28,12 +326,7 @@ use crate::store::BucketStore;
 /// the dedup bitmap, candidate list and merge accumulator between
 /// calls. Results are identical to the allocate-per-query path.
 #[derive(Debug, Default)]
-pub struct QueryEngine {
-    seen: SeenBitmap,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
-}
+pub struct QueryEngine(LevelEngine<SeenBitmap>);
 
 impl QueryEngine {
     /// Creates an engine with empty scratch and the default
@@ -46,12 +339,12 @@ impl QueryEngine {
     /// ([`VerifyMode::Scalar`] forces per-candidate `distance()` calls;
     /// useful as a benchmark baseline).
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
+        Self(LevelEngine::with_verify_mode(verify))
     }
 
     /// The S3 verification mode in force.
     pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
+        self.0.verify_mode()
     }
 
     /// Hybrid query (Algorithm 2) with reused scratch.
@@ -70,7 +363,9 @@ impl QueryEngine {
         self.query_with_strategy(index, q, r, Strategy::Hybrid)
     }
 
-    /// Runs a query under an explicit strategy with reused scratch.
+    /// Runs a query under an explicit strategy with reused scratch. Ids
+    /// come in first-collision order from the LSH arm, ascending from
+    /// the linear arm.
     pub fn query_with_strategy<S, F, D, B>(
         &mut self,
         index: &HybridLshIndex<S, F, D, B>,
@@ -84,182 +379,8 @@ impl QueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let (ids, report) = self
-            .query_hits(index, q, r, strategy, None)
-            .expect("a query without a skip threshold always runs");
-        QueryOutput { ids, report }
+        self.0.query(index, q, r, strategy)
     }
-
-    /// One Algorithm 2 query, generic over what step S3 emits: ids
-    /// ([`PointId`], the rNNR answer) or `(id, distance)` pairs (the
-    /// top-k driver's level query, which ranks by the distances the
-    /// filter already computed). Both instantiations report the same
-    /// ids in the same order with the same [`QueryReport`].
-    ///
-    /// With `skip_at_most = Some(t)` the query probes and estimates
-    /// once, and runs neither arm — returning `None` — when the
-    /// estimated distinct-candidate count is at most `t`. This is the
-    /// top-k driver's level filter: a schedule level whose predicted
-    /// candidates are all already verified cannot improve the heap, and
-    /// deciding that from the sketches costs `O(mL)` — the same probe +
-    /// merge work the executed query needs anyway, done once here.
-    /// Under [`Strategy::LinearOnly`] the filter does not apply (a scan
-    /// forms no candidate set) and the query always runs. Under
-    /// [`Strategy::LshOnly`] the sketches are merged only when a
-    /// threshold needs the estimate, and the report's
-    /// `cand_size_estimate` then carries it; without one it carries the
-    /// exact candidate count.
-    pub(crate) fn query_hits<S, F, D, B, H>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: Option<f64>,
-    ) -> Option<(Vec<H>, QueryReport)>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-        H: Hit,
-    {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let hits = linear_arm(index, q, r, self.verify);
-            let report = QueryReport {
-                executed: ExecutedArm::Linear,
-                collisions: 0,
-                cand_size_estimate: 0.0,
-                cand_size_actual: None,
-                output_size: hits.len(),
-                hash_nanos: 0,
-                hll_nanos: 0,
-                total_nanos: t_start.elapsed().as_nanos() as u64,
-            };
-            return Some((hits, report));
-        }
-
-        // Algorithm 2 lines 1–2: collisions + candSize estimate.
-        let (buckets, collisions, hash_nanos) = index.probe(q);
-        let (estimate, hll_nanos) =
-            if matches!(strategy, Strategy::LshOnly) && skip_at_most.is_none() {
-                (None, 0)
-            } else {
-                let t_hll = Instant::now();
-                let acc = self.accumulator(index);
-                for b in &buckets {
-                    b.contribute_to(acc);
-                }
-                let estimate = acc.estimate();
-                (Some(estimate), t_hll.elapsed().as_nanos() as u64)
-            };
-        if let (Some(estimate), Some(at_most)) = (estimate, skip_at_most) {
-            if estimate <= at_most {
-                return None;
-            }
-        }
-
-        // Lines 3–4: compare costs, run the cheaper arm.
-        let prefer_lsh = match (strategy, estimate) {
-            (Strategy::Hybrid, Some(estimate)) => {
-                index.cost_model().prefer_lsh(collisions, estimate, index.len())
-            }
-            _ => true,
-        };
-        let (executed, hits, cand_actual) = if prefer_lsh {
-            let (hits, cand) = self.lsh_arm(index, q, r, &buckets);
-            (ExecutedArm::Lsh, hits, Some(cand))
-        } else {
-            (ExecutedArm::Linear, linear_arm(index, q, r, self.verify), None)
-        };
-        let report = QueryReport {
-            executed,
-            collisions,
-            // Only LshOnly skips the estimate, and its arm always
-            // counts the candidates exactly.
-            cand_size_estimate: estimate.unwrap_or(cand_actual.unwrap_or_default() as f64),
-            cand_size_actual: cand_actual,
-            output_size: hits.len(),
-            hash_nanos,
-            hll_nanos,
-            total_nanos: t_start.elapsed().as_nanos() as u64,
-        };
-        Some((hits, report))
-    }
-
-    /// The merge accumulator for `index`'s HLL config, cleared and
-    /// ready (recreated only when the config changes between indexes).
-    fn accumulator<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-    ) -> &mut MergeAccumulator
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let config = index.hll_config();
-        match &mut self.acc {
-            Some(acc) if acc.config() == config => acc.clear(),
-            slot => *slot = Some(MergeAccumulator::new(config)),
-        }
-        self.acc.as_mut().expect("accumulator just ensured")
-    }
-
-    /// Step S2 + S3: dedup the colliding points, then verify the whole
-    /// candidate list in one batched distance-filter call (under
-    /// [`VerifyMode::Kernel`], a one-to-many kernel straight over the
-    /// dataset's flat storage on dense and packed binary data). Returns
-    /// (reported hits, distinct candidate count). Output order equals
-    /// the interleaved per-candidate loop: first-collision order,
-    /// filtered.
-    fn lsh_arm<S, F, D, B, H>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-    ) -> (Vec<H>, usize)
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-        H: Hit,
-    {
-        self.cands.clear();
-        self.seen.dedup_into(
-            index.len(),
-            buckets.iter().map(crate::bucket::BucketRef::members),
-            &mut self.cands,
-        );
-        let mut out = Vec::new();
-        self.verify.verify(index.distance(), index.data(), &self.cands, q, r, &mut out);
-        (out, self.cands.len())
-    }
-}
-
-/// The brute-force arm: scan every point (batched through the metric's
-/// [`scan_hits`](Distance::scan_hits) kernel unless scalar mode is
-/// forced).
-fn linear_arm<S, F, D, B, H>(
-    index: &HybridLshIndex<S, F, D, B>,
-    q: &S::Point,
-    r: f64,
-    verify: VerifyMode,
-) -> Vec<H>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-    H: Hit,
-{
-    let mut out = Vec::new();
-    verify.scan(index.distance(), index.data(), q, r, &mut out);
-    out
 }
 
 /// Adapter presenting a slice of `AsRef<P>` values as a [`PointSet`].

@@ -372,7 +372,7 @@ where
     /// executing either arm — useful for inspection and for the
     /// Figure 3 (right) accounting of linear-search decisions.
     pub fn explain(&self, q: &S::Point) -> CostEstimate {
-        let (buckets, collisions, _) = self.probe(q);
+        let (buckets, collisions) = self.probe(q);
         let cand = self.estimate_cand_size(&buckets);
         CostEstimate {
             collisions,
@@ -386,7 +386,7 @@ where
     /// with a hash set). Used by Table 1 to measure the estimate error;
     /// not part of the query path.
     pub fn exact_cand_size(&self, q: &S::Point) -> usize {
-        let (buckets, _, _) = self.probe(q);
+        let (buckets, _) = self.probe(q);
         let mut set: FxHashSet<PointId> = FxHashSet::default();
         for b in &buckets {
             set.extend(b.members().iter().copied());
@@ -421,10 +421,9 @@ where
         }
     }
 
-    /// Step S1 + bucket lookup: the `L` buckets matching `q`, the total
-    /// collision count, and the elapsed nanoseconds.
-    pub(crate) fn probe(&self, q: &S::Point) -> (Vec<BucketRef<'_>>, usize, u64) {
-        let t = std::time::Instant::now();
+    /// Step S1 + bucket lookup: the `L` buckets matching `q` and the
+    /// total collision count.
+    pub(crate) fn probe(&self, q: &S::Point) -> (Vec<BucketRef<'_>>, usize) {
         let mut buckets = Vec::with_capacity(self.tables.len());
         let mut collisions = 0usize;
         for table in &self.tables {
@@ -433,7 +432,7 @@ where
                 buckets.push(b);
             }
         }
-        (buckets, collisions, t.elapsed().as_nanos() as u64)
+        (buckets, collisions)
     }
 
     /// Algorithm 2 line 2: merged-HLL candidate-size estimate (the

@@ -113,4 +113,4 @@ pub use snapshot::{
     SnapshotError, SnapshotLayout, SnapshotManifest, StorageProfile,
 };
 pub use store::{BucketStore, FrozenStore, MapStore};
-pub use topk::{BoundedHeap, Neighbor, TopKEngine, TopKIndex, TopKOutput, TopKReport};
+pub use topk::{BoundedHeap, Neighbor, TopKEngine, TopKIndex, TopKOutput, TopKReport, TopKWalk};

@@ -4,7 +4,7 @@
 //! Every serving path before this module assumed build-then-freeze:
 //! streaming `insert` hashed one point at a time into a [`MapStore`]
 //! and there was no delete at all. [`SegmentedIndex`] (and its top-k
-//! twin [`SegmentedTopKIndex`]) restructure each shard as a small LSM
+//! form [`SegmentedTopKIndex`]) restructure each shard as a small LSM
 //! hierarchy:
 //!
 //! - a **memtable** — a mutable [`MapStore`]-backed index absorbing
@@ -63,23 +63,24 @@
 //! queries, so a background thread would change nothing a test could
 //! see — on the 1-CPU reference box it would only add locking.
 
-use std::time::Instant;
+use std::borrow::Borrow;
 
 use hlsh_families::LshFamily;
 use hlsh_hll::{HllConfig, MergeAccumulator};
-use hlsh_vec::{DenseDataset, Distance, Hit, PointId, SubsetPointSet};
+use hlsh_vec::{DenseDataset, Distance, Hit, PointId, PointSet, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
 use crate::cost::CostModel;
+use crate::engine::{Level, LevelEngine};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::HybridLshIndex;
-use crate::report::{QueryOutput, QueryReport};
+use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
-use crate::search::{ExecutedArm, Strategy, VerifyMode};
-use crate::sharded::{ensure_accumulator, relabel_from, ShardAssignment};
+use crate::search::{Strategy, VerifyMode};
+use crate::sharded::{relabel_from, ShardAssignment};
 use crate::store::{FrozenStore, MapStore};
-use crate::topk::{fallback_scan_pairs, BoundedHeap, Neighbor, TopKIndex, TopKOutput, TopKReport};
+use crate::topk::{fallback_scan_pairs, TopKIndex, TopKOutput, TopKWalk};
 
 /// Why an insert or delete was rejected. Mutations are all-or-nothing:
 /// a rejected mutation leaves the index untouched.
@@ -223,16 +224,6 @@ where
     }
 }
 
-impl<F: LshFamily<[f32]>, D: Distance<[f32]>> Memtable<F, D> {
-    fn source(&self) -> Source<'_, D> {
-        Source {
-            data: self.index.data(),
-            distance: self.index.distance(),
-            ids: SourceIds::Mem(&self.rows),
-        }
-    }
-}
-
 /// One immutable frozen segment: buckets and sketches keyed by global
 /// ids, plus tombstones for logical deletes.
 struct Segment<F, D>
@@ -260,16 +251,6 @@ where
 {
     let index = builder.clone().cost_model(cost).sequential().build_frozen_mapped(data, Some(&ids));
     Segment { index, meta: SegMeta::new(ids) }
-}
-
-impl<F: LshFamily<[f32]>, D: Distance<[f32]>> Segment<F, D> {
-    fn source(&self) -> Source<'_, D> {
-        Source {
-            data: self.index.data(),
-            distance: self.index.distance(),
-            ids: SourceIds::Seg(&self.meta),
-        }
-    }
 }
 
 /// One shard's LSM hierarchy: the memtable plus its frozen segments.
@@ -567,13 +548,16 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Every source that can hold live points — per shard, the
-    /// memtable (if it has live rows) and then each segment.
-    fn sources(&self) -> impl Iterator<Item = Source<'_, D>> {
-        self.shards.iter().flat_map(|shard| {
-            let mem = (shard.mem.rows.live_rows > 0).then(|| shard.mem.source());
-            mem.into_iter().chain(shard.segments.iter().map(Segment::source))
-        })
+    /// Every memtable and segment as one Algorithm 2 source.
+    fn level(&self) -> SegmentedLevel<'_, DenseDataset, F, D> {
+        let parts = self.shards.iter().flat_map(|shard| {
+            shard_parts(
+                &shard.mem.index,
+                &shard.mem.rows,
+                shard.segments.iter().map(|s| (&s.index, &s.meta)),
+            )
+        });
+        SegmentedLevel { parts: parts.collect(), hll: self.hll, cost: self.cost, n: self.live }
     }
 
     /// Number of live points.
@@ -677,120 +661,226 @@ impl SourceIds<'_> {
     }
 }
 
-/// One memtable or segment (at one schedule level, for top-k) as S3
-/// sees it: its slab, its metric and its row → global id map.
-struct Source<'a, D> {
-    data: &'a DenseDataset,
-    distance: &'a D,
-    ids: SourceIds<'a>,
+/// One memtable or segment at one level (the rNNR index, or one rung of
+/// the top-k ladder). `T` is a segment level's data handle: the segment
+/// itself for rNNR, the ladder's shared `Arc` for top-k.
+enum Part<'a, T, F, D>
+where
+    T: PointSet<Point = [f32]>,
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// A memtable: buckets hold memtable-local rows and carry no
+    /// sketches.
+    Mem(&'a HybridLshIndex<DenseDataset, F, D, MapStore>, &'a Rows),
+    /// A segment: buckets and sketches hold global ids.
+    Seg(&'a HybridLshIndex<T, F, D, FrozenStore>, &'a SegMeta),
 }
 
-impl<D: Distance<[f32]>> Source<'_, D> {
-    /// This source's LSH-arm S3, shared by the rNNR and top-k engines:
-    /// dedups the surviving colliding members, verifies them against
-    /// the source's slab, and appends the accepted hits, relabelled to
-    /// global ids, to `out` in first-collision order. Returns the
-    /// source's distinct candidate count.
+/// One shard's parts that can hold live points: the memtable (if it has
+/// live rows), then each segment.
+fn shard_parts<'a, T, F, D>(
+    mem: &'a HybridLshIndex<DenseDataset, F, D, MapStore>,
+    rows: &'a Rows,
+    segments: impl Iterator<Item = (&'a HybridLshIndex<T, F, D, FrozenStore>, &'a SegMeta)>,
+) -> impl Iterator<Item = Part<'a, T, F, D>>
+where
+    T: PointSet<Point = [f32]> + 'a,
+    F: LshFamily<[f32]> + 'a,
+    D: Distance<[f32]> + 'a,
+{
+    let mem = (rows.live_rows > 0).then_some(Part::Mem(mem, rows));
+    mem.into_iter().chain(segments.map(|(index, meta)| Part::Seg(index, meta)))
+}
+
+impl<'a, T, F, D> Part<'a, T, F, D>
+where
+    T: PointSet<Point = [f32]> + Borrow<DenseDataset>,
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    fn ids(&self) -> SourceIds<'a> {
+        match *self {
+            Part::Mem(_, rows) => SourceIds::Mem(rows),
+            Part::Seg(_, meta) => SourceIds::Seg(meta),
+        }
+    }
+
+    /// The slab S3 verifies against and its metric.
+    fn slab(&self) -> (&'a DenseDataset, &'a D) {
+        match *self {
+            Part::Mem(index, _) => (index.data(), index.distance()),
+            Part::Seg(index, _) => (index.data().borrow(), index.distance()),
+        }
+    }
+
+    /// S1 on this part: the probed buckets and their **live** member
+    /// count (dead memtable rows and tombstoned segment rows excluded).
+    fn probe(&self, q: &[f32]) -> (Vec<BucketRef<'a>>, usize) {
+        match *self {
+            Part::Mem(index, rows) => {
+                let (buckets, _) = index.probe(q);
+                let members = buckets.iter().flat_map(|b| b.members());
+                let collisions = members.filter(|&&row| rows.live[row as usize]).count();
+                (buckets, collisions)
+            }
+            Part::Seg(index, meta) => {
+                let (buckets, collisions) = index.probe(q);
+                if !meta.is_dirty() {
+                    return (buckets, collisions);
+                }
+                let surviving = buckets
+                    .iter()
+                    .flat_map(|b| b.members())
+                    .filter(|id| !meta.tombstones.contains(id))
+                    .count();
+                (buckets, surviving)
+            }
+        }
+    }
+}
+
+/// Every memtable and segment of a segmented index at one level as one
+/// Algorithm 2 source.
+///
+/// S1 counts live members only; S2 feeds clean segments' stored
+/// sketches (or raw global members) and the **raw global ids** of the
+/// memtables' live rows and dirty segments' surviving rows, so the
+/// merged registers equal a rebuild's bit for bit; the decision runs on
+/// the pinned cost model against the live `n`. Each part dedups its own
+/// surviving members — live ids are disjoint across parts — and hits are
+/// reported under global ids, part by part.
+pub(crate) struct SegmentedLevel<'a, T, F, D>
+where
+    T: PointSet<Point = [f32]>,
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    parts: Vec<Part<'a, T, F, D>>,
+    hll: HllConfig,
+    cost: CostModel,
+    /// The live point count.
+    n: usize,
+}
+
+impl<T, F, D> Level for SegmentedLevel<'_, T, F, D>
+where
+    T: PointSet<Point = [f32]> + Borrow<DenseDataset>,
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    type Point = [f32];
+    type Seen = FxHashSet<PointId>;
+    type Probe<'p>
+        = Vec<Vec<BucketRef<'p>>>
+    where
+        Self: 'p;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn hll_config(&self) -> HllConfig {
+        self.hll
+    }
+
+    fn cost_model(&self) -> CostModel {
+        self.cost
+    }
+
+    fn probe(&self, q: &[f32]) -> (Vec<Vec<BucketRef<'_>>>, usize) {
+        let mut collisions = 0;
+        let probe = self
+            .parts
+            .iter()
+            .map(|part| {
+                let (buckets, c) = part.probe(q);
+                collisions += c;
+                buckets
+            })
+            .collect();
+        (probe, collisions)
+    }
+
+    fn contribute(&self, probe: &Vec<Vec<BucketRef<'_>>>, acc: &mut MergeAccumulator) {
+        for (part, buckets) in self.parts.iter().zip(probe) {
+            match part.ids() {
+                SourceIds::Mem(rows) => {
+                    for b in buckets {
+                        acc.add_raw(
+                            b.members()
+                                .iter()
+                                .filter(|&&row| rows.live[row as usize])
+                                .map(|&row| rows.ids[row as usize] as u64),
+                        );
+                    }
+                }
+                SourceIds::Seg(meta) if meta.is_dirty() => {
+                    for b in buckets {
+                        acc.add_raw(
+                            b.members()
+                                .iter()
+                                .filter(|id| !meta.tombstones.contains(id))
+                                .map(|&id| id as u64),
+                        );
+                    }
+                }
+                SourceIds::Seg(_) => {
+                    for b in buckets {
+                        b.contribute_to(acc);
+                    }
+                }
+            }
+        }
+    }
+
     fn lsh_into<H: Hit>(
         &self,
-        buckets: &[BucketRef<'_>],
+        probe: &Vec<Vec<BucketRef<'_>>>,
         q: &[f32],
         r: f64,
         verify: VerifyMode,
         (seen, cands): (&mut FxHashSet<PointId>, &mut Vec<PointId>),
         out: &mut Vec<H>,
     ) -> usize {
-        match self.ids {
-            SourceIds::Mem(rows) => collect_mem_cands(seen, cands, buckets, rows),
-            SourceIds::Seg(meta) => collect_seg_cands(seen, cands, buckets, meta),
+        let mut distinct = 0;
+        for (part, buckets) in self.parts.iter().zip(probe) {
+            let ids = part.ids();
+            match ids {
+                SourceIds::Mem(rows) => collect_mem_cands(seen, cands, buckets, rows),
+                SourceIds::Seg(meta) => collect_seg_cands(seen, cands, buckets, meta),
+            }
+            let (data, distance) = part.slab();
+            let start = out.len();
+            verify.verify(distance, data, cands, q, r, out);
+            relabel_from(out, start, |local| Some(ids.global(local)));
+            distinct += cands.len();
         }
-        let start = out.len();
-        verify.verify(self.distance, self.data, cands, q, r, out);
-        relabel_from(out, start, |local| Some(self.ids.global(local)));
-        cands.len()
+        distinct
     }
 
-    /// This source's linear-arm S3: scans the slab and appends the hits
-    /// of live rows, relabelled to global ids, to `out` in row order.
-    /// Per-point acceptance is the predicate the rebuild's scan
-    /// applies, so dropping dead rows afterwards changes nothing else.
+    /// Per-point acceptance is the predicate the rebuild's scan applies,
+    /// so dropping dead rows afterwards changes nothing else.
     fn scan_into<H: Hit>(&self, q: &[f32], r: f64, verify: VerifyMode, out: &mut Vec<H>) {
-        let start = out.len();
-        verify.scan(self.distance, self.data, q, r, out);
-        relabel_from(out, start, |local| self.ids.live_global(local));
-    }
-}
-
-/// One probed source and its buckets.
-struct ProbedSource<'a, D> {
-    source: Source<'a, D>,
-    buckets: Vec<BucketRef<'a>>,
-}
-
-/// Counts a memtable bucket's **live** members.
-fn live_count(members: &[PointId], live: &[bool]) -> usize {
-    members.iter().filter(|&&row| live[row as usize]).count()
-}
-
-/// Counts a segment bucket's non-tombstoned members.
-fn surviving_count(members: &[PointId], meta: &SegMeta) -> usize {
-    members.iter().filter(|id| !meta.tombstones.contains(id)).count()
-}
-
-/// Probes a memtable's tables, counting only live rows toward S1.
-fn probe_memtable<'a, F, D, B>(
-    index: &'a HybridLshIndex<DenseDataset, F, D, B>,
-    rows: &Rows,
-    q: &[f32],
-    collisions: &mut usize,
-) -> Vec<BucketRef<'a>>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-    B: crate::store::BucketStore,
-{
-    let mut buckets = Vec::with_capacity(index.tables());
-    for table in index.raw_tables() {
-        if let Some(b) = table.bucket(q) {
-            *collisions += live_count(b.members(), &rows.live);
-            buckets.push(b);
+        for part in &self.parts {
+            let ((data, distance), ids) = (part.slab(), part.ids());
+            let start = out.len();
+            verify.scan(distance, data, q, r, out);
+            relabel_from(out, start, |local| ids.live_global(local));
         }
     }
-    buckets
-}
 
-/// Merges a probed source's buckets into the accumulator: clean
-/// segments ship their sketches (or raw global members) via
-/// [`BucketRef::contribute_to`]; dirty segments and the memtable feed
-/// surviving **global** ids raw, so the merged registers equal the
-/// rebuild's bit for bit.
-fn contribute_source(acc: &mut MergeAccumulator, buckets: &[BucketRef<'_>], ids: SourceIds<'_>) {
-    match ids {
-        SourceIds::Mem(rows) => {
-            for b in buckets {
-                acc.add_raw(
-                    b.members()
-                        .iter()
-                        .filter(|&&row| rows.live[row as usize])
-                        .map(|&row| rows.ids[row as usize] as u64),
-                );
-            }
+    fn fallback_pairs(&self, q: &[f32], verify: VerifyMode) -> Vec<(PointId, f64)> {
+        let mut pairs = Vec::with_capacity(self.n);
+        for part in &self.parts {
+            let ((data, distance), ids) = (part.slab(), part.ids());
+            pairs.extend(
+                fallback_scan_pairs(data, distance, q, verify)
+                    .into_iter()
+                    .filter_map(|(local, dist)| Some((ids.live_global(local)?, dist))),
+            );
         }
-        SourceIds::Seg(meta) if meta.is_dirty() => {
-            for b in buckets {
-                acc.add_raw(
-                    b.members()
-                        .iter()
-                        .filter(|id| !meta.tombstones.contains(id))
-                        .map(|&id| id as u64),
-                );
-            }
-        }
-        SourceIds::Seg(_) => {
-            for b in buckets {
-                b.contribute_to(acc);
-            }
-        }
+        pairs
     }
 }
 
@@ -834,16 +924,9 @@ fn collect_seg_cands(
 }
 
 /// Reusable scratch for querying a [`SegmentedIndex`]: per-source
-/// dedup set and candidate list plus the global merge accumulator —
-/// the segmented twin of
-/// [`ShardedQueryEngine`](crate::sharded::ShardedQueryEngine).
+/// dedup set and candidate list plus the global merge accumulator.
 #[derive(Debug, Default)]
-pub struct SegmentedQueryEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
-}
+pub struct SegmentedQueryEngine(LevelEngine<FxHashSet<PointId>>);
 
 impl SegmentedQueryEngine {
     /// Engine with empty scratch and the default kernel verify mode.
@@ -853,12 +936,12 @@ impl SegmentedQueryEngine {
 
     /// Engine with an explicit S3 verification mode.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
+        Self(LevelEngine::with_verify_mode(verify))
     }
 
     /// The S3 verification mode in force.
     pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
+        self.0.verify_mode()
     }
 
     /// Hybrid query with reused scratch.
@@ -891,130 +974,7 @@ impl SegmentedQueryEngine {
         F: LshFamily<[f32]>,
         D: Distance<[f32]>,
     {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let ids = self.linear_arm(index, q, r);
-            let total = t_start.elapsed().as_nanos() as u64;
-            return QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions: 0,
-                    cand_size_estimate: 0.0,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos: 0,
-                    hll_nanos: 0,
-                    total_nanos: total,
-                },
-                ids,
-            };
-        }
-
-        // S1 on every source: the global collision count sums live
-        // bucket members across memtables and segments (together they
-        // partition the rebuild's buckets).
-        let t_hash = Instant::now();
-        let mut probed: Vec<ProbedSource<'_, D>> = Vec::new();
-        let mut collisions = 0usize;
-        for shard in &index.shards {
-            if shard.mem.rows.live_rows > 0 {
-                let buckets = probe_memtable(&shard.mem.index, &shard.mem.rows, q, &mut collisions);
-                probed.push(ProbedSource { source: shard.mem.source(), buckets });
-            }
-            for seg in &shard.segments {
-                let (buckets, c, _) = seg.index.probe(q);
-                if seg.meta.is_dirty() {
-                    collisions += buckets
-                        .iter()
-                        .map(|b| surviving_count(b.members(), &seg.meta))
-                        .sum::<usize>();
-                } else {
-                    collisions += c;
-                }
-                probed.push(ProbedSource { source: seg.source(), buckets });
-            }
-        }
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
-
-        // S2 — Hybrid only, mirroring the unsharded path: one merged
-        // estimate across every probed source.
-        let (cand_estimate, hll_nanos) = if matches!(strategy, Strategy::LshOnly) {
-            (0.0, 0)
-        } else {
-            let t_hll = Instant::now();
-            let acc = ensure_accumulator(&mut self.acc, index.hll);
-            for src in &probed {
-                contribute_source(acc, &src.buckets, src.source.ids);
-            }
-            (acc.estimate(), t_hll.elapsed().as_nanos() as u64)
-        };
-
-        // Global Algorithm 2 decision against the live point count.
-        let prefer_lsh = match strategy {
-            Strategy::LshOnly => true,
-            _ => index.cost.prefer_lsh(collisions, cand_estimate, index.live),
-        };
-        let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, distinct) = self.lsh_arm(q, r, &probed);
-            (ExecutedArm::Lsh, ids, Some(distinct))
-        } else {
-            (ExecutedArm::Linear, self.linear_arm(index, q, r), None)
-        };
-        let cand_size_estimate = match (strategy, cand_actual) {
-            (Strategy::LshOnly, Some(actual)) => actual as f64,
-            _ => cand_estimate,
-        };
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryOutput {
-            report: QueryReport {
-                executed,
-                collisions,
-                cand_size_estimate,
-                cand_size_actual: cand_actual,
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            ids,
-        }
-    }
-
-    /// The LSH arm across sources: per source, dedup the surviving
-    /// colliding members, verify the whole list in one batched kernel
-    /// call against the source's own slab, map accepts to global ids.
-    /// Live ids are disjoint across sources, so no cross-source dedup
-    /// is needed; the concatenation is sorted into the canonical
-    /// ascending order. Returns `(ids, distinct candidate count)`.
-    fn lsh_arm<D: Distance<[f32]>>(
-        &mut self,
-        q: &[f32],
-        r: f64,
-        probed: &[ProbedSource<'_, D>],
-    ) -> (Vec<PointId>, usize) {
-        let mut out = Vec::new();
-        let mut distinct = 0usize;
-        for src in probed {
-            let scratch = (&mut self.seen, &mut self.cands);
-            distinct += src.source.lsh_into(&src.buckets, q, r, self.verify, scratch, &mut out);
-        }
-        out.sort_unstable();
-        (out, distinct)
-    }
-
-    /// The brute-force arm across sources: scan each slab, keep live
-    /// rows, map to global ids, sort ascending.
-    fn linear_arm<F, D>(&mut self, index: &SegmentedIndex<F, D>, q: &[f32], r: f64) -> Vec<PointId>
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let mut out = Vec::new();
-        for source in index.sources() {
-            source.scan_into(q, r, self.verify, &mut out);
-        }
-        out.sort_unstable();
-        out
+        self.0.query_sorted(&index.level(), q, r, strategy)
     }
 }
 
@@ -1064,14 +1024,6 @@ where
     }
 }
 
-impl<F: LshFamily<[f32]>, D: Distance<[f32]>> TopKMemtable<F, D> {
-    /// The memtable at schedule level `li` (each level has its own slab).
-    fn source(&self, li: usize) -> Source<'_, D> {
-        let level = &self.levels[li];
-        Source { data: level.data(), distance: level.distance(), ids: SourceIds::Mem(&self.rows) }
-    }
-}
-
 /// One immutable top-k segment: a frozen radius-schedule ladder keyed
 /// by global ids, plus tombstones.
 struct TopKSegment<F, D>
@@ -1103,14 +1055,6 @@ where
     )
     .freeze();
     TopKSegment { index, meta: SegMeta::new(ids) }
-}
-
-impl<F: LshFamily<[f32]>, D: Distance<[f32]>> TopKSegment<F, D> {
-    /// The segment at schedule level `li` (the levels share one slab).
-    fn source(&self, li: usize) -> Source<'_, D> {
-        let distance = self.index.levels()[li].distance();
-        Source { data: self.index.data(), distance, ids: SourceIds::Seg(&self.meta) }
-    }
 }
 
 /// One top-k shard's LSM hierarchy.
@@ -1159,7 +1103,7 @@ where
 
 /// A top-k index that accepts inserts and deletes while serving
 /// `(distance, id)` rankings byte-identical to a ladder rebuilt from
-/// scratch on the surviving points — the top-k twin of
+/// scratch on the surviving points — the top-k form of
 /// [`SegmentedIndex`], walked by [`SegmentedTopKEngine`].
 pub struct SegmentedTopKIndex<F, D>
 where
@@ -1407,13 +1351,20 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Every source that can hold live points at schedule level `li`,
-    /// in the order of [`SegmentedIndex`]'s sources.
-    fn level_sources(&self, li: usize) -> impl Iterator<Item = Source<'_, D>> {
-        self.shards.iter().flat_map(move |shard| {
-            let mem = (shard.mem.rows.live_rows > 0).then(|| shard.mem.source(li));
-            mem.into_iter().chain(shard.segments.iter().map(move |seg| seg.source(li)))
-        })
+    /// Every memtable and segment at schedule level `li` as one
+    /// Algorithm 2 source (each memtable level has its own slab; a
+    /// segment's levels share one).
+    fn level_view(&self, li: usize) -> SegmentedLevel<'_, std::sync::Arc<DenseDataset>, F, D> {
+        let parts = self.shards.iter().flat_map(|shard| {
+            let segments = shard.segments.iter().map(move |s| (&s.index.levels()[li], &s.meta));
+            shard_parts(&shard.mem.levels[li], &shard.mem.rows, segments)
+        });
+        SegmentedLevel {
+            parts: parts.collect(),
+            hll: self.level_hll[li],
+            cost: self.level_costs[li],
+            n: self.live,
+        }
     }
 
     /// Number of live points.
@@ -1475,18 +1426,12 @@ where
 }
 
 /// Reusable scratch for running top-k queries over a
-/// [`SegmentedTopKIndex`] — the segmented twin of
-/// [`ShardedTopKEngine`](crate::sharded::ShardedTopKEngine), kept in
-/// lockstep with its walk (early exit, HLL defer + revisit, exact
-/// fallback) so rankings and reports stay byte-identical to a rebuilt
-/// ladder.
+/// [`SegmentedTopKIndex`]: the per-source rNNR scratch plus the global
+/// [`TopKWalk`].
 #[derive(Debug, Default)]
 pub struct SegmentedTopKEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    reported: FxHashSet<PointId>,
-    verify: VerifyMode,
+    engine: LevelEngine<FxHashSet<PointId>>,
+    walk: TopKWalk,
 }
 
 impl SegmentedTopKEngine {
@@ -1498,7 +1443,7 @@ impl SegmentedTopKEngine {
     /// Engine whose rNNR level queries verify in an explicit
     /// [`VerifyMode`]; output is identical across modes.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
+        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
     }
 
     /// Answers one top-k query under the default per-level
@@ -1531,174 +1476,8 @@ impl SegmentedTopKEngine {
         F: LshFamily<[f32]>,
         D: Distance<[f32]>,
     {
-        let t_start = Instant::now();
-        let n = index.live;
-        let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
-        }
-
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let mut covered_r = 0.0_f64;
-        let mut deferred: Vec<usize> = Vec::new();
-
-        for li in 0..index.schedule.levels() {
-            let r = index.schedule.radius(li);
-            if report.levels_executed > 0
-                && heap.is_full()
-                && heap.worst_dist().is_some_and(|w| w <= covered_r)
-            {
-                report.early_exit = true;
-                break;
-            }
-            let skip_at_most = if report.levels_executed > 0 {
-                let m = index.level_hll[li].registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            match self.query_level(index, li, q, r, strategy, skip_at_most) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(pairs) => {
-                    report.levels_executed += 1;
-                    covered_r = r;
-                    for (id, dist) in pairs {
-                        if self.reported.insert(id) {
-                            heap.push(Neighbor { id, dist });
-                        }
-                    }
-                }
-            }
-        }
-
-        if heap.len() < k_eff {
-            // Exact fallback: distance-returning scans per source with
-            // dead rows and already-reported ids filtered out — the
-            // heap's content depends only on the offered set, which
-            // equals the rebuild's fallback set.
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            for source in index.level_sources(0) {
-                for (local, dist) in
-                    fallback_scan_pairs(source.data, source.distance, q, self.verify)
-                {
-                    match source.ids.live_global(local) {
-                        Some(id) if !self.reported.contains(&id) => {
-                            heap.push(Neighbor { id, dist });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        } else if !deferred.is_empty() {
-            // Revisit deferred levels once the heap fills, exactly as
-            // the unsharded walk does.
-            for li in deferred {
-                let pairs = self
-                    .query_level(
-                        index,
-                        li,
-                        q,
-                        index.schedule.radius(li),
-                        strategy,
-                        f64::NEG_INFINITY,
-                    )
-                    .expect("forced level query always executes");
-                report.levels_executed += 1;
-                for (id, dist) in pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
-            }
-        }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
-    }
-
-    /// One level's rNNR query across every source: merged probe +
-    /// estimate, global skip and arm decisions, per-source
-    /// verification with distances, global ids out. `None` = deferred
-    /// by the HLL prediction.
-    fn query_level<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        li: usize,
-        q: &[f32],
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<Vec<(PointId, f64)>>
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        if !matches!(strategy, Strategy::LinearOnly) {
-            // Merged S1 + S2 over every source's level-li index.
-            let mut probed: Vec<ProbedSource<'_, D>> = Vec::new();
-            let mut collisions = 0usize;
-            for shard in &index.shards {
-                if shard.mem.rows.live_rows > 0 {
-                    let buckets =
-                        probe_memtable(&shard.mem.levels[li], &shard.mem.rows, q, &mut collisions);
-                    probed.push(ProbedSource { source: shard.mem.source(li), buckets });
-                }
-                for seg in &shard.segments {
-                    let (buckets, c, _) = seg.index.levels()[li].probe(q);
-                    if seg.meta.is_dirty() {
-                        collisions += buckets
-                            .iter()
-                            .map(|b| surviving_count(b.members(), &seg.meta))
-                            .sum::<usize>();
-                    } else {
-                        collisions += c;
-                    }
-                    probed.push(ProbedSource { source: seg.source(li), buckets });
-                }
-            }
-            let acc = ensure_accumulator(&mut self.acc, index.level_hll[li]);
-            for src in &probed {
-                contribute_source(acc, &src.buckets, src.source.ids);
-            }
-            let cand_estimate = acc.estimate();
-            if cand_estimate <= skip_at_most {
-                return None;
-            }
-            let prefer_lsh = match strategy {
-                Strategy::LshOnly => true,
-                _ => index.level_costs[li].prefer_lsh(collisions, cand_estimate, index.live),
-            };
-            if prefer_lsh {
-                let mut out = Vec::new();
-                for src in &probed {
-                    let scratch = (&mut self.seen, &mut self.cands);
-                    src.source.lsh_into(&src.buckets, q, r, self.verify, scratch, &mut out);
-                }
-                return Some(out);
-            }
-        }
-        // Linear arm (forced or chosen): scan every source with
-        // distances, dead rows filtered.
-        let mut out = Vec::new();
-        for source in index.level_sources(li) {
-            source.scan_into(q, r, self.verify, &mut out);
-        }
-        Some(out)
+        let levels: Vec<_> = (0..index.schedule.levels()).map(|li| index.level_view(li)).collect();
+        self.walk.run(&mut self.engine, &levels, index.schedule, q, k, strategy)
     }
 }
 

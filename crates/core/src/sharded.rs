@@ -41,24 +41,26 @@
 //! resident data equals the unsharded index and each shard is a
 //! self-contained unit ready to migrate to another machine.
 
-use std::time::Instant;
+use std::ops::Range;
+use std::sync::Arc;
 
 use hlsh_families::LshFamily;
 use hlsh_hll::hash::splitmix64;
-use hlsh_hll::MergeAccumulator;
+use hlsh_hll::{HllConfig, MergeAccumulator};
 use hlsh_vec::parallel::par_map_with;
 use hlsh_vec::{Distance, Hit, PointId, PointSet, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
+use crate::cost::CostModel;
 use crate::dedup::SeenBitmap;
-use crate::hasher::FxHashSet;
+use crate::engine::{ensure_accumulator, Level, LevelEngine};
 use crate::index::HybridLshIndex;
-use crate::report::{QueryOutput, QueryReport};
+use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
-use crate::search::{ExecutedArm, Strategy, VerifyMode};
+use crate::search::{Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
-use crate::topk::{BoundedHeap, Neighbor, TopKIndex, TopKOutput, TopKReport};
+use crate::topk::{TopKIndex, TopKOutput, TopKWalk};
 
 /// Deterministic seeded assignment of global point ids to shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,39 +142,6 @@ fn invert_owners(owners: &[Vec<PointId>], n: usize) -> Vec<PointId> {
     local_of
 }
 
-/// Clears and returns the engine's merge accumulator for `config`,
-/// recreating it only when the config changes between indexes (the
-/// sharded twin of `QueryEngine::accumulator`, shared by the rNNR and
-/// top-k engines here and by the segmented engines).
-pub(crate) fn ensure_accumulator(
-    slot: &mut Option<MergeAccumulator>,
-    config: hlsh_hll::HllConfig,
-) -> &mut MergeAccumulator {
-    match &mut *slot {
-        Some(acc) if acc.config() == config => acc.clear(),
-        other => *other = Some(MergeAccumulator::new(config)),
-    }
-    slot.as_mut().expect("accumulator just ensured")
-}
-
-/// Collects one shard's deduped candidates from its probed buckets:
-/// `seen` dedups the **global** member ids in first-collision order,
-/// then `cands` is rewritten to the corresponding shard-local rows (via
-/// `local_of`, whose length is the global id space) ready for slab
-/// verification. Shared by the rNNR LSH arm and the top-k level query.
-fn collect_shard_cands(
-    seen: &mut SeenBitmap,
-    cands: &mut Vec<PointId>,
-    buckets: &[BucketRef<'_>],
-    local_of: &[PointId],
-) {
-    cands.clear();
-    seen.dedup_into(local_of.len(), buckets.iter().map(BucketRef::members), cands);
-    for c in cands.iter_mut() {
-        *c = local_of[*c as usize];
-    }
-}
-
 /// Relabels the hits `out` gained since `start` from source-local rows
 /// to global ids, in place and in order, dropping every row `to_global`
 /// maps to `None` (a dead or tombstoned row of a segmented source).
@@ -192,56 +161,121 @@ pub(crate) fn relabel_from<H: Hit>(
     out.truncate(kept);
 }
 
-/// One shard's LSH-arm S3, shared by the rNNR and top-k engines and the
-/// distributed hooks: dedups the probed buckets' global members,
-/// verifies them against the shard's own slab, and appends the accepted
-/// hits, relabelled to global ids, to `out` in first-collision order.
-/// Returns the shard's distinct candidate count.
-#[allow(clippy::too_many_arguments)]
-fn shard_lsh_into<S, F, D, B, H>(
-    shard: &HybridLshIndex<S, F, D, B>,
-    owners: &[PointId],
-    local_of: &[PointId],
-    buckets: &[BucketRef<'_>],
-    q: &S::Point,
-    r: f64,
-    verify: VerifyMode,
-    (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
-    out: &mut Vec<H>,
-) -> usize
+/// Some shards of a sharded deployment at one level — the rNNR index,
+/// or one rung of the top-k ladder — as one Algorithm 2 source.
+///
+/// Shard tables store global ids and share the builder's seed, so the
+/// shards' buckets partition the unsharded buckets: collisions sum, the
+/// probed sketches merge into the unsharded registers, and each shard
+/// dedups its own members (global ids, translated to rows of its slab
+/// for verification). Hits are reported under global ids, shard by
+/// shard. The engines view every shard; a shard node views its own.
+pub(crate) struct ShardedLevel<'a, T, F, D, B>
 where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
+    T: PointSet,
+    F: LshFamily<T::Point>,
+    D: Distance<T::Point>,
     B: BucketStore,
-    H: Hit,
 {
-    collect_shard_cands(seen, cands, buckets, local_of);
-    let start = out.len();
-    verify.verify(shard.distance(), shard.data(), cands, q, r, out);
-    relabel_from(out, start, |local| Some(owners[local as usize]));
-    cands.len()
+    /// Each viewed shard's index at this level.
+    shards: Vec<&'a HybridLshIndex<T, F, D, B>>,
+    /// The viewed shards' owner lists (`owners[s][local] = global`).
+    owners: &'a [Vec<PointId>],
+    /// `local_of[global] = local` over the whole id space.
+    local_of: &'a [PointId],
+    /// The global point count.
+    n: usize,
 }
 
-/// One shard's linear-arm S3: scans the shard's slab and appends the
-/// accepted hits, relabelled to global ids, to `out` in row order.
-fn shard_scan_into<S, F, D, B, H>(
-    shard: &HybridLshIndex<S, F, D, B>,
-    owners: &[PointId],
-    q: &S::Point,
-    r: f64,
-    verify: VerifyMode,
-    out: &mut Vec<H>,
-) where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
+impl<T, F, D, B> Level for ShardedLevel<'_, T, F, D, B>
+where
+    T: PointSet,
+    F: LshFamily<T::Point>,
+    D: Distance<T::Point>,
     B: BucketStore,
-    H: Hit,
 {
-    let start = out.len();
-    verify.scan(shard.distance(), shard.data(), q, r, out);
-    relabel_from(out, start, |local| Some(owners[local as usize]));
+    type Point = T::Point;
+    type Seen = SeenBitmap;
+    type Probe<'p>
+        = Vec<Vec<BucketRef<'p>>>
+    where
+        Self: 'p;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn hll_config(&self) -> HllConfig {
+        self.shards[0].hll_config()
+    }
+
+    /// Resolved once on the full data at build time and shared by every
+    /// shard.
+    fn cost_model(&self) -> CostModel {
+        self.shards[0].cost_model()
+    }
+
+    fn probe(&self, q: &T::Point) -> (Vec<Vec<BucketRef<'_>>>, usize) {
+        let mut collisions = 0;
+        let probe = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (buckets, c) = shard.probe(q);
+                collisions += c;
+                buckets
+            })
+            .collect();
+        (probe, collisions)
+    }
+
+    fn contribute(&self, probe: &Vec<Vec<BucketRef<'_>>>, acc: &mut MergeAccumulator) {
+        for b in probe.iter().flatten() {
+            b.contribute_to(acc);
+        }
+    }
+
+    fn lsh_into<H: Hit>(
+        &self,
+        probe: &Vec<Vec<BucketRef<'_>>>,
+        q: &T::Point,
+        r: f64,
+        verify: VerifyMode,
+        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize {
+        let mut distinct = 0;
+        for ((shard, owners), buckets) in self.shards.iter().zip(self.owners).zip(probe) {
+            cands.clear();
+            seen.dedup_into(self.local_of.len(), buckets.iter().map(BucketRef::members), cands);
+            for c in cands.iter_mut() {
+                *c = self.local_of[*c as usize];
+            }
+            let start = out.len();
+            verify.verify(shard.distance(), shard.data(), cands, q, r, out);
+            relabel_from(out, start, |local| Some(owners[local as usize]));
+            distinct += cands.len();
+        }
+        distinct
+    }
+
+    fn scan_into<H: Hit>(&self, q: &T::Point, r: f64, verify: VerifyMode, out: &mut Vec<H>) {
+        for (shard, owners) in self.shards.iter().zip(self.owners) {
+            let start = out.len();
+            verify.scan(shard.distance(), shard.data(), q, r, out);
+            relabel_from(out, start, |local| Some(owners[local as usize]));
+        }
+    }
+
+    fn fallback_pairs(&self, q: &T::Point, verify: VerifyMode) -> Vec<(PointId, f64)> {
+        let mut pairs = Vec::with_capacity(self.shards.iter().map(|shard| shard.len()).sum());
+        for (shard, owners) in self.shards.iter().zip(self.owners) {
+            let shard_pairs =
+                crate::topk::fallback_scan_pairs(shard.data(), shard.distance(), q, verify);
+            pairs.extend(shard_pairs.into_iter().map(|(l, d)| (owners[l as usize], d)));
+        }
+        pairs
+    }
 }
 
 impl<S, F, D> ShardedIndex<S, F, D, MapStore>
@@ -421,6 +455,16 @@ where
         &self.owners[shard]
     }
 
+    /// Shards `shards` as one Algorithm 2 source.
+    fn view(&self, shards: Range<usize>) -> ShardedLevel<'_, S, F, D, B> {
+        ShardedLevel {
+            shards: self.shards[shards.clone()].iter().collect(),
+            owners: &self.owners[shards],
+            local_of: &self.local_of,
+            n: self.n,
+        }
+    }
+
     /// Hybrid query (Algorithm 2 with a global decision); allocates
     /// fresh scratch. Batch workloads should prefer
     /// [`query_batch`](Self::query_batch) or a reused
@@ -475,12 +519,7 @@ where
 /// Reusable scratch for querying a [`ShardedIndex`]: per-shard dedup
 /// bitmap and candidate list plus the *global* merge accumulator.
 #[derive(Debug, Default)]
-pub struct ShardedQueryEngine {
-    seen: SeenBitmap,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
-}
+pub struct ShardedQueryEngine(LevelEngine<SeenBitmap>);
 
 impl ShardedQueryEngine {
     /// Engine with empty scratch and the default kernel verify mode.
@@ -490,12 +529,12 @@ impl ShardedQueryEngine {
 
     /// Engine with an explicit S3 verification mode.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
+        Self(LevelEngine::with_verify_mode(verify))
     }
 
     /// The S3 verification mode in force.
     pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
+        self.0.verify_mode()
     }
 
     /// Hybrid query with reused scratch.
@@ -535,150 +574,7 @@ impl ShardedQueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let ids = self.linear_arm(index, q, r);
-            let total = t_start.elapsed().as_nanos() as u64;
-            return QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions: 0,
-                    cand_size_estimate: 0.0,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos: 0,
-                    hll_nanos: 0,
-                    total_nanos: total,
-                },
-                ids,
-            };
-        }
-
-        // S1 on every shard: global collision count is the sum of the
-        // per-shard bucket sizes (shard buckets partition the global
-        // bucket).
-        let t_hash = Instant::now();
-        let mut per_shard: Vec<Vec<BucketRef<'_>>> = Vec::with_capacity(index.shards.len());
-        let mut collisions = 0usize;
-        for shard in &index.shards {
-            let (buckets, c, _) = shard.probe(q);
-            collisions += c;
-            per_shard.push(buckets);
-        }
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
-
-        // S2 — Hybrid only, mirroring the unsharded path (LshOnly
-        // probes without estimating): one merged estimate across every
-        // probed bucket of every shard — register-wise max is
-        // associative, so this equals the unsharded merged sketch byte
-        // for byte.
-        let (cand_estimate, hll_nanos) = if matches!(strategy, Strategy::LshOnly) {
-            (0.0, 0)
-        } else {
-            let t_hll = Instant::now();
-            let config = index.shards[0].hll_config();
-            let acc = ensure_accumulator(&mut self.acc, config);
-            for buckets in &per_shard {
-                for b in buckets {
-                    b.contribute_to(acc);
-                }
-            }
-            (acc.estimate(), t_hll.elapsed().as_nanos() as u64)
-        };
-
-        // Global Algorithm 2 decision (cost model shared by all shards,
-        // resolved once at build time on the full data).
-        let prefer_lsh = match strategy {
-            Strategy::LshOnly => true,
-            _ => index.shards[0].cost_model().prefer_lsh(collisions, cand_estimate, index.n),
-        };
-        let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, distinct) = self.lsh_arm(index, q, r, &per_shard);
-            (ExecutedArm::Lsh, ids, Some(distinct))
-        } else {
-            (ExecutedArm::Linear, self.linear_arm(index, q, r), None)
-        };
-        let cand_size_estimate = match (strategy, cand_actual) {
-            // Mirror the unsharded LshOnly report (exact count, no
-            // estimate) so the instrumented fields line up too.
-            (Strategy::LshOnly, Some(actual)) => actual as f64,
-            _ => cand_estimate,
-        };
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryOutput {
-            report: QueryReport {
-                executed,
-                collisions,
-                cand_size_estimate,
-                cand_size_actual: cand_actual,
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            ids,
-        }
-    }
-
-    /// The LSH arm across shards: per shard, dedup the colliding
-    /// members (global ids), translate them to rows of the shard's own
-    /// slab, verify the whole list in one batched kernel call, and map
-    /// accepts back to global ids. Shards are disjoint, so no
-    /// cross-shard dedup is needed; the concatenation is sorted into
-    /// the canonical ascending order. Returns `(ids, distinct
-    /// candidate count)`.
-    fn lsh_arm<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        per_shard: &[Vec<BucketRef<'_>>],
-    ) -> (Vec<PointId>, usize)
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let mut out = Vec::new();
-        let mut distinct = 0usize;
-        for (si, buckets) in per_shard.iter().enumerate() {
-            distinct += shard_lsh_into(
-                &index.shards[si],
-                &index.owners[si],
-                &index.local_of,
-                buckets,
-                q,
-                r,
-                self.verify,
-                (&mut self.seen, &mut self.cands),
-                &mut out,
-            );
-        }
-        out.sort_unstable();
-        (out, distinct)
-    }
-
-    /// The brute-force arm across shards: scan each shard's slab, map
-    /// to global ids, sort ascending.
-    fn linear_arm<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-    ) -> Vec<PointId>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let mut out = Vec::new();
-        for (shard, owners) in index.shards.iter().zip(&index.owners) {
-            shard_scan_into(shard, owners, q, r, self.verify, &mut out);
-        }
-        out.sort_unstable();
-        out
+        self.0.query_sorted(&index.view(0..index.shards.len()), q, r, strategy)
     }
 }
 
@@ -864,9 +760,19 @@ where
     }
 
     /// The global ids owned by `shard`, in that shard's local row order
-    /// (mirrors [`ShardedIndex::global_ids`]).
+    /// (as [`ShardedIndex::global_ids`]).
     pub fn global_ids(&self, shard: usize) -> &[PointId] {
         &self.owners[shard]
+    }
+
+    /// Shards `shards` at schedule level `li` as one Algorithm 2 source.
+    fn level_view(&self, li: usize, shards: Range<usize>) -> ShardedLevel<'_, Arc<S>, F, D, B> {
+        ShardedLevel {
+            shards: self.shards[shards.clone()].iter().map(|ladder| &ladder.levels()[li]).collect(),
+            owners: &self.owners[shards],
+            local_of: &self.local_of,
+            n: self.n,
+        }
     }
 
     /// Answers one top-k query with fresh scratch.
@@ -913,14 +819,11 @@ where
 
 /// Reusable scratch for running top-k queries over a
 /// [`ShardedTopKIndex`]: the per-shard rNNR scratch plus the global
-/// cross-level dedup set.
+/// [`TopKWalk`].
 #[derive(Debug, Default)]
 pub struct ShardedTopKEngine {
-    seen: SeenBitmap,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    reported: FxHashSet<PointId>,
-    verify: VerifyMode,
+    engine: LevelEngine<SeenBitmap>,
+    walk: TopKWalk,
 }
 
 impl ShardedTopKEngine {
@@ -932,7 +835,7 @@ impl ShardedTopKEngine {
     /// Engine whose rNNR level queries verify in an explicit
     /// [`VerifyMode`]; output is identical across modes.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
+        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
     }
 
     /// Answers one top-k query under the default per-level
@@ -952,13 +855,10 @@ impl ShardedTopKEngine {
         self.query_topk_with(index, q, k, Strategy::Hybrid)
     }
 
-    /// The global schedule walk — the sharded mirror of
-    /// [`TopKEngine::query_topk_with`](crate::topk::TopKEngine::query_topk_with),
-    /// with every per-level query fanned across shards and every
-    /// decision made on merged statistics. The walk structure (early
-    /// exit, HLL defer + revisit, exact fallback) is kept in lockstep
-    /// with the unsharded engine; `tests/sharded_props.rs` pins the
-    /// byte-identity of outputs and reports.
+    /// The global schedule walk, every level query fanned across shards
+    /// and every decision made on merged statistics;
+    /// `tests/sharded_props.rs` pins the byte-identity of outputs and
+    /// reports with the unsharded engine.
     pub fn query_topk_with<S, F, D, B>(
         &mut self,
         index: &ShardedTopKIndex<S, F, D, B>,
@@ -972,179 +872,10 @@ impl ShardedTopKEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let t_start = Instant::now();
-        let n = index.n;
-        let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
-        }
-
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let mut covered_r = 0.0_f64;
-        let mut deferred: Vec<usize> = Vec::new();
-
-        for li in 0..index.schedule.levels() {
-            let r = index.schedule.radius(li);
-            if report.levels_executed > 0
-                && heap.is_full()
-                && heap.worst_dist().is_some_and(|w| w <= covered_r)
-            {
-                report.early_exit = true;
-                break;
-            }
-            let skip_at_most = if report.levels_executed > 0 {
-                let m = index.shards[0].levels()[li].hll_config().registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            match self.query_level(index, li, q, r, strategy, skip_at_most) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(pairs) => {
-                    report.levels_executed += 1;
-                    covered_r = r;
-                    for (id, dist) in pairs {
-                        if self.reported.insert(id) {
-                            heap.push(Neighbor { id, dist });
-                        }
-                    }
-                }
-            }
-        }
-
-        if heap.len() < k_eff {
-            // Exact fallback: one distance-returning scan per shard
-            // (the shard slabs partition the data), already-reported
-            // ids filtered out, NaN-distance gaps completed — the
-            // shared scaffold of the unsharded fallback.
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            for (si, shard) in index.shards.iter().enumerate() {
-                crate::topk::fallback_scan_into(
-                    shard.data(),
-                    shard.distance(),
-                    q,
-                    self.verify,
-                    &self.reported,
-                    &mut heap,
-                    |local| index.owners[si][local as usize],
-                );
-            }
-        } else if !deferred.is_empty() {
-            // Revisit deferred levels once the heap fills, exactly as
-            // the unsharded walk does (no skip threshold: NEG_INFINITY
-            // forces execution).
-            for li in deferred {
-                let pairs = self
-                    .query_level(
-                        index,
-                        li,
-                        q,
-                        index.schedule.radius(li),
-                        strategy,
-                        f64::NEG_INFINITY,
-                    )
-                    .expect("forced level query always executes");
-                report.levels_executed += 1;
-                for (id, dist) in pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
-            }
-        }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
-    }
-
-    /// One level's rNNR query across every shard: merged probe +
-    /// estimate, global skip and arm decisions, per-shard verification
-    /// with distances, global ids out. `None` = deferred by the HLL
-    /// prediction (mirrors the unsharded engine's skip threshold).
-    #[allow(clippy::too_many_arguments)]
-    fn query_level<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        li: usize,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<Vec<(PointId, f64)>>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        if !matches!(strategy, Strategy::LinearOnly) {
-            // Merged S1 + S2 over every shard's level-li index.
-            let mut per_shard: Vec<Vec<BucketRef<'_>>> = Vec::with_capacity(index.shards.len());
-            let mut collisions = 0usize;
-            for shard in &index.shards {
-                let (buckets, c, _) = shard.levels()[li].probe(q);
-                collisions += c;
-                per_shard.push(buckets);
-            }
-            let config = index.shards[0].levels()[li].hll_config();
-            let acc = ensure_accumulator(&mut self.acc, config);
-            for buckets in &per_shard {
-                for b in buckets {
-                    b.contribute_to(acc);
-                }
-            }
-            let cand_estimate = acc.estimate();
-            if cand_estimate <= skip_at_most {
-                return None;
-            }
-            let prefer_lsh = match strategy {
-                Strategy::LshOnly => true,
-                _ => index.shards[0].levels()[li].cost_model().prefer_lsh(
-                    collisions,
-                    cand_estimate,
-                    index.n,
-                ),
-            };
-            if prefer_lsh {
-                let mut out = Vec::new();
-                for (si, buckets) in per_shard.iter().enumerate() {
-                    shard_lsh_into(
-                        &index.shards[si].levels()[li],
-                        &index.owners[si],
-                        &index.local_of,
-                        buckets,
-                        q,
-                        r,
-                        self.verify,
-                        (&mut self.seen, &mut self.cands),
-                        &mut out,
-                    );
-                }
-                return Some(out);
-            }
-        }
-        // Linear arm (forced or chosen): scan every shard with
-        // distances.
-        let mut out = Vec::new();
-        for (shard, owners) in index.shards.iter().zip(&index.owners) {
-            shard_scan_into(&shard.levels()[li], owners, q, r, self.verify, &mut out);
-        }
-        Some(out)
+        let shards = 0..index.shards.len();
+        let levels: Vec<_> =
+            (0..index.schedule.levels()).map(|li| index.level_view(li, shards.clone())).collect();
+        self.walk.run(&mut self.engine, &levels, index.schedule, q, k, strategy)
     }
 }
 
@@ -1155,54 +886,11 @@ impl ShardedTopKEngine {
 // A shard node in a distributed deployment holds the full sharded index
 // (loaded from the same snapshot every node ships) but answers only for
 // its assigned shard. The methods below expose exactly the per-shard
-// work the in-process engines do — probe + local sketch merge, arm
-// execution, fallback scan — so a remote coordinator that merges the
-// summaries and replays the global decisions reproduces the in-process
-// answers byte for byte. All of them verify in the default
+// work of the level query — probe + local sketch merge, arm execution,
+// fallback scan — on a one-shard view, so a remote coordinator that
+// merges the summaries and replays the global decisions reproduces the
+// in-process answers byte for byte. All of them verify in the default
 // [`VerifyMode::Kernel`], matching the engines the serving layer uses.
-
-/// One shard's chosen-arm execution for one query against one level
-/// index — the rNNR index, or one rung of the top-k ladder: the LSH arm
-/// (probe → dedup global members → batched kernel verification) or the
-/// linear arm (full shard scan), either way the shard's hits within
-/// `r` under **global** ids, in the shard-local order the in-process
-/// engines produce them (first-collision order for the LSH arm,
-/// ascending row order for the linear arm).
-fn shard_arm_hits<S, F, D, B, H>(
-    shard: &HybridLshIndex<S, F, D, B>,
-    owners: &[PointId],
-    local_of: &[PointId],
-    q: &S::Point,
-    r: f64,
-    lsh: bool,
-    scratch: (&mut SeenBitmap, &mut Vec<PointId>),
-) -> Vec<H>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-    H: Hit,
-{
-    let mut out = Vec::new();
-    if lsh {
-        let (buckets, _, _) = shard.probe(q);
-        shard_lsh_into(
-            shard,
-            owners,
-            local_of,
-            &buckets,
-            q,
-            r,
-            VerifyMode::Kernel,
-            scratch,
-            &mut out,
-        );
-    } else {
-        shard_scan_into(shard, owners, q, r, VerifyMode::Kernel, &mut out);
-    }
-    out
-}
 
 /// One query's compact S1/S2 summary from one shard: the summed bucket
 /// sizes (S1) and the shard-local merged HyperLogLog registers (S2).
@@ -1220,6 +908,38 @@ pub struct ShardSummary {
     pub registers: Vec<u8>,
 }
 
+/// The S1/S2 summary of `q` against `level`: probe, sum the collisions,
+/// merge the probed sketches.
+fn summarize<L: Level>(
+    level: &L,
+    q: &L::Point,
+    acc: &mut Option<MergeAccumulator>,
+) -> ShardSummary {
+    let (probe, collisions) = level.probe(q);
+    let acc = ensure_accumulator(acc, level.hll_config());
+    level.contribute(&probe, acc);
+    ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
+}
+
+/// The arm a coordinator chose, run on `level`: the level query under
+/// the strategy that forces it ([`Strategy::LshOnly`] probes and runs
+/// the LSH arm without estimating). Hits come in the order the
+/// in-process engines produce them: first-collision order for the LSH
+/// arm, ascending row order for the linear arm.
+fn chosen_arm<L: Level, H: Hit>(
+    engine: &mut LevelEngine<L::Seen>,
+    level: &L,
+    q: &L::Point,
+    r: f64,
+    lsh: bool,
+) -> Vec<H> {
+    let strategy = if lsh { Strategy::LshOnly } else { Strategy::LinearOnly };
+    let (hits, _) = engine
+        .query_hits(level, q, r, strategy, None)
+        .expect("a query without a skip threshold always runs");
+    hits
+}
+
 impl<S, F, D, B> ShardedIndex<S, F, D, B>
 where
     S: PointSet,
@@ -1228,13 +948,13 @@ where
     B: BucketStore,
 {
     /// The HLL configuration shared by every shard's buckets.
-    pub fn hll_config(&self) -> hlsh_hll::HllConfig {
+    pub fn hll_config(&self) -> HllConfig {
         self.shards[0].hll_config()
     }
 
     /// The cost model shared by every shard (resolved once on the full
     /// data at build time).
-    pub fn cost_model(&self) -> crate::cost::CostModel {
+    pub fn cost_model(&self) -> CostModel {
         self.shards[0].cost_model()
     }
 
@@ -1244,23 +964,7 @@ where
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn shard_summary(&self, shard: usize, q: &S::Point) -> ShardSummary {
-        let mut acc = None;
-        self.shard_summary_with(shard, q, &mut acc)
-    }
-
-    fn shard_summary_with(
-        &self,
-        shard: usize,
-        q: &S::Point,
-        acc_slot: &mut Option<MergeAccumulator>,
-    ) -> ShardSummary {
-        let sh = &self.shards[shard];
-        let (buckets, collisions, _) = sh.probe(q);
-        let acc = ensure_accumulator(acc_slot, sh.hll_config());
-        for b in &buckets {
-            b.contribute_to(acc);
-        }
-        ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
+        summarize(&self.view(shard..shard + 1), q, &mut None)
     }
 
     /// One shard's chosen-arm execution for one query: the LSH arm
@@ -1271,22 +975,10 @@ where
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
-        self.shard_arm_sorted(shard, q, r, lsh, &mut (SeenBitmap::default(), Vec::new()))
-    }
-
-    fn shard_arm_sorted(
-        &self,
-        shard: usize,
-        q: &S::Point,
-        r: f64,
-        lsh: bool,
-        (seen, cands): &mut (SeenBitmap, Vec<PointId>),
-    ) -> Vec<PointId> {
-        let (sh, owners) = (&self.shards[shard], &self.owners[shard]);
-        let scratch = (seen, cands);
-        let mut out = shard_arm_hits(sh, owners, &self.local_of, q, r, lsh, scratch);
-        out.sort_unstable();
-        out
+        let mut ids =
+            chosen_arm(&mut LevelEngine::default(), &self.view(shard..shard + 1), q, r, lsh);
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -1309,11 +1001,12 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
+        let view = self.view(shard..shard + 1);
         par_map_with(
             queries.len(),
             threads,
             || None,
-            |acc, qi| self.shard_summary_with(shard, queries[qi].as_ref(), acc),
+            |acc, qi| summarize(&view, queries[qi].as_ref(), acc),
         )
     }
 
@@ -1330,12 +1023,12 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || (SeenBitmap::default(), Vec::new()),
-            |scratch, qi| self.shard_arm_sorted(shard, queries[qi].as_ref(), r, lsh, scratch),
-        )
+        let view = self.view(shard..shard + 1);
+        par_map_with(queries.len(), threads, LevelEngine::default, |engine, qi| {
+            let mut ids: Vec<PointId> = chosen_arm(engine, &view, queries[qi].as_ref(), r, lsh);
+            ids.sort_unstable();
+            ids
+        })
     }
 }
 
@@ -1350,7 +1043,7 @@ where
     ///
     /// # Panics
     /// Panics if `li` is out of range.
-    pub fn level_hll_config(&self, li: usize) -> hlsh_hll::HllConfig {
+    pub fn level_hll_config(&self, li: usize) -> HllConfig {
         self.shards[0].levels()[li].hll_config()
     }
 
@@ -1358,24 +1051,8 @@ where
     ///
     /// # Panics
     /// Panics if `li` is out of range.
-    pub fn level_cost_model(&self, li: usize) -> crate::cost::CostModel {
+    pub fn level_cost_model(&self, li: usize) -> CostModel {
         self.shards[0].levels()[li].cost_model()
-    }
-
-    fn shard_level_summary_with(
-        &self,
-        shard: usize,
-        li: usize,
-        q: &S::Point,
-        acc_slot: &mut Option<MergeAccumulator>,
-    ) -> ShardSummary {
-        let level = &self.shards[shard].levels()[li];
-        let (buckets, collisions, _) = level.probe(q);
-        let acc = ensure_accumulator(acc_slot, level.hll_config());
-        for b in &buckets {
-            b.contribute_to(acc);
-        }
-        ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
     }
 }
 
@@ -1402,11 +1079,12 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
+        let view = self.level_view(li, shard..shard + 1);
         par_map_with(
             queries.len(),
             threads,
             || None,
-            |acc, qi| self.shard_level_summary_with(shard, li, queries[qi].as_ref(), acc),
+            |acc, qi| summarize(&view, queries[qi].as_ref(), acc),
         )
     }
 
@@ -1430,29 +1108,17 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || (SeenBitmap::default(), Vec::new()),
-            |(seen, cands), qi| {
-                shard_arm_hits(
-                    &self.shards[shard].levels()[li],
-                    &self.owners[shard],
-                    &self.local_of,
-                    queries[qi].as_ref(),
-                    r,
-                    lsh,
-                    (seen, cands),
-                )
-            },
-        )
+        let view = self.level_view(li, shard..shard + 1);
+        par_map_with(queries.len(), threads, LevelEngine::default, |engine, qi| {
+            chosen_arm(engine, &view, queries[qi].as_ref(), r, lsh)
+        })
     }
 
     /// One shard's exact-fallback scan: per query, **every** row the
     /// shard owns as `(global id, distance)`, ascending by local row,
     /// NaN-distance gaps completed — the per-shard slice of the walk's
     /// exact fallback. The coordinator filters already-reported ids,
-    /// exactly as [`ShardedTopKEngine`] does in-process.
+    /// exactly as the in-process [`TopKWalk`] does.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
@@ -1465,22 +1131,12 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        let sh = &self.shards[shard];
+        let view = self.level_view(0, shard..shard + 1);
         par_map_with(
             queries.len(),
             threads,
             || (),
-            |_, qi| {
-                crate::topk::fallback_scan_pairs(
-                    sh.data(),
-                    sh.distance(),
-                    queries[qi].as_ref(),
-                    VerifyMode::Kernel,
-                )
-                .into_iter()
-                .map(|(l, d)| (self.owners[shard][l as usize], d))
-                .collect()
-            },
+            |_, qi| view.fallback_pairs(queries[qi].as_ref(), VerifyMode::Kernel),
         )
     }
 }

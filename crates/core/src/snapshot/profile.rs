@@ -25,6 +25,7 @@
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use super::mmap::page_size;
@@ -53,9 +54,13 @@ pub struct StorageProfile {
 
 impl StorageProfile {
     /// Measures the medium under `dir` by writing and timing a scratch
-    /// file there. The file is removed before returning.
+    /// file there. The file is removed before returning; its name is
+    /// unique per call (process id plus a process-wide counter), so
+    /// concurrent probes of one directory never touch each other's file.
     pub fn probe(dir: &Path) -> std::io::Result<Self> {
-        let path = dir.join(format!(".hlsh-probe-{}.tmp", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let call = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!(".hlsh-probe-{}-{call}.tmp", std::process::id()));
         let result = Self::probe_at(&path);
         fs::remove_file(&path).ok();
         result
@@ -225,5 +230,29 @@ mod tests {
         assert_eq!(second, on_disk, "second load must come from the sidecar");
         assert_eq!(second.page_size, first.page_size);
         fs::remove_file(&sidecar).ok();
+    }
+
+    #[test]
+    fn concurrent_probes_of_one_directory_all_succeed() {
+        // Probes racing in one directory (two `LoadMode::Auto` loads of
+        // sibling snapshots) must each measure their own scratch file:
+        // a shared name lets one probe truncate or delete another's
+        // file mid-measurement.
+        let dir = std::env::temp_dir().join("hlsh-profile-concurrent-test");
+        fs::create_dir_all(&dir).expect("temp dir");
+        let start = std::sync::Barrier::new(4);
+        for round in 0..5 {
+            std::thread::scope(|s| {
+                let probe = || {
+                    start.wait();
+                    StorageProfile::probe(&dir)
+                };
+                let probes: Vec<_> = (0..4).map(|_| s.spawn(probe)).collect();
+                for (t, handle) in probes.into_iter().enumerate() {
+                    let result = handle.join().expect("probe thread");
+                    assert!(result.is_ok(), "round {round} thread {t}: {result:?}");
+                }
+            });
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! benchmark asks for the k nearest neighbors instead. [`TopKIndex`]
 //! bridges the two: it maintains one hybrid rNNR index per schedule
 //! level (all levels share one `Arc`-owned copy of the data, each level
-//! tunes its LSH family to its own radius), and [`TopKEngine`] walks
+//! tunes its LSH family to its own radius), and a [`TopKWalk`] climbs
 //! the levels in ascending-radius order, feeding every newly verified
 //! neighbor into a bounded max-heap of `(distance, id)` pairs:
 //!
@@ -26,6 +26,11 @@
 //!    remaining points are scanned exactly, so `query_topk` always
 //!    returns exactly `min(k, n)` neighbors.
 //!
+//! [`TopKWalk`] is the one statement of this walk: [`TopKEngine`] and
+//! the sharded and segmented engines drive it one query at a time over
+//! their own `Level` sources, and the distributed coordinator drives
+//! one walk per query, level by level across a batch.
+//!
 //! Results are deterministic: distance ties break by ascending id, the
 //! heap's total order is `(distance, id)`, and
 //! [`query_topk_batch`](TopKIndex::query_topk_batch) shards over scoped
@@ -33,14 +38,17 @@
 //! on any thread count and under either [`VerifyMode`].
 
 use std::collections::BinaryHeap;
+use std::mem::{replace, take};
 use std::sync::Arc;
 use std::time::Instant;
 
 use hlsh_families::LshFamily;
+use hlsh_hll::HllConfig;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::builder::IndexBuilder;
-use crate::engine::QueryEngine;
+use crate::dedup::SeenBitmap;
+use crate::engine::{Level, LevelEngine};
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
 use crate::schedule::RadiusSchedule;
@@ -396,15 +404,15 @@ where
     }
 }
 
-/// Reusable scratch for running top-k queries: the inner rNNR
-/// [`QueryEngine`] plus the cross-level dedup set.
+/// Reusable scratch for running top-k queries: the level-query scratch
+/// plus the [`TopKWalk`] state.
 ///
 /// One engine serves one thread; results are identical to the
 /// allocate-per-query path.
 #[derive(Debug, Default)]
 pub struct TopKEngine {
-    engine: QueryEngine,
-    reported: FxHashSet<PointId>,
+    engine: LevelEngine<SeenBitmap>,
+    walk: TopKWalk,
 }
 
 impl TopKEngine {
@@ -418,7 +426,7 @@ impl TopKEngine {
     /// an explicit [`VerifyMode`]. Top-k output is identical across
     /// modes — the mode only changes how the radius filter is computed.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { engine: QueryEngine::with_verify_mode(verify), reported: FxHashSet::default() }
+        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
     }
 
     /// Answers one top-k query under the default per-level
@@ -453,170 +461,238 @@ impl TopKEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let t_start = Instant::now();
-        let n = index.len();
+        self.walk.run(&mut self.engine, index.levels(), index.schedule, q, k, strategy)
+    }
+}
+
+/// The k-NN ⇒ rNNR reduction for one query: the walk up a radius
+/// ladder, fed one level at a time.
+///
+/// The walk owns the bounded `(distance, id)` heap, the set of ids
+/// already offered, the largest executed radius, the deferred levels and
+/// the [`TopKReport`]; it makes the early-exit and HLL-defer decisions
+/// (see the module docs). Whoever drives it runs the level queries: the
+/// in-process engines one query at a time, the distributed coordinator
+/// level by level across a batch. A driver
+///
+/// 1. calls [`next_level`](Self::next_level) before each level, in
+///    ascending-radius order, and stops when it returns `None`; else it
+///    runs the level's query with the returned skip threshold and
+///    reports the outcome through [`executed`](Self::executed) or
+///    [`defer`](Self::defer);
+/// 2. then, if [`needs_fallback`](Self::needs_fallback), offers every
+///    point through [`fallback`](Self::fallback); otherwise re-runs each
+///    [`deferred`](Self::deferred) level without a threshold and offers
+///    its hits through [`revisited`](Self::revisited);
+/// 3. takes the answer from [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct TopKWalk {
+    k_eff: usize,
+    heap: BoundedHeap,
+    /// Ids whose exact distance an executed level already offered.
+    reported: FxHashSet<PointId>,
+    /// Largest radius whose level actually executed: inside it the
+    /// reporting guarantee holds (exactly, whenever the level ran the
+    /// linear arm; with LSH's 1−δ probability otherwise).
+    covered_r: f64,
+    /// Levels deferred by the HLL prediction, in schedule order.
+    deferred: Vec<usize>,
+    report: TopKReport,
+    started: Instant,
+}
+
+impl Default for TopKWalk {
+    fn default() -> Self {
+        Self::new(0, 0)
+    }
+}
+
+impl TopKWalk {
+    const FRESH_REPORT: TopKReport = TopKReport {
+        levels_executed: 0,
+        levels_skipped: 0,
+        early_exit: false,
+        exact_fallback: false,
+        verified: 0,
+        total_nanos: 0,
+    };
+
+    /// A walk for the `min(k, n)` nearest of `n` points.
+    pub fn new(k: usize, n: usize) -> Self {
         let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
+        Self {
+            k_eff,
+            heap: BoundedHeap::new(k_eff),
+            reported: FxHashSet::default(),
+            covered_r: 0.0,
+            deferred: Vec::new(),
+            report: Self::FRESH_REPORT,
+            started: Instant::now(),
         }
+    }
 
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let (data, distance) = (index.data(), index.distance());
-        // Largest radius whose level actually executed: inside it the
-        // reporting guarantee holds (exactly, whenever the level ran
-        // the linear arm; with LSH's 1−δ probability otherwise).
-        let mut covered_r = 0.0_f64;
-        // Levels deferred by the HLL prediction, revisited below if the
-        // heap fills without them.
-        let mut deferred: Vec<usize> = Vec::new();
+    /// Restarts the walk for a new query, keeping the allocations of
+    /// the offered-id set and the deferred list.
+    fn reset(&mut self, k: usize, n: usize) {
+        let (mut reported, mut deferred) = (take(&mut self.reported), take(&mut self.deferred));
+        reported.clear();
+        deferred.clear();
+        *self = Self { reported, deferred, ..Self::new(k, n) };
+    }
 
-        for (li, (level, r)) in index.levels().iter().zip(index.schedule.radii()).enumerate() {
-            if report.levels_executed > 0 {
-                // Early exit: k neighbors within an executed radius
-                // (heap entries come from within-radius reports, so a
-                // full heap always satisfies `worst ≤ covered_r`) means
-                // larger radii cannot improve the heap.
-                if heap.is_full() && heap.worst_dist().is_some_and(|w| w <= covered_r) {
-                    report.early_exit = true;
-                    break;
-                }
-            }
-            // HLL defer (underfull heap only — a full heap early-exited
-            // above): a level whose merged sketches predict no
-            // candidates beyond the ids already verified cannot feed
-            // the heap anything new, so neither Algorithm 2 arm runs
-            // now. Level candidate sets overlap heavily across radii —
-            // the same near-duplicates keep colliding — so this fires
-            // on sparse-neighborhood queries climbing the ladder.
-            // Probing and estimation are shared with the executed
-            // query, so a non-deferred level pays nothing extra; and
-            // because the prediction inherits the sketch's estimation
-            // error, a deferred level is revisited below rather than
-            // dropped whenever its absence could change the answer.
-            let skip_at_most = if report.levels_executed > 0 {
-                // One standard error of sketch slack (σ ≈ 1.04/√m):
-                // even when a level truly holds nothing new, its
-                // estimate lands slightly above the verified count
-                // (small-range linear counting rounds up), so an exact
-                // threshold would never fire.
-                let m = level.hll_config().registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            // Level query over `(id, distance)` hits: every reported id
-            // arrives with the exact distance its verification kernel already
-            // computed, so nothing is recomputed per id below.
-            let Some((pairs, _)) =
-                self.engine.query_hits(level, q, r, strategy, Some(skip_at_most))
-            else {
-                deferred.push(li);
-                continue;
-            };
-            report.levels_executed += 1;
-            covered_r = r;
-            for (id, dist) in pairs {
-                if self.reported.insert(id) {
-                    heap.push(Neighbor { id, dist });
-                }
+    /// Opens the next schedule level, whose sketches use `hll`.
+    ///
+    /// Returns `None` when the walk is over: nothing is asked for
+    /// (`min(k, n) = 0`), or the heap holds `k` neighbors all within an
+    /// executed radius, so larger radii cannot improve it (the early
+    /// exit, recorded in the report). Otherwise returns the level's
+    /// skip threshold: the level is deferred, neither arm running, when
+    /// its merged candSize estimate is at most this — it predicts no
+    /// candidates beyond the ids already verified. Level candidate sets
+    /// overlap heavily across radii (the same near-duplicates keep
+    /// colliding), so this fires on sparse-neighborhood queries climbing
+    /// the ladder. The first level always runs.
+    pub fn next_level(&mut self, hll: HllConfig) -> Option<f64> {
+        if self.k_eff == 0 || self.report.early_exit {
+            return None;
+        }
+        if self.report.levels_executed == 0 {
+            return Some(f64::NEG_INFINITY);
+        }
+        // Early exit: k neighbors within an executed radius (heap
+        // entries come from within-radius reports, so a full heap
+        // always satisfies `worst ≤ covered_r`) means larger radii
+        // cannot improve the heap.
+        if self.heap.is_full() && self.heap.worst_dist().is_some_and(|w| w <= self.covered_r) {
+            self.report.early_exit = true;
+            return None;
+        }
+        // One standard error of sketch slack (σ ≈ 1.04/√m): even when a
+        // level truly holds nothing new, its estimate lands slightly
+        // above the verified count (small-range linear counting rounds
+        // up), so an exact threshold would never fire.
+        let m = hll.registers() as f64;
+        Some(self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt()))
+    }
+
+    /// Records that schedule level `level` was deferred by its skip
+    /// threshold.
+    pub fn defer(&mut self, level: usize) {
+        self.deferred.push(level);
+    }
+
+    /// Offers the hits of an executed level of radius `r`.
+    pub fn executed(&mut self, r: f64, hits: impl IntoIterator<Item = (PointId, f64)>) {
+        self.report.levels_executed += 1;
+        self.covered_r = r;
+        self.offer(hits);
+    }
+
+    /// Offers the hits of a revisited deferred level.
+    pub fn revisited(&mut self, hits: impl IntoIterator<Item = (PointId, f64)>) {
+        self.report.levels_executed += 1;
+        self.offer(hits);
+    }
+
+    /// Every id is offered once, with the exact distance its
+    /// verification kernel already computed.
+    fn offer(&mut self, hits: impl IntoIterator<Item = (PointId, f64)>) {
+        for (id, dist) in hits {
+            if self.reported.insert(id) {
+                self.heap.push(Neighbor { id, dist });
             }
         }
+    }
 
-        if heap.len() < k_eff {
-            // The schedule ran dry with fewer than k neighbors: finish
-            // exactly. Every id in `reported` was admitted (rejections
-            // only happen once the heap is full), so only the rest are
-            // scanned — which also covers anything a deferred level
-            // would have found, so those levels were skipped outright.
-            // The scan is one distance-returning kernel pass over the
-            // whole set (r = ∞); already-reported ids are filtered out
-            // afterwards (their distances are a negligible fraction of
-            // the pass and the kernel throughput more than pays for
-            // them versus n per-id scalar distance calls).
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            fallback_scan_into(
-                data,
-                distance,
-                q,
-                self.engine.verify_mode(),
-                &self.reported,
-                &mut heap,
-                |local| local,
-            );
-        } else if !deferred.is_empty() {
-            // The heap filled at deeper levels while earlier levels
-            // were deferred on a prediction that can be wrong (sketch
-            // error, non-nested level candidate sets). A missed closer
-            // neighbor would now be unrecoverable, so revisit the
-            // deferred levels — each was predicted near-empty, so this
-            // is cheap, and it restores the no-silent-loss property.
-            for li in deferred {
-                let (pairs, _) = self
-                    .engine
-                    .query_hits(&index.levels()[li], q, index.schedule.radius(li), strategy, None)
+    /// Whether the schedule ran dry with fewer than `min(k, n)`
+    /// neighbors, so the exact fallback must run.
+    pub fn needs_fallback(&self) -> bool {
+        self.heap.len() < self.k_eff
+    }
+
+    /// The exact fallback: offers `pairs` — every point once, as
+    /// `(id, distance)` — skipping the ids already offered. Every
+    /// offered id was admitted (rejections only happen once the heap is
+    /// full), so this completes the answer exactly; it also covers
+    /// whatever a deferred level would have found, so those levels
+    /// become true skips and are not revisited.
+    pub fn fallback(&mut self, pairs: impl IntoIterator<Item = (PointId, f64)>) {
+        self.report.exact_fallback = true;
+        self.report.levels_skipped = self.deferred.len();
+        self.deferred.clear();
+        for (id, dist) in pairs {
+            if !self.reported.contains(&id) {
+                self.heap.push(Neighbor { id, dist });
+            }
+        }
+    }
+
+    /// The deferred levels still to revisit, in schedule order. The heap
+    /// filled at deeper levels while these were deferred on a
+    /// prediction that can be wrong (sketch error, non-nested level
+    /// candidate sets); a missed closer neighbor would be unrecoverable,
+    /// so each is re-run — predicted near-empty, hence cheap — restoring
+    /// the no-silent-loss property.
+    pub fn deferred(&self) -> &[usize] {
+        &self.deferred
+    }
+
+    /// Ends the walk: the neighbors in ascending `(distance, id)` order
+    /// and the report.
+    pub fn finish(&mut self) -> TopKOutput {
+        self.report.verified = self.reported.len();
+        self.report.total_nanos = self.started.elapsed().as_nanos() as u64;
+        let heap = replace(&mut self.heap, BoundedHeap::new(0));
+        TopKOutput { neighbors: heap.into_sorted_vec(), report: self.report }
+    }
+
+    /// Runs the whole walk for one query over `levels` (one per
+    /// `schedule` radius, ascending), each level query through
+    /// `engine` under `strategy` — the in-process drivers' loop.
+    pub(crate) fn run<L: Level>(
+        &mut self,
+        engine: &mut LevelEngine<L::Seen>,
+        levels: &[L],
+        schedule: RadiusSchedule,
+        q: &L::Point,
+        k: usize,
+        strategy: Strategy,
+    ) -> TopKOutput {
+        self.reset(k, levels[0].n());
+        for (li, (level, r)) in levels.iter().zip(schedule.radii()).enumerate() {
+            let Some(skip_at_most) = self.next_level(level.hll_config()) else {
+                break;
+            };
+            match engine.query_hits(level, q, r, strategy, Some(skip_at_most)) {
+                Some((hits, _)) => self.executed(r, hits),
+                None => self.defer(li),
+            }
+        }
+        if self.needs_fallback() {
+            // One distance-returning kernel pass over every point
+            // (r = ∞); already-offered ids are filtered out afterwards
+            // (their distances are a negligible fraction of the pass).
+            self.fallback(levels[0].fallback_pairs(q, engine.verify_mode()));
+        } else {
+            for li in take(&mut self.deferred) {
+                let (hits, _) = engine
+                    .query_hits(&levels[li], q, schedule.radius(li), strategy, None)
                     .expect("a query without a skip threshold always runs");
-                report.levels_executed += 1;
-                for (id, dist) in pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
+                self.revisited(hits);
             }
         }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
+        self.finish()
     }
 }
 
-/// The exact fallback's scan, shared by the unsharded and sharded
-/// engines: one distance-returning full pass (`r = ∞`) over `data`,
-/// offering every unreported row to the heap. Rows the scan's
-/// `d <= r` filter dropped — only possible when the distance is NaN,
-/// nothing else fails at `r = ∞` — appear as gaps in the scan's
-/// ascending row order and are offered via direct `distance()` calls,
-/// so the fallback's exactly-`min(k, n)`-results guarantee holds even
-/// for degenerate (NaN-coordinate) points, exactly as the pre-kernel
-/// per-id loop did ([`Neighbor`]'s `total_cmp` order ranks NaN last).
-/// `to_global` maps a scanned row to its reported id (identity here,
-/// the owner lookup for shards).
-pub(crate) fn fallback_scan_into<S, D>(
-    data: &S,
-    distance: &D,
-    q: &S::Point,
-    verify: VerifyMode,
-    reported: &FxHashSet<PointId>,
-    heap: &mut BoundedHeap,
-    mut to_global: impl FnMut(PointId) -> PointId,
-) where
-    S: PointSet + ?Sized,
-    D: Distance<S::Point>,
-{
-    for (local, dist) in fallback_scan_pairs(data, distance, q, verify) {
-        let id = to_global(local);
-        if !reported.contains(&id) {
-            heap.push(Neighbor { id, dist });
-        }
-    }
-}
-
-/// The pair enumeration under [`fallback_scan_into`], split out so a
-/// shard node can ship the full `(local row, distance)` list over the
-/// wire and let a remote coordinator do the `reported` filtering: every
-/// row of `data` exactly once, ascending, NaN-distance gaps completed
-/// by direct `distance()` calls.
+/// The exact fallback's scan: one distance-returning full pass
+/// (`r = ∞`) over `data`, every row exactly once as `(local row,
+/// distance)`, ascending. Rows the scan's `d <= r` filter dropped — only
+/// possible when the distance is NaN, nothing else fails at `r = ∞` —
+/// appear as gaps in the scan's row order and are completed by direct
+/// `distance()` calls, so the fallback's exactly-`min(k, n)`-results
+/// guarantee holds even for degenerate (NaN-coordinate) points
+/// ([`Neighbor`]'s `total_cmp` order ranks NaN last).
 pub(crate) fn fallback_scan_pairs<S, D>(
     data: &S,
     distance: &D,

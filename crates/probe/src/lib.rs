@@ -56,9 +56,7 @@
 pub mod covering;
 pub mod multiprobe;
 pub mod perturb;
-pub mod topk;
 
 pub use covering::CoveringLshIndex;
 pub use multiprobe::{multiprobe_query, ProbeSequence};
 pub use perturb::PerturbationGenerator;
-pub use topk::multiprobe_topk;

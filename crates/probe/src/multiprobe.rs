@@ -124,8 +124,7 @@ impl ProbeSequence<[u64]> for BitSamplingGFn {
 }
 
 /// Steps S1–S2 of a multi-probe query plus the Algorithm 2 decision,
-/// shared by [`multiprobe_query`] and
-/// [`multiprobe_topk`](crate::multiprobe_topk).
+/// for [`multiprobe_query`].
 ///
 /// Probes the `probes_per_table` best buckets per table (every lookup
 /// goes through the `BucketStore` trait, so this works unchanged on
@@ -135,7 +134,7 @@ impl ProbeSequence<[u64]> for BitSamplingGFn {
 /// nothing and never prefers it. Returns `(buckets, collisions,
 /// hash_nanos, cand_estimate, hll_nanos, prefer_lsh)`.
 #[allow(clippy::type_complexity)]
-pub(crate) fn probe_and_decide<'a, S, F, D, B>(
+fn probe_and_decide<'a, S, F, D, B>(
     index: &'a HybridLshIndex<S, F, D, B>,
     q: &S::Point,
     probes_per_table: usize,

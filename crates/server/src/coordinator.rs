@@ -52,7 +52,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hlsh_core::{BoundedHeap, CostModel, Neighbor};
+use hlsh_core::{CostModel, TopKWalk};
 use hlsh_hll::{HllConfig, HyperLogLog};
 use hlsh_vec::PointId;
 
@@ -208,22 +208,6 @@ struct TargetMeta {
     radius: f64,
     hll: HllConfig,
     cost: CostModel,
-}
-
-/// Per-query walk state for the distributed top-k schedule — the
-/// coordinator-side mirror of
-/// [`ShardedTopKEngine`](hlsh_core::ShardedTopKEngine)'s locals.
-struct TopKState {
-    heap: BoundedHeap,
-    reported: std::collections::HashSet<PointId>,
-    covered_r: f64,
-    levels_executed: usize,
-    /// Levels deferred by the HLL prediction, with the merged
-    /// statistics cached: probing is deterministic, so revisiting with
-    /// the cached `(collisions, estimate)` replays exactly the decision
-    /// a re-probe would make — without a second summary round.
-    deferred: Vec<(usize, usize, f64)>,
-    done: bool,
 }
 
 /// A [`QueryService`] that answers the *client* protocol by fanning
@@ -557,45 +541,24 @@ impl QueryService for Coordinator {
         if self.levels.is_empty() {
             return Err(ServiceError::unsupported("this deployment has no top-k ladder"));
         }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let k_eff = k.min(self.n);
-        if k_eff == 0 {
-            return Ok(vec![Vec::new(); queries.len()]);
-        }
 
-        let mut states: Vec<TopKState> = (0..queries.len())
-            .map(|_| TopKState {
-                heap: BoundedHeap::new(k_eff),
-                reported: std::collections::HashSet::new(),
-                covered_r: 0.0,
-                levels_executed: 0,
-                deferred: Vec::new(),
-                done: false,
-            })
-            .collect();
-
-        // Level-synchronized schedule walk: every still-active query
-        // advances through level `li` together, so each level costs at
-        // most one summary fan-out plus one execute fan-out per arm —
-        // the coordinator-side mirror of ShardedTopKEngine's walk.
-        for li in 0..self.levels.len() {
-            let meta = &self.levels[li];
-            let m = meta.hll.registers() as f64;
-            let mut active: Vec<usize> = Vec::new();
-            for (qi, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
+        // One walk per query, driven level by level across the batch:
+        // every still-active query advances through level `li`
+        // together, so each level costs at most one summary fan-out plus
+        // one execute fan-out per arm.
+        let mut walks: Vec<TopKWalk> = queries.iter().map(|_| TopKWalk::new(k, self.n)).collect();
+        // The merged `(collisions, estimate)` of each deferred level, in
+        // the order of the walk's deferred list: probing is
+        // deterministic, so a revisit replays exactly the decision a
+        // re-probe would make — without a second summary round.
+        let mut cached: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
+        for (li, meta) in self.levels.iter().enumerate() {
+            let (mut active, mut skip_at_most) = (Vec::new(), Vec::new());
+            for (qi, walk) in walks.iter_mut().enumerate() {
+                if let Some(at_most) = walk.next_level(meta.hll) {
+                    active.push(qi);
+                    skip_at_most.push(at_most);
                 }
-                if st.levels_executed > 0
-                    && st.heap.is_full()
-                    && st.heap.worst_dist().is_some_and(|w| w <= st.covered_r)
-                {
-                    st.done = true; // early exit
-                    continue;
-                }
-                active.push(qi);
             }
             if active.is_empty() {
                 break;
@@ -606,14 +569,9 @@ impl QueryService for Coordinator {
             let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
             for (j, &qi) in active.iter().enumerate() {
                 let (collisions, estimate) = stats[j];
-                let st = &mut states[qi];
-                let skip_at_most = if st.levels_executed > 0 {
-                    st.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-                } else {
-                    f64::NEG_INFINITY // level 0 always runs
-                };
-                if estimate <= skip_at_most {
-                    st.deferred.push((li, collisions, estimate));
+                if estimate <= skip_at_most[j] {
+                    walks[qi].defer(li);
+                    cached[qi].push((collisions, estimate));
                 } else if meta.cost.prefer_lsh(collisions, estimate, self.n) {
                     lsh_idx.push(qi);
                 } else {
@@ -621,68 +579,33 @@ impl QueryService for Coordinator {
                 }
             }
             for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                if idx.is_empty() {
-                    continue;
-                }
-                self.run_level_arm(queries, &mut states, li, arm, idx)?;
+                self.run_level_arm(queries, &mut walks, li, arm, idx, false)?;
             }
         }
 
-        // Post-walk: exact fallback for under-filled heaps, forced
-        // replay of deferred levels for the rest — in lockstep with the
-        // in-process engine (note the *else*: an early-exited query
-        // still replays its deferred levels, a fallback query never
-        // does). The `done` flag is repurposed here to mean "handled by
-        // the fallback".
-        for st in &mut states {
-            st.done = false;
-        }
+        // Exact fallback for the walks that ran dry underfull.
         let starved: Vec<usize> =
-            (0..queries.len()).filter(|&qi| states[qi].heap.len() < k_eff).collect();
+            (0..queries.len()).filter(|&qi| walks[qi].needs_fallback()).collect();
         if !starved.is_empty() {
             let block = self.pack_subset(queries, &starved);
-            let per_shard = self.fanout(|si| {
+            let responses = self.fanout(|si| {
                 self.shards[si]
                     .lock()
                     .unwrap()
                     .call(si, &ShardRequest::Scan { queries: block.clone() })
             })?;
-            for (si, resp) in per_shard.into_iter().enumerate() {
-                match resp {
-                    ShardResponse::Pairs(per_query) if per_query.len() == starved.len() => {
-                        for (j, pairs) in per_query.into_iter().enumerate() {
-                            let st = &mut states[starved[j]];
-                            for (id, dist) in pairs {
-                                // The shard slabs partition the data,
-                                // so each id arrives exactly once: a
-                                // contains-check (no insert) matches
-                                // the in-process fallback.
-                                if !st.reported.contains(&id) {
-                                    st.heap.push(Neighbor { id, dist });
-                                }
-                            }
-                        }
-                    }
-                    other => return Err(unexpected(si, &other)),
-                }
-            }
-            for &qi in &starved {
-                states[qi].done = true;
+            let mut per_shard = pairs_per_shard(responses, starved.len())?;
+            for (j, &qi) in starved.iter().enumerate() {
+                walks[qi].fallback(per_shard.iter_mut().flat_map(|p| std::mem::take(&mut p[j])));
             }
         }
-        // Deferred levels replay in schedule order with the cached
-        // merged statistics (deterministic probing makes them identical
-        // to a re-summarize), skip threshold disabled.
-        for li in 0..self.levels.len() {
-            let meta = &self.levels[li];
+        // The other walks revisit their deferred levels in schedule
+        // order, each decision replayed from the cached statistics.
+        for (li, meta) in self.levels.iter().enumerate() {
             let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
-            for (qi, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
-                }
-                if let Some(&(_, collisions, estimate)) =
-                    st.deferred.iter().find(|&&(dl, _, _)| dl == li)
-                {
+            for (qi, walk) in walks.iter().enumerate() {
+                if let Some(pos) = walk.deferred().iter().position(|&dl| dl == li) {
+                    let (collisions, estimate) = cached[qi][pos];
                     if meta.cost.prefer_lsh(collisions, estimate, self.n) {
                         lsh_idx.push(qi);
                     } else {
@@ -691,57 +614,66 @@ impl QueryService for Coordinator {
                 }
             }
             for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                if idx.is_empty() {
-                    continue;
-                }
-                self.run_level_arm(queries, &mut states, li, arm, idx)?;
+                self.run_level_arm(queries, &mut walks, li, arm, idx, true)?;
             }
         }
 
-        Ok(states
-            .into_iter()
-            .map(|st| st.heap.into_sorted_vec().into_iter().map(|n| (n.id, n.dist)).collect())
+        Ok(walks
+            .iter_mut()
+            .map(|walk| walk.finish().neighbors.into_iter().map(|n| (n.id, n.dist)).collect())
             .collect())
     }
 }
 
 impl Coordinator {
-    /// Executes one arm of ladder level `li` for the query subset
-    /// `idx`, offering results into each query's heap in shard order —
-    /// the offer order the in-process walk uses, which the bounded
-    /// heap's tie-breaking depends on.
+    /// Executes one arm of ladder level `li` for the query subset `idx`
+    /// and offers each query's hits to its walk — as an executed level,
+    /// or as a `revisit` of a deferred one. A query's hits arrive shard
+    /// by shard, the order the in-process level query produces them.
     fn run_level_arm(
         &self,
         queries: &[Vec<f32>],
-        states: &mut [TopKState],
+        walks: &mut [TopKWalk],
         li: usize,
         arm: Arm,
         idx: &[usize],
+        revisit: bool,
     ) -> Result<(), ServiceError> {
+        if idx.is_empty() {
+            return Ok(());
+        }
         let meta = &self.levels[li];
         let sub = self.pack_subset(queries, idx);
-        let per_shard =
+        let responses =
             self.execute_round(ShardTarget::TopKLevel(li as u32), arm, meta.radius, &sub)?;
-        for (si, resp) in per_shard.into_iter().enumerate() {
-            match resp {
-                ShardResponse::Pairs(per_query) if per_query.len() == idx.len() => {
-                    for (j, pairs) in per_query.into_iter().enumerate() {
-                        let st = &mut states[idx[j]];
-                        for (id, dist) in pairs {
-                            if st.reported.insert(id) {
-                                st.heap.push(Neighbor { id, dist });
-                            }
-                        }
-                    }
-                }
-                other => return Err(unexpected(si, &other)),
+        let mut per_shard = pairs_per_shard(responses, idx.len())?;
+        for (j, &qi) in idx.iter().enumerate() {
+            let hits = per_shard.iter_mut().flat_map(|p| std::mem::take(&mut p[j]));
+            if revisit {
+                walks[qi].revisited(hits);
+            } else {
+                walks[qi].executed(meta.radius, hits);
             }
-        }
-        for &qi in idx {
-            let st = &mut states[qi];
-            st.levels_executed += 1;
-            st.covered_r = meta.radius;
         }
         Ok(())
     }
+}
+
+/// One query's `(global id, distance)` hits from one shard.
+type Pairs = Vec<(PointId, f64)>;
+
+/// Unpacks one pairs response per shard, each holding `count` per-query
+/// lists.
+fn pairs_per_shard(
+    responses: Vec<ShardResponse>,
+    count: usize,
+) -> Result<Vec<Vec<Pairs>>, ServiceError> {
+    responses
+        .into_iter()
+        .enumerate()
+        .map(|(si, resp)| match resp {
+            ShardResponse::Pairs(per_query) if per_query.len() == count => Ok(per_query),
+            other => Err(unexpected(si, &other)),
+        })
+        .collect()
 }

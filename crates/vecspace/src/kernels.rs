@@ -398,54 +398,6 @@ fn inflate(bound: f64) -> f64 {
     bound * (1.0 + 1e-5) + f64::MIN_POSITIVE
 }
 
-/// One-to-many squared-L2 filter: appends to `out` every id in `ids`
-/// whose row of the row-major matrix `flat` lies within squared radius
-/// `r_sq` of `q`, preserving the order of `ids`. Rows are addressed as
-/// `flat[id·dim .. (id+1)·dim]` — candidate verification straight out
-/// of the dataset slab, no per-candidate virtual dispatch.
-///
-/// # Panics
-/// Panics if `q.len() != dim` or an id indexes past the matrix.
-pub fn l2_sq_one_to_many(
-    flat: &[f32],
-    dim: usize,
-    ids: &[PointId],
-    q: &[f32],
-    r_sq: f64,
-    out: &mut Vec<PointId>,
-) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r_sq);
-    for &id in ids {
-        let start = id as usize * dim;
-        let row = &flat[start..start + dim];
-        if let Some(d2) = l2_sq_within(row, q, exit_bound) {
-            if d2 <= r_sq {
-                out.push(id);
-            }
-        }
-    }
-}
-
-/// Full-scan squared-L2 filter: appends the id of every row of `flat`
-/// within squared radius `r_sq` of `q`, in row order — the linear arm's
-/// kernel (same early-exit scheme as [`l2_sq_one_to_many`], walking the
-/// slab sequentially instead of gathering rows by id).
-///
-/// # Panics
-/// Panics if `q.len() != dim`.
-pub fn l2_sq_scan(flat: &[f32], dim: usize, q: &[f32], r_sq: f64, out: &mut Vec<PointId>) {
-    assert_eq!(q.len(), dim, "query length mismatch");
-    let exit_bound = inflate(r_sq);
-    for (id, row) in flat.chunks_exact(dim).enumerate() {
-        if let Some(d2) = l2_sq_within(row, q, exit_bound) {
-            if d2 <= r_sq {
-                out.push(id as PointId);
-            }
-        }
-    }
-}
-
 /// One-to-many L2 filter in *unsquared* radius terms: appends
 /// `H::new(id, l2(row, q))` for every id in `ids` whose row lies within
 /// `r` of `q`, preserving the order (and any repeats) of `ids`. The
@@ -455,9 +407,9 @@ pub fn l2_sq_scan(flat: &[f32], dim: usize, q: &[f32], r_sq: f64, out: &mut Vec<
 /// even exactly at the radius boundary or for `r < 0` (which rejects
 /// everything, distances being non-negative), and the emitted distance
 /// is bit-identical to a separate [`l2`] call on the same row. The
-/// early exit still runs on the squared partial sums. Prefer this over
-/// [`l2_sq_one_to_many`] whenever the surrounding code thinks in radii
-/// rather than squared radii.
+/// early exit runs on the squared partial sums. Rows are addressed as
+/// `flat[id·dim .. (id+1)·dim]` — candidate verification straight out
+/// of the dataset slab, no per-candidate virtual dispatch.
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or an id indexes past the matrix.
@@ -777,19 +729,6 @@ mod tests {
 
         // Pick radii at distance quantiles so both arms of the filter
         // (accept / early-exit reject) are exercised.
-        let mut d2: Vec<f64> = (0..n).map(|i| l2_sq(&flat[i * dim..(i + 1) * dim], &q)).collect();
-        d2.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for r_sq in [d2[10] * 1.000001, d2[n / 2], d2[n - 2]] {
-            let mut got = Vec::new();
-            l2_sq_one_to_many(&flat, dim, &ids, &q, r_sq, &mut got);
-            let expect: Vec<PointId> = ids
-                .iter()
-                .copied()
-                .filter(|&id| l2_sq(&flat[id as usize * dim..(id as usize + 1) * dim], &q) <= r_sq)
-                .collect();
-            assert_eq!(got, expect, "l2 r_sq={r_sq}");
-        }
-
         let mut d1: Vec<f64> = (0..n).map(|i| l1(&flat[i * dim..(i + 1) * dim], &q)).collect();
         d1.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for r in [d1[10] * 1.000001, d1[n / 2], d1[n - 2]] {
@@ -810,8 +749,8 @@ mod tests {
         let flat = wave(4 * dim, 0.0);
         let q = flat[0..dim].to_vec();
         let ids = [2u32, 0, 0, 3];
-        let mut out = Vec::new();
-        l2_sq_one_to_many(&flat, dim, &ids, &q, 1e-9, &mut out);
+        let mut out: Vec<PointId> = Vec::new();
+        l2_one_to_many(&flat, dim, &ids, &q, 1e-9, &mut out);
         // Only row 0 matches q; both occurrences survive, in order.
         assert_eq!(out, vec![0, 0]);
     }
@@ -965,10 +904,10 @@ mod tests {
         let dim = 128;
         let mut flat = vec![0.0f32; 2 * dim];
         flat[0] = 100.0; // row 0: d2 = 10_000 from origin
-        flat[dim] = 3.0; // row 1: d2 = 9
+        flat[dim] = 3.0; // row 1: d = 3
         let q = vec![0.0f32; dim];
-        let mut out = Vec::new();
-        l2_sq_one_to_many(&flat, dim, &[0, 1], &q, 9.0, &mut out);
+        let mut out: Vec<PointId> = Vec::new();
+        l2_one_to_many(&flat, dim, &[0, 1], &q, 3.0, &mut out);
         assert_eq!(out, vec![1]);
     }
 }
