@@ -10,11 +10,11 @@
 
 use std::time::Instant;
 
+use hlsh_core::probe::{multiprobe_query, ProbeSequence};
 use hlsh_core::search::ExecutedArm;
 use hlsh_core::{CostModel, HybridLshIndex, IndexBuilder, QueryOutput, Strategy};
 use hlsh_datagen::{ground_truth, BinaryWorkload, DenseWorkload};
 use hlsh_families::{k_paper, BitSampling, LshFamily, PStableL1, PStableL2, PaperDataset, SimHash};
-use hlsh_probe::{multiprobe_query, ProbeSequence};
 use hlsh_vec::stats::Welford;
 use hlsh_vec::{Distance, Hamming, PointSet, UnitCosine, L1, L2};
 

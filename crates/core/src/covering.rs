@@ -26,17 +26,19 @@
 //! Every bucket carries the same lazy HLL sketch as the core index, so
 //! Algorithm 2's cost decision applies unchanged.
 
-use hlsh_core::hasher::FxHashSet;
-use hlsh_core::search::ExecutedArm;
-use hlsh_core::store::{BucketStore, FrozenStore, MapStore};
-use hlsh_core::table::HashTable;
-use hlsh_core::{BucketRef, CostModel, QueryOutput, QueryReport, Strategy};
-use hlsh_families::sampling::rng_stream;
+use hlsh_families::sampling::{rng_stream, uniform_below};
 use hlsh_families::GFunction;
 use hlsh_hll::{HllConfig, MergeAccumulator};
-use hlsh_vec::{Distance, PointId, PointSet};
-use rand::Rng;
-use std::time::Instant;
+use hlsh_vec::{Distance, Hit, PointId, PointSet};
+
+use crate::bucket::BucketRef;
+use crate::cost::CostModel;
+use crate::dedup::SeenBitmap;
+use crate::engine::{Level, LevelEngine};
+use crate::report::QueryOutput;
+use crate::search::{Strategy, VerifyMode};
+use crate::store::{BucketStore, FrozenStore, MapStore};
+use crate::table::HashTable;
 
 /// A covering g-function: projection onto a fixed bit mask.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,7 +130,7 @@ where
                 continue;
             }
             // Random map a : chunk bits → F₂^m.
-            let a: Vec<u32> = (lo..hi).map(|_| rng.gen_range(0..(1u32 << m))).collect();
+            let a: Vec<u32> = (lo..hi).map(|_| uniform_below(&mut rng, 1 << m)).collect();
             for v in 1u32..(1 << m) {
                 let mut mask = 0u64;
                 for (offset, &ai) in a.iter().enumerate() {
@@ -161,24 +163,6 @@ where
             data: self.data,
             distance: self.distance,
             tables: self.tables.into_iter().map(HashTable::freeze).collect(),
-            radius: self.radius,
-            hll_config: self.hll_config,
-            cost: self.cost,
-        }
-    }
-}
-
-impl<S, D> CoveringLshIndex<S, D, FrozenStore>
-where
-    S: PointSet<Point = [u64]>,
-    D: Distance<[u64]>,
-{
-    /// Converts back to the mutable hashmap backend.
-    pub fn thaw(self) -> CoveringLshIndex<S, D, MapStore> {
-        CoveringLshIndex {
-            data: self.data,
-            distance: self.distance,
-            tables: self.tables.into_iter().map(HashTable::thaw).collect(),
             radius: self.radius,
             hll_config: self.hll_config,
             cost: self.cost,
@@ -219,26 +203,39 @@ where
     /// positives); the hybrid decision only changes *how fast* the
     /// answer is produced, never *what* it is.
     pub fn query(&self, q: &[u64], r: f64, strategy: Strategy) -> QueryOutput {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let ids = self.linear_arm(q, r);
-            return QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions: 0,
-                    cand_size_estimate: 0.0,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos: 0,
-                    hll_nanos: 0,
-                    total_nanos: t_start.elapsed().as_nanos() as u64,
-                },
-                ids,
-            };
-        }
+        LevelEngine::<SeenBitmap>::default().query(self, q, r, strategy)
+    }
+}
 
-        let t_hash = Instant::now();
-        let mut buckets: Vec<BucketRef<'_>> = Vec::with_capacity(self.tables.len());
+/// The covering tables as one Algorithm 2 source: S1 looks up one
+/// bucket per table, the arms run over the index's own data.
+impl<S, D, B> Level for CoveringLshIndex<S, D, B>
+where
+    S: PointSet<Point = [u64]>,
+    D: Distance<[u64]>,
+    B: BucketStore,
+{
+    type Point = [u64];
+    type Seen = SeenBitmap;
+    type Probe<'a>
+        = Vec<BucketRef<'a>>
+    where
+        Self: 'a;
+
+    fn n(&self) -> usize {
+        self.len()
+    }
+
+    fn hll_config(&self) -> HllConfig {
+        self.hll_config
+    }
+
+    fn cost_model(&self) -> CostModel {
+        self.cost
+    }
+
+    fn probe(&self, q: &[u64]) -> (Vec<BucketRef<'_>>, usize) {
+        let mut buckets = Vec::with_capacity(self.tables.len());
         let mut collisions = 0usize;
         for table in &self.tables {
             if let Some(b) = table.bucket(q) {
@@ -246,80 +243,43 @@ where
                 buckets.push(b);
             }
         }
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
+        (buckets, collisions)
+    }
 
-        let (hll_nanos, prefer_lsh, cand_estimate) = if matches!(strategy, Strategy::Hybrid) {
-            let t_hll = Instant::now();
-            let mut acc = MergeAccumulator::new(self.hll_config);
-            for b in &buckets {
-                b.contribute_to(&mut acc);
-            }
-            let est = acc.estimate();
-            let nanos = t_hll.elapsed().as_nanos() as u64;
-            (nanos, self.cost.prefer_lsh(collisions, est, self.len()), est)
-        } else {
-            (0, true, 0.0)
-        };
-
-        if prefer_lsh {
-            // S2 dedup, then one batched S3 verification call.
-            let mut seen: FxHashSet<PointId> = FxHashSet::default();
-            let mut cands = Vec::new();
-            for b in &buckets {
-                for &id in b.members() {
-                    if seen.insert(id) {
-                        cands.push(id);
-                    }
-                }
-            }
-            let mut ids = Vec::new();
-            self.distance.verify_many(&self.data, &cands, q, r, &mut ids);
-            let cand = cands.len();
-            QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Lsh,
-                    collisions,
-                    cand_size_estimate: if matches!(strategy, Strategy::Hybrid) {
-                        cand_estimate
-                    } else {
-                        cand as f64
-                    },
-                    cand_size_actual: Some(cand),
-                    output_size: ids.len(),
-                    hash_nanos,
-                    hll_nanos,
-                    total_nanos: t_start.elapsed().as_nanos() as u64,
-                },
-                ids,
-            }
-        } else {
-            let ids = self.linear_arm(q, r);
-            QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions,
-                    cand_size_estimate: cand_estimate,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos,
-                    hll_nanos,
-                    total_nanos: t_start.elapsed().as_nanos() as u64,
-                },
-                ids,
-            }
+    fn contribute(&self, probe: &Vec<BucketRef<'_>>, acc: &mut MergeAccumulator) {
+        for b in probe {
+            b.contribute_to(acc);
         }
     }
 
-    fn linear_arm(&self, q: &[u64], r: f64) -> Vec<PointId> {
-        let mut out = Vec::new();
-        self.distance.scan_within(&self.data, q, r, &mut out);
-        out
+    fn lsh_into<H: Hit>(
+        &self,
+        probe: &Vec<BucketRef<'_>>,
+        q: &[u64],
+        r: f64,
+        verify: VerifyMode,
+        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize {
+        cands.clear();
+        seen.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
+        verify.verify(&self.distance, &self.data, cands, q, r, out);
+        cands.len()
+    }
+
+    fn scan_into<H: Hit>(&self, q: &[u64], r: f64, verify: VerifyMode, out: &mut Vec<H>) {
+        verify.scan(&self.distance, &self.data, q, r, out);
+    }
+
+    fn fallback_pairs(&self, q: &[u64], verify: VerifyMode) -> Vec<(PointId, f64)> {
+        crate::topk::fallback_scan_pairs(&self.data, &self.distance, q, verify)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::ExecutedArm;
     use hlsh_vec::{BinaryDataset, Hamming};
 
     fn random_fps(n: usize, seed: u64) -> Vec<u64> {

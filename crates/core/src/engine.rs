@@ -6,9 +6,11 @@
 //! candSize estimate (S2), compare `α·#collisions + β·candSize` against
 //! `β·n`, and run the cheaper arm (S3). A `Level` is one source that
 //! rule runs over — the single index (or one rung of a top-k ladder), a
-//! sharded view, or a segmented view — and
-//! `LevelEngine::query_hits` is the rule, written once for all of
-//! them. Each source merges its parts' statistics before the decision,
+//! sharded view, a segmented view, a multi-probe view of an index, or a
+//! covering-LSH index — and `LevelEngine::query_hits` runs the rule,
+//! written once for all of them; the comparison itself is [`decide`],
+//! which the distributed coordinator calls on merged shard statistics
+//! too. Each source merges its parts' statistics before the decision,
 //! so a sharded or segmented query decides exactly as one index over
 //! the same points would.
 //!
@@ -167,6 +169,50 @@ pub(crate) fn ensure_accumulator(
     slot.as_mut().expect("accumulator just ensured")
 }
 
+/// What Algorithm 2 does with one level query once S1 and S2 have run
+/// (see [`decide`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decision {
+    /// Run this arm now.
+    Run(ExecutedArm),
+    /// Run neither arm now — the top-k walk's skip threshold fired — and
+    /// this one if the level is revisited.
+    Defer(ExecutedArm),
+}
+
+/// Algorithm 2 lines 3–4 and the top-k level skip: the one statement of
+/// the arm decision, shared by every in-process level query and the
+/// distributed coordinator.
+///
+/// Under [`Strategy::Hybrid`] the arm is LSH iff
+/// `α·collisions + β·estimate < β·n` ([`CostModel::prefer_lsh`]);
+/// [`Strategy::LshOnly`] and [`Strategy::LinearOnly`] force their arm.
+/// `estimate` is the merged candSize estimate, `None` only when no
+/// sketch was merged (an `LshOnly` query without a threshold, or a
+/// `LinearOnly` query). With `skip_at_most = Some(t)` the decision is
+/// [`Decision::Defer`] when the estimate is at most `t`; a
+/// `LinearOnly` query forms no candidate set and is never deferred.
+pub fn decide(
+    cost: CostModel,
+    strategy: Strategy,
+    collisions: usize,
+    estimate: Option<f64>,
+    n: usize,
+    skip_at_most: Option<f64>,
+) -> Decision {
+    let arm = match (strategy, estimate) {
+        (Strategy::LinearOnly, _) => return Decision::Run(ExecutedArm::Linear),
+        (Strategy::Hybrid, Some(estimate)) if !cost.prefer_lsh(collisions, estimate, n) => {
+            ExecutedArm::Linear
+        }
+        _ => ExecutedArm::Lsh,
+    };
+    match (estimate, skip_at_most) {
+        (Some(estimate), Some(at_most)) if estimate <= at_most => Decision::Defer(arm),
+        _ => Decision::Run(arm),
+    }
+}
+
 /// Reusable scratch for the level query — the per-part dedup scratch
 /// `S`, the candidate list and the merge accumulator — plus the S3
 /// verification mode. Every public rNNR and top-k engine wraps one.
@@ -193,17 +239,18 @@ impl<S: Default> LevelEngine<S> {
     /// already computed). Both instantiations report the same ids in the
     /// same order with the same [`QueryReport`].
     ///
-    /// With `skip_at_most = Some(t)` the query probes and estimates
-    /// once, and runs neither arm — returning `None` — when the
-    /// estimated distinct-candidate count is at most `t`. This is the
-    /// top-k walk's level filter: a schedule level whose predicted
-    /// candidates are all already verified cannot improve the heap, and
-    /// deciding that from the sketches costs `O(mL)` — the same probe +
-    /// merge work the executed query needs anyway, done once here.
-    /// Under [`Strategy::LinearOnly`] the filter does not apply (a scan
-    /// forms no candidate set) and the query always runs. Under
-    /// [`Strategy::LshOnly`] the sketches are merged only when a
-    /// threshold needs the estimate, and the report's
+    /// Lines 1–2 (probe, merge) run here; lines 3–4 are [`decide`]. With
+    /// `skip_at_most = Some(t)` a query whose estimated distinct-candidate
+    /// count is at most `t` is deferred: neither arm runs, and
+    /// `Err(arm)` carries the arm it would have run, for a later
+    /// [`run_arm`](Self::run_arm). This is the top-k walk's level
+    /// filter: a schedule level whose predicted candidates are all
+    /// already verified cannot improve the heap, and deciding that from
+    /// the sketches costs `O(mL)` — the same probe + merge work the
+    /// executed query needs anyway, done once here. Under
+    /// [`Strategy::LinearOnly`] nothing is probed and the query always
+    /// runs. Under [`Strategy::LshOnly`] the sketches are merged only
+    /// when a threshold needs the estimate, and the report's
     /// `cand_size_estimate` then carries it; without one it carries the
     /// exact candidate count.
     pub(crate) fn query_hits<L, H>(
@@ -213,67 +260,58 @@ impl<S: Default> LevelEngine<S> {
         r: f64,
         strategy: Strategy,
         skip_at_most: Option<f64>,
-    ) -> Option<(Vec<H>, QueryReport)>
+    ) -> Result<(Vec<H>, QueryReport), ExecutedArm>
     where
         L: Level<Seen = S>,
         H: Hit,
     {
         let t_start = Instant::now();
-        let mut hits = Vec::new();
-        if matches!(strategy, Strategy::LinearOnly) {
-            level.scan_into(q, r, self.verify, &mut hits);
-            let report = QueryReport {
-                executed: ExecutedArm::Linear,
-                collisions: 0,
-                cand_size_estimate: 0.0,
-                cand_size_actual: None,
-                output_size: hits.len(),
-                hash_nanos: 0,
-                hll_nanos: 0,
-                total_nanos: t_start.elapsed().as_nanos() as u64,
-            };
-            return Some((hits, report));
-        }
-
         // Algorithm 2 lines 1–2: collisions + candSize estimate.
-        let t_hash = Instant::now();
-        let (probe, collisions) = level.probe(q);
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
-        let (estimate, hll_nanos) =
-            if matches!(strategy, Strategy::LshOnly) && skip_at_most.is_none() {
-                (None, 0)
-            } else {
+        let (mut probe, mut collisions, mut estimate) = (None, 0, None);
+        let (mut hash_nanos, mut hll_nanos) = (0, 0);
+        if !matches!(strategy, Strategy::LinearOnly) {
+            let t_hash = Instant::now();
+            let (probed, c) = level.probe(q);
+            hash_nanos = t_hash.elapsed().as_nanos() as u64;
+            if !matches!(strategy, Strategy::LshOnly) || skip_at_most.is_some() {
                 let t_hll = Instant::now();
                 let acc = ensure_accumulator(&mut self.acc, level.hll_config());
-                level.contribute(&probe, acc);
-                (Some(acc.estimate()), t_hll.elapsed().as_nanos() as u64)
-            };
-        if let (Some(estimate), Some(at_most)) = (estimate, skip_at_most) {
-            if estimate <= at_most {
-                return None;
+                level.contribute(&probed, acc);
+                estimate = Some(acc.estimate());
+                hll_nanos = t_hll.elapsed().as_nanos() as u64;
             }
+            (probe, collisions) = (Some(probed), c);
         }
 
         // Lines 3–4: compare costs, run the cheaper arm.
-        let prefer_lsh = match (strategy, estimate) {
-            (Strategy::Hybrid, Some(estimate)) => {
-                level.cost_model().prefer_lsh(collisions, estimate, level.n())
-            }
-            _ => true,
+        let executed = match decide(
+            level.cost_model(),
+            strategy,
+            collisions,
+            estimate,
+            level.n(),
+            skip_at_most,
+        ) {
+            Decision::Defer(arm) => return Err(arm),
+            Decision::Run(arm) => arm,
         };
-        let (executed, cand_actual) = if prefer_lsh {
-            let scratch = (&mut self.seen, &mut self.cands);
-            let distinct = level.lsh_into(&probe, q, r, self.verify, scratch, &mut hits);
-            (ExecutedArm::Lsh, Some(distinct))
-        } else {
-            level.scan_into(q, r, self.verify, &mut hits);
-            (ExecutedArm::Linear, None)
+        let mut hits = Vec::new();
+        let cand_actual = match (executed, &probe) {
+            // `decide` picks LSH only for a probed (non-LinearOnly) query.
+            (ExecutedArm::Lsh, Some(probe)) => {
+                let scratch = (&mut self.seen, &mut self.cands);
+                Some(level.lsh_into(probe, q, r, self.verify, scratch, &mut hits))
+            }
+            _ => {
+                level.scan_into(q, r, self.verify, &mut hits);
+                None
+            }
         };
         let report = QueryReport {
             executed,
             collisions,
             // Only LshOnly skips the estimate, and its arm always
-            // counts the candidates exactly.
+            // counts the candidates exactly; LinearOnly reports 0.
             cand_size_estimate: estimate.unwrap_or(cand_actual.unwrap_or_default() as f64),
             cand_size_actual: cand_actual,
             output_size: hits.len(),
@@ -281,7 +319,35 @@ impl<S: Default> LevelEngine<S> {
             hll_nanos,
             total_nanos: t_start.elapsed().as_nanos() as u64,
         };
-        Some((hits, report))
+        Ok((hits, report))
+    }
+
+    /// Runs an arm already decided — a deferred top-k level on revisit,
+    /// or the arm a distributed coordinator chose — on `level`, with no
+    /// sketch merge: the LSH arm probes and verifies, the linear arm
+    /// scans. Hits come in the order [`query_hits`](Self::query_hits)
+    /// produces them.
+    pub(crate) fn run_arm<L, H>(
+        &mut self,
+        level: &L,
+        q: &L::Point,
+        r: f64,
+        arm: ExecutedArm,
+    ) -> Vec<H>
+    where
+        L: Level<Seen = S>,
+        H: Hit,
+    {
+        let mut hits = Vec::new();
+        match arm {
+            ExecutedArm::Lsh => {
+                let (probe, _) = level.probe(q);
+                let scratch = (&mut self.seen, &mut self.cands);
+                level.lsh_into(&probe, q, r, self.verify, scratch, &mut hits);
+            }
+            ExecutedArm::Linear => level.scan_into(q, r, self.verify, &mut hits),
+        }
+        hits
     }
 
     /// The rNNR answer of one level query (no skip threshold).

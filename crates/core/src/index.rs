@@ -8,7 +8,7 @@ use hlsh_vec::{Distance, PointId, PointSet};
 use crate::bucket::BucketRef;
 use crate::builder::BuildMode;
 use crate::cost::{CostEstimate, CostModel};
-use crate::engine::QueryEngine;
+use crate::engine::{Level, QueryEngine};
 use crate::hasher::FxHashSet;
 use crate::pipeline::BuildPipeline;
 use crate::report::QueryOutput;
@@ -315,8 +315,8 @@ where
         self.hll_config
     }
 
-    /// Direct access to the underlying tables (for the multi-probe
-    /// extension crate).
+    /// Direct access to the underlying tables (the snapshot writer and
+    /// the multi-probe view read them).
     pub fn raw_tables(&self) -> &[HashTable<F::GFn, B>] {
         &self.tables
     }
@@ -372,8 +372,10 @@ where
     /// executing either arm — useful for inspection and for the
     /// Figure 3 (right) accounting of linear-search decisions.
     pub fn explain(&self, q: &S::Point) -> CostEstimate {
-        let (buckets, collisions) = self.probe(q);
-        let cand = self.estimate_cand_size(&buckets);
+        let (buckets, collisions) = Level::probe(self, q);
+        let mut acc = MergeAccumulator::new(self.hll_config);
+        Level::contribute(self, &buckets, &mut acc);
+        let cand = acc.estimate();
         CostEstimate {
             collisions,
             cand_size_estimate: cand,
@@ -433,16 +435,6 @@ where
             }
         }
         (buckets, collisions)
-    }
-
-    /// Algorithm 2 line 2: merged-HLL candidate-size estimate (the
-    /// `O(mL)` overhead; small buckets contribute raw members, §3.2).
-    fn estimate_cand_size(&self, buckets: &[BucketRef<'_>]) -> f64 {
-        let mut acc = MergeAccumulator::new(self.hll_config);
-        for b in buckets {
-            b.contribute_to(&mut acc);
-        }
-        acc.estimate()
     }
 }
 

@@ -73,12 +73,16 @@
 pub mod bucket;
 pub mod builder;
 pub mod cost;
+mod covering;
 mod dedup;
 pub mod engine;
 pub mod hasher;
 pub mod index;
+mod multiprobe;
+mod perturb;
 pub mod pipeline;
 pub mod presets;
+pub mod probe;
 pub mod recall;
 pub mod report;
 pub mod schedule;

@@ -1,25 +1,28 @@
 //! Multi-probe LSH on top of the hybrid index.
 //!
 //! Implements Lv et al.'s query-directed probing for the three
-//! g-function types of the workspace and a [`multiprobe_query`] that
-//! applies the paper's hybrid cost model across the *whole probe
-//! sequence*: `#collisions` sums every probed bucket, `candSize` merges
-//! every probed bucket's sketch, and the Algorithm 2 comparison against
-//! `β·n` decides between probing and scanning.
+//! g-function types of the workspace. A multi-probe query is the level
+//! query over a [`Probed`] view of the index: step S1 walks the probe
+//! sequence of every table, so `#collisions` sums every probed bucket,
+//! `candSize` merges every probed bucket's sketch, and the one Algorithm
+//! 2 decision chooses between probing and scanning.
 
-use std::time::Instant;
-
-use hlsh_core::search::ExecutedArm;
-use hlsh_core::store::BucketStore;
-use hlsh_core::{BucketRef, HybridLshIndex, QueryOutput, QueryReport, Strategy};
 use hlsh_families::bitsampling::BitSamplingGFn;
 use hlsh_families::pstable::PStableGFn;
 use hlsh_families::simhash::SimHashGFn;
 use hlsh_families::{GFunction, LshFamily};
-use hlsh_hll::MergeAccumulator;
-use hlsh_vec::{Distance, PointId, PointSet};
+use hlsh_hll::{HllConfig, MergeAccumulator};
+use hlsh_vec::{Distance, Hit, PointId, PointSet};
 
+use crate::bucket::BucketRef;
+use crate::cost::CostModel;
+use crate::dedup::SeenBitmap;
+use crate::engine::{Level, LevelEngine};
+use crate::index::HybridLshIndex;
 use crate::perturb::{PerturbationGenerator, ProbeOption};
+use crate::report::QueryOutput;
+use crate::search::{Strategy, VerifyMode};
+use crate::store::BucketStore;
 
 /// A g-function that can enumerate a query-directed probing sequence.
 ///
@@ -123,23 +126,20 @@ impl ProbeSequence<[u64]> for BitSamplingGFn {
     }
 }
 
-/// Steps S1–S2 of a multi-probe query plus the Algorithm 2 decision,
-/// for [`multiprobe_query`].
-///
-/// Probes the `probes_per_table` best buckets per table (every lookup
-/// goes through the `BucketStore` trait, so this works unchanged on
-/// hashmap and frozen backends). Under [`Strategy::Hybrid`] the probed
-/// sizes and merged sketches drive the arm choice; [`Strategy::LshOnly`]
-/// always prefers the candidate arm; [`Strategy::LinearOnly`] probes
-/// nothing and never prefers it. Returns `(buckets, collisions,
-/// hash_nanos, cand_estimate, hll_nanos, prefer_lsh)`.
-#[allow(clippy::type_complexity)]
-fn probe_and_decide<'a, S, F, D, B>(
+/// A multi-probe view of an index: the index's level with S1 walking
+/// the `probes` best buckets of every table instead of one.
+struct Probed<'a, S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
     index: &'a HybridLshIndex<S, F, D, B>,
-    q: &S::Point,
-    probes_per_table: usize,
-    strategy: Strategy,
-) -> (Vec<BucketRef<'a>>, usize, u64, f64, u64, bool)
+    probes: usize,
+}
+
+impl<S, F, D, B> Level for Probed<'_, S, F, D, B>
 where
     S: PointSet,
     F: LshFamily<S::Point>,
@@ -147,38 +147,64 @@ where
     D: Distance<S::Point>,
     B: BucketStore,
 {
-    assert!(probes_per_table > 0, "need at least one probe per table");
-    if matches!(strategy, Strategy::LinearOnly) {
-        return (Vec::new(), 0, 0, 0.0, 0, false);
-    }
-    let t_hash = Instant::now();
-    let mut buckets: Vec<BucketRef<'_>> = Vec::new();
-    let mut collisions = 0usize;
-    for table in index.raw_tables() {
-        for key in table.g().probe_keys(q, probes_per_table) {
-            if let Some(b) = table.bucket_for_key(key) {
-                collisions += b.len();
-                buckets.push(b);
-            }
-        }
-    }
-    let hash_nanos = t_hash.elapsed().as_nanos() as u64;
+    type Point = S::Point;
+    type Seen = SeenBitmap;
+    type Probe<'b>
+        = Vec<BucketRef<'b>>
+    where
+        Self: 'b;
 
-    let (hll_nanos, prefer_lsh, cand_estimate) = match strategy {
-        Strategy::Hybrid => {
-            let t_hll = Instant::now();
-            let mut acc = MergeAccumulator::new(index.hll_config());
-            for b in &buckets {
-                b.contribute_to(&mut acc);
+    fn n(&self) -> usize {
+        self.index.len()
+    }
+
+    fn hll_config(&self) -> HllConfig {
+        self.index.hll_config()
+    }
+
+    fn cost_model(&self) -> CostModel {
+        self.index.cost_model()
+    }
+
+    /// Looks up every probe key of every table (through the
+    /// `BucketStore` trait, so map and frozen backends answer alike).
+    fn probe(&self, q: &S::Point) -> (Vec<BucketRef<'_>>, usize) {
+        let mut buckets = Vec::new();
+        let mut collisions = 0usize;
+        for table in self.index.raw_tables() {
+            for key in table.g().probe_keys(q, self.probes) {
+                if let Some(b) = table.bucket_for_key(key) {
+                    collisions += b.len();
+                    buckets.push(b);
+                }
             }
-            let est = acc.estimate();
-            let hll_nanos = t_hll.elapsed().as_nanos() as u64;
-            let prefer = index.cost_model().prefer_lsh(collisions, est, index.len());
-            (hll_nanos, prefer, est)
         }
-        _ => (0, true, 0.0),
-    };
-    (buckets, collisions, hash_nanos, cand_estimate, hll_nanos, prefer_lsh)
+        (buckets, collisions)
+    }
+
+    fn contribute(&self, probe: &Vec<BucketRef<'_>>, acc: &mut MergeAccumulator) {
+        self.index.contribute(probe, acc);
+    }
+
+    fn lsh_into<H: Hit>(
+        &self,
+        probe: &Vec<BucketRef<'_>>,
+        q: &S::Point,
+        r: f64,
+        verify: VerifyMode,
+        scratch: (&mut SeenBitmap, &mut Vec<PointId>),
+        out: &mut Vec<H>,
+    ) -> usize {
+        self.index.lsh_into(probe, q, r, verify, scratch, out)
+    }
+
+    fn scan_into<H: Hit>(&self, q: &S::Point, r: f64, verify: VerifyMode, out: &mut Vec<H>) {
+        self.index.scan_into(q, r, verify, out);
+    }
+
+    fn fallback_pairs(&self, q: &S::Point, verify: VerifyMode) -> Vec<(PointId, f64)> {
+        self.index.fallback_pairs(q, verify)
+    }
 }
 
 /// Multi-probe query with the hybrid cost decision.
@@ -187,7 +213,8 @@ where
 /// tables. Under [`Strategy::Hybrid`] the probed buckets' sizes and
 /// sketches drive the Algorithm 2 decision exactly as in single-probe
 /// hybrid search; [`Strategy::LshOnly`] always collects candidates;
-/// [`Strategy::LinearOnly`] always scans.
+/// [`Strategy::LinearOnly`] always scans. With one probe per table the
+/// output equals [`QueryEngine::query_with_strategy`](crate::QueryEngine::query_with_strategy)'s.
 ///
 /// # Panics
 /// Panics if `probes_per_table == 0`.
@@ -205,77 +232,16 @@ where
     D: Distance<S::Point>,
     B: BucketStore,
 {
-    let t_start = Instant::now();
-    let (buckets, collisions, hash_nanos, cand_estimate, hll_nanos, prefer_lsh) =
-        probe_and_decide(index, q, probes_per_table, strategy);
-
-    if prefer_lsh {
-        // S2 dedup, then one batched S3 kernel call over the whole
-        // candidate list (same shape as the core engine's LSH arm).
-        let mut seen: hlsh_core::hasher::FxHashSet<PointId> =
-            hlsh_core::hasher::FxHashSet::default();
-        let mut cands = Vec::new();
-        for b in &buckets {
-            for &id in b.members() {
-                if seen.insert(id) {
-                    cands.push(id);
-                }
-            }
-        }
-        let mut ids = Vec::new();
-        index.distance().verify_many(index.data(), &cands, q, r, &mut ids);
-        let cand_actual = cands.len();
-        QueryOutput {
-            report: QueryReport {
-                executed: ExecutedArm::Lsh,
-                collisions,
-                cand_size_estimate: if matches!(strategy, Strategy::Hybrid) {
-                    cand_estimate
-                } else {
-                    cand_actual as f64
-                },
-                cand_size_actual: Some(cand_actual),
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: t_start.elapsed().as_nanos() as u64,
-            },
-            ids,
-        }
-    } else {
-        let ids = linear_scan(index, q, r);
-        QueryOutput {
-            report: QueryReport {
-                executed: ExecutedArm::Linear,
-                collisions,
-                cand_size_estimate: cand_estimate,
-                cand_size_actual: None,
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: t_start.elapsed().as_nanos() as u64,
-            },
-            ids,
-        }
-    }
-}
-
-fn linear_scan<S, F, D, B>(index: &HybridLshIndex<S, F, D, B>, q: &S::Point, r: f64) -> Vec<PointId>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    let mut out = Vec::new();
-    index.distance().scan_within(index.data(), q, r, &mut out);
-    out
+    assert!(probes_per_table > 0, "need at least one probe per table");
+    let level = Probed { index, probes: probes_per_table };
+    LevelEngine::<SeenBitmap>::default().query(&level, q, r, strategy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlsh_core::{CostModel, IndexBuilder};
+    use crate::builder::IndexBuilder;
+    use crate::search::ExecutedArm;
     use hlsh_families::sampling::rng_stream;
     use hlsh_families::{BitSampling, PStableL2, SimHash};
     use hlsh_vec::{BinaryDataset, DenseDataset, Hamming, L2};

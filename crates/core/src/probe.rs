@@ -8,9 +8,12 @@
 //!   probes" — exactly the regime where duplicate removal dominates, so
 //!   the hybrid cost model applies verbatim: sum probed bucket sizes
 //!   (`#collisions`), merge probed-bucket HLLs (`candSize`), compare
-//!   with the linear cost. [`multiprobe_query`] implements that on top
-//!   of any [`hlsh_core::HybridLshIndex`] whose g-functions implement
-//!   [`ProbeSequence`].
+//!   with the linear cost. [`multiprobe_query`] runs the level query
+//!   over a multi-probe view of any [`HybridLshIndex`](crate::HybridLshIndex)
+//!   whose g-functions implement [`ProbeSequence`]: the view changes
+//!   only step S1, so the decision and both arms are the single-probe
+//!   engine's, and `T = 1` probe per table answers exactly as
+//!   [`QueryEngine::query_with_strategy`](crate::QueryEngine::query_with_strategy).
 //!
 //! * **Covering LSH** (Pagh, SODA'16): a Hamming-space construction
 //!   with *zero false negatives* within radius `r`. We implement the
@@ -19,7 +22,7 @@
 //!   `{i : ⟨a(i), v⟩ = 1}` — plus the dimension-splitting trick that
 //!   keeps the table count practical at larger radii, and the same
 //!   per-bucket HLL instrumentation so hybrid decisions work there too
-//!   ([`CoveringLshIndex`]).
+//!   ([`CoveringLshIndex`], queried through the same level engine).
 //!
 //! # Example
 //!
@@ -31,7 +34,7 @@
 //! ```
 //! use hlsh_core::{CostModel, IndexBuilder, Strategy};
 //! use hlsh_families::PStableL2;
-//! use hlsh_probe::multiprobe_query;
+//! use hlsh_core::probe::multiprobe_query;
 //! use hlsh_vec::{DenseDataset, L2};
 //!
 //! let data = DenseDataset::from_rows(2, (0..300).map(|i| [(i % 20) as f32, (i / 20) as f32]));
@@ -50,13 +53,6 @@
 //! }));
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
-pub mod covering;
-pub mod multiprobe;
-pub mod perturb;
-
-pub use covering::CoveringLshIndex;
-pub use multiprobe::{multiprobe_query, ProbeSequence};
-pub use perturb::PerturbationGenerator;
+pub use crate::covering::{CoveringGFn, CoveringLshIndex};
+pub use crate::multiprobe::{multiprobe_query, ProbeSequence};
+pub use crate::perturb::{PerturbationGenerator, ProbeOption};

@@ -58,7 +58,7 @@ use crate::engine::{ensure_accumulator, Level, LevelEngine};
 use crate::index::HybridLshIndex;
 use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
-use crate::search::{Strategy, VerifyMode};
+use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
 use crate::topk::{TopKIndex, TopKOutput, TopKWalk};
 
@@ -921,11 +921,10 @@ fn summarize<L: Level>(
     ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
 }
 
-/// The arm a coordinator chose, run on `level`: the level query under
-/// the strategy that forces it ([`Strategy::LshOnly`] probes and runs
-/// the LSH arm without estimating). Hits come in the order the
-/// in-process engines produce them: first-collision order for the LSH
-/// arm, ascending row order for the linear arm.
+/// The arm a coordinator chose, run on `level` (see
+/// [`LevelEngine::run_arm`]). Hits come in the order the in-process
+/// engines produce them: first-collision order for the LSH arm,
+/// ascending row order for the linear arm.
 fn chosen_arm<L: Level, H: Hit>(
     engine: &mut LevelEngine<L::Seen>,
     level: &L,
@@ -933,11 +932,7 @@ fn chosen_arm<L: Level, H: Hit>(
     r: f64,
     lsh: bool,
 ) -> Vec<H> {
-    let strategy = if lsh { Strategy::LshOnly } else { Strategy::LinearOnly };
-    let (hits, _) = engine
-        .query_hits(level, q, r, strategy, None)
-        .expect("a query without a skip threshold always runs");
-    hits
+    engine.run_arm(level, q, r, if lsh { ExecutedArm::Lsh } else { ExecutedArm::Linear })
 }
 
 impl<S, F, D, B> ShardedIndex<S, F, D, B>

@@ -52,7 +52,7 @@ use crate::engine::{Level, LevelEngine};
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
 use crate::schedule::RadiusSchedule;
-use crate::search::{Strategy, VerifyMode};
+use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
 
 /// One verified nearest-neighbor candidate.
@@ -477,13 +477,13 @@ impl TopKEngine {
 ///
 /// 1. calls [`next_level`](Self::next_level) before each level, in
 ///    ascending-radius order, and stops when it returns `None`; else it
-///    runs the level's query with the returned skip threshold and
-///    reports the outcome through [`executed`](Self::executed) or
-///    [`defer`](Self::defer);
+///    probes and merges the level and passes the returned skip threshold
+///    to [`decide`](crate::engine::decide), then reports the outcome
+///    through [`executed`](Self::executed) or [`defer`](Self::defer);
 /// 2. then, if [`needs_fallback`](Self::needs_fallback), offers every
-///    point through [`fallback`](Self::fallback); otherwise re-runs each
-///    [`deferred`](Self::deferred) level without a threshold and offers
-///    its hits through [`revisited`](Self::revisited);
+///    point through [`fallback`](Self::fallback); otherwise runs each
+///    [`deferred`](Self::deferred) level under the arm recorded with it
+///    and offers its hits through [`revisited`](Self::revisited);
 /// 3. takes the answer from [`finish`](Self::finish).
 #[derive(Debug)]
 pub struct TopKWalk {
@@ -495,8 +495,9 @@ pub struct TopKWalk {
     /// reporting guarantee holds (exactly, whenever the level ran the
     /// linear arm; with LSH's 1−δ probability otherwise).
     covered_r: f64,
-    /// Levels deferred by the HLL prediction, in schedule order.
-    deferred: Vec<usize>,
+    /// Levels deferred by the HLL prediction, in schedule order, each
+    /// with the arm its decision chose.
+    deferred: Vec<(usize, ExecutedArm)>,
     report: TopKReport,
     started: Instant,
 }
@@ -576,9 +577,10 @@ impl TopKWalk {
     }
 
     /// Records that schedule level `level` was deferred by its skip
-    /// threshold.
-    pub fn defer(&mut self, level: usize) {
-        self.deferred.push(level);
+    /// threshold, and `arm`, the arm its decision chose: a revisit runs
+    /// that arm without merging the sketches again.
+    pub fn defer(&mut self, level: usize, arm: ExecutedArm) {
+        self.deferred.push((level, arm));
     }
 
     /// Offers the hits of an executed level of radius `r`.
@@ -627,13 +629,13 @@ impl TopKWalk {
         }
     }
 
-    /// The deferred levels still to revisit, in schedule order. The heap
-    /// filled at deeper levels while these were deferred on a
-    /// prediction that can be wrong (sketch error, non-nested level
-    /// candidate sets); a missed closer neighbor would be unrecoverable,
-    /// so each is re-run — predicted near-empty, hence cheap — restoring
-    /// the no-silent-loss property.
-    pub fn deferred(&self) -> &[usize] {
+    /// The deferred levels still to revisit, in schedule order, each
+    /// with its recorded arm. The heap filled at deeper levels while
+    /// these were deferred on a prediction that can be wrong (sketch
+    /// error, non-nested level candidate sets); a missed closer neighbor
+    /// would be unrecoverable, so each is re-run — predicted near-empty,
+    /// hence cheap — restoring the no-silent-loss property.
+    pub fn deferred(&self) -> &[(usize, ExecutedArm)] {
         &self.deferred
     }
 
@@ -664,8 +666,8 @@ impl TopKWalk {
                 break;
             };
             match engine.query_hits(level, q, r, strategy, Some(skip_at_most)) {
-                Some((hits, _)) => self.executed(r, hits),
-                None => self.defer(li),
+                Ok((hits, _)) => self.executed(r, hits),
+                Err(arm) => self.defer(li, arm),
             }
         }
         if self.needs_fallback() {
@@ -674,11 +676,8 @@ impl TopKWalk {
             // (their distances are a negligible fraction of the pass).
             self.fallback(levels[0].fallback_pairs(q, engine.verify_mode()));
         } else {
-            for li in take(&mut self.deferred) {
-                let (hits, _) = engine
-                    .query_hits(&levels[li], q, schedule.radius(li), strategy, None)
-                    .expect("a query without a skip threshold always runs");
-                self.revisited(hits);
+            for (li, arm) in take(&mut self.deferred) {
+                self.revisited(engine.run_arm(&levels[li], q, schedule.radius(li), arm));
             }
         }
         self.finish()

@@ -20,6 +20,12 @@ pub fn rng_stream(master_seed: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(mixed)
 }
 
+/// One uniform draw from `0..bound` (for samplers outside this crate,
+/// which hold the stream without depending on `rand`).
+pub fn uniform_below(rng: &mut StdRng, bound: u32) -> u32 {
+    rng.gen_range(0..bound)
+}
+
 /// One standard normal variate via Box–Muller.
 ///
 /// Uses the cosine branch only; the per-call cost is irrelevant because

@@ -52,7 +52,8 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hlsh_core::{CostModel, TopKWalk};
+use hlsh_core::engine::{decide, Decision};
+use hlsh_core::{CostModel, Strategy, TopKWalk};
 use hlsh_hll::{HllConfig, HyperLogLog};
 use hlsh_vec::PointId;
 
@@ -208,6 +209,19 @@ struct TargetMeta {
     radius: f64,
     hll: HllConfig,
     cost: CostModel,
+}
+
+impl TargetMeta {
+    /// The core's one Algorithm 2 decision on a query's merged
+    /// `(Σ collisions, candSize estimate)` over `n` points.
+    fn decide(
+        &self,
+        (collisions, estimate): (usize, f64),
+        n: usize,
+        skip: Option<f64>,
+    ) -> Decision {
+        decide(self.cost, Strategy::Hybrid, collisions, Some(estimate), n, skip)
+    }
 }
 
 /// A [`QueryService`] that answers the *client* protocol by fanning
@@ -494,24 +508,21 @@ impl QueryService for Coordinator {
 
         // Round 1: merged statistics, one Algorithm-2 decision each.
         let stats = self.merged_summaries(ShardTarget::Rnnr, &block, &self.rnnr)?;
-        let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
-        for (qi, &(collisions, estimate)) in stats.iter().enumerate() {
-            if self.rnnr.cost.prefer_lsh(collisions, estimate, self.n) {
-                lsh_idx.push(qi);
-            } else {
-                lin_idx.push(qi);
-            }
-        }
+        let groups = by_arm(stats.iter().enumerate().map(|(qi, &stat)| {
+            // No skip threshold, so never deferred.
+            let (Decision::Run(arm) | Decision::Defer(arm)) = self.rnnr.decide(stat, self.n, None);
+            (qi, arm)
+        }));
 
         // Round 2: one execute fan-out per chosen arm.
         let mut out: Vec<Vec<PointId>> = vec![Vec::new(); queries.len()];
-        for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
+        for (arm, idx) in &groups {
             if idx.is_empty() {
                 continue;
             }
             let sub = self.pack_subset(queries, idx);
             for (si, resp) in
-                self.execute_round(ShardTarget::Rnnr, arm, radius, &sub)?.into_iter().enumerate()
+                self.execute_round(ShardTarget::Rnnr, *arm, radius, &sub)?.into_iter().enumerate()
             {
                 match resp {
                     ShardResponse::Ids(per_query) if per_query.len() == idx.len() => {
@@ -547,11 +558,6 @@ impl QueryService for Coordinator {
         // together, so each level costs at most one summary fan-out plus
         // one execute fan-out per arm.
         let mut walks: Vec<TopKWalk> = queries.iter().map(|_| TopKWalk::new(k, self.n)).collect();
-        // The merged `(collisions, estimate)` of each deferred level, in
-        // the order of the walk's deferred list: probing is
-        // deterministic, so a revisit replays exactly the decision a
-        // re-probe would make — without a second summary round.
-        let mut cached: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
         for (li, meta) in self.levels.iter().enumerate() {
             let (mut active, mut skip_at_most) = (Vec::new(), Vec::new());
             for (qi, walk) in walks.iter_mut().enumerate() {
@@ -566,20 +572,15 @@ impl QueryService for Coordinator {
             let block = self.pack_subset(queries, &active);
             let stats = self.merged_summaries(ShardTarget::TopKLevel(li as u32), &block, meta)?;
 
-            let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
+            let mut picks = Vec::with_capacity(active.len());
             for (j, &qi) in active.iter().enumerate() {
-                let (collisions, estimate) = stats[j];
-                if estimate <= skip_at_most[j] {
-                    walks[qi].defer(li);
-                    cached[qi].push((collisions, estimate));
-                } else if meta.cost.prefer_lsh(collisions, estimate, self.n) {
-                    lsh_idx.push(qi);
-                } else {
-                    lin_idx.push(qi);
+                match meta.decide(stats[j], self.n, Some(skip_at_most[j])) {
+                    Decision::Defer(arm) => walks[qi].defer(li, arm),
+                    Decision::Run(arm) => picks.push((qi, arm)),
                 }
             }
-            for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                self.run_level_arm(queries, &mut walks, li, arm, idx, false)?;
+            for (arm, idx) in by_arm(picks) {
+                self.run_level_arm(queries, &mut walks, li, arm, &idx, false)?;
             }
         }
 
@@ -600,21 +601,13 @@ impl QueryService for Coordinator {
             }
         }
         // The other walks revisit their deferred levels in schedule
-        // order, each decision replayed from the cached statistics.
-        for (li, meta) in self.levels.iter().enumerate() {
-            let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
-            for (qi, walk) in walks.iter().enumerate() {
-                if let Some(pos) = walk.deferred().iter().position(|&dl| dl == li) {
-                    let (collisions, estimate) = cached[qi][pos];
-                    if meta.cost.prefer_lsh(collisions, estimate, self.n) {
-                        lsh_idx.push(qi);
-                    } else {
-                        lin_idx.push(qi);
-                    }
-                }
-            }
-            for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                self.run_level_arm(queries, &mut walks, li, arm, idx, true)?;
+        // order, each under the arm its walk recorded at deferral.
+        for li in 0..self.levels.len() {
+            let picks = walks.iter().enumerate().filter_map(|(qi, walk)| {
+                walk.deferred().iter().find(|&&(dl, _)| dl == li).map(|&(_, arm)| (qi, arm))
+            });
+            for (arm, idx) in by_arm(picks) {
+                self.run_level_arm(queries, &mut walks, li, arm, &idx, true)?;
             }
         }
 
@@ -657,6 +650,16 @@ impl Coordinator {
         }
         Ok(())
     }
+}
+
+/// Groups query indices by their arm, LSH first: one execute fan-out per
+/// non-empty group.
+fn by_arm(picks: impl IntoIterator<Item = (usize, Arm)>) -> [(Arm, Vec<usize>); 2] {
+    let mut groups = [(Arm::Lsh, Vec::new()), (Arm::Linear, Vec::new())];
+    for (qi, arm) in picks {
+        groups[usize::from(arm == Arm::Linear)].1.push(qi);
+    }
+    groups
 }
 
 /// One query's `(global id, distance)` hits from one shard.

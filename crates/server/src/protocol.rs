@@ -406,14 +406,11 @@ impl ShardTarget {
     }
 }
 
-/// Which Algorithm-2 arm a [`ShardRequest::Execute`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arm {
-    /// Brute-force scan of the shard's slab. Wire: 0.
-    Linear,
-    /// LSH arm: probe, dedup, batched verification. Wire: 1.
-    Lsh,
-}
+/// Which Algorithm-2 arm a [`ShardRequest::Execute`] runs — the core's
+/// [`ExecutedArm`](hlsh_core::search::ExecutedArm). Wire: 0 for the
+/// linear arm (brute-force scan of the shard's slab), 1 for the LSH arm
+/// (probe, dedup, batched verification).
+pub use hlsh_core::search::ExecutedArm as Arm;
 
 /// The per-index parameters a coordinator needs to replay the global
 /// decisions: the HLL sketch configuration (to reconstruct estimates

@@ -54,10 +54,10 @@
 #![forbid(unsafe_code)]
 
 pub use hlsh_core as index;
+pub use hlsh_core::probe;
 pub use hlsh_datagen as datagen;
 pub use hlsh_families as families;
 pub use hlsh_hll as hll;
-pub use hlsh_probe as probe;
 pub use hlsh_server as server;
 pub use hlsh_vec as vec;
 

@@ -203,22 +203,50 @@ fn multiprobe_beats_single_probe_recall_with_few_tables() {
 
 #[test]
 fn covering_index_is_exact_within_radius() {
+    // Within the guarantee radius the LSH arm has zero false negatives,
+    // so every strategy reports the exact set — on the hashmap store and
+    // on the frozen store, whose answers also match the hashmap's in
+    // order.
     let data = mnist_like(1_200, 18);
-    let q = data.row(17)[0];
-    let index = hybrid_lsh::probe::CoveringLshIndex::build(
-        data,
-        Hamming,
-        64,
-        6,
-        3,
-        4,
-        CostModel::from_ratio(1.0),
-    );
-    let mut got = index.query(&[q], 6.0, Strategy::LshOnly).ids;
-    let mut exact = index.query(&[q], 6.0, Strategy::LinearOnly).ids;
-    got.sort_unstable();
-    exact.sort_unstable();
-    assert_eq!(got, exact, "covering LSH must have zero false negatives");
+    let mut queries = vec![data.row(17)[0]];
+    queries.extend((0..12).map(|i| data.row(i * 97)[0] ^ (1u64 << i)));
+    let build = |data| {
+        hybrid_lsh::probe::CoveringLshIndex::build(
+            data,
+            Hamming,
+            64,
+            6,
+            3,
+            4,
+            CostModel::from_ratio(1.0),
+        )
+    };
+    let frozen = build(mnist_like(1_200, 18)).freeze();
+    let map = build(data);
+    let mut linear = 0;
+    for (qi, &q) in queries.iter().enumerate() {
+        for r in [3.0, 6.0] {
+            let mut exact = map.query(&[q], r, Strategy::LinearOnly).ids;
+            exact.sort_unstable();
+            for strategy in Strategy::ALL {
+                let on_map = map.query(&[q], r, strategy);
+                let on_frozen = frozen.query(&[q], r, strategy);
+                assert_eq!(on_frozen.ids, on_map.ids, "{strategy} query {qi} r={r}");
+                assert_eq!(on_frozen.report.executed, on_map.report.executed);
+                if strategy == Strategy::Hybrid {
+                    linear += usize::from(on_map.report.executed == ExecutedArm::Linear);
+                }
+                let mut got = on_frozen.ids;
+                got.sort_unstable();
+                assert_eq!(
+                    got, exact,
+                    "covering LSH must have zero false negatives ({strategy}, query {qi}, r={r})"
+                );
+            }
+        }
+    }
+    // Hybrid must take both arms, or its agreement is vacuous.
+    assert!(linear > 0 && linear < 2 * queries.len(), "{linear} Hybrid queries linear");
 }
 
 #[test]

@@ -149,6 +149,48 @@ fn frozen_index_answers_identically_on_mixture() {
     assert_eq!(map_index.stats().member_slots, frozen_index.stats().member_slots);
 }
 
+/// Multi-probe with one probe per table is the single-probe level query:
+/// under every strategy, the same ids in the same order, the same arm,
+/// collisions, estimate bits and exact candidate count. Returns how many
+/// Hybrid queries took the linear arm.
+fn assert_one_probe_is_single_probe<S, F, D, B, Q>(
+    index: &HybridLshIndex<S, F, D, B>,
+    queries: &[Q],
+    r: f64,
+    label: &str,
+) -> usize
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    F::GFn: hybrid_lsh::probe::ProbeSequence<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+    Q: AsRef<S::Point>,
+{
+    let mut linear = 0;
+    for strategy in Strategy::ALL {
+        for (qi, q) in queries.iter().enumerate() {
+            let q = q.as_ref();
+            let multi = hybrid_lsh::probe::multiprobe_query(index, q, r, 1, strategy);
+            let single = index.query_with_strategy(q, r, strategy);
+            let (m, s) = (&multi.report, &single.report);
+            assert_eq!(multi.ids, single.ids, "{label} {strategy} query {qi}");
+            assert_eq!(m.executed, s.executed, "{label} {strategy} query {qi}");
+            assert_eq!(m.collisions, s.collisions, "{label} {strategy} query {qi}");
+            assert_eq!(
+                m.cand_size_estimate.to_bits(),
+                s.cand_size_estimate.to_bits(),
+                "{label} {strategy} query {qi}"
+            );
+            assert_eq!(m.cand_size_actual, s.cand_size_actual, "{label} {strategy} query {qi}");
+            if strategy == Strategy::Hybrid {
+                linear += usize::from(s.executed == hybrid_lsh::index::search::ExecutedArm::Linear);
+            }
+        }
+    }
+    linear
+}
+
 #[test]
 fn multiprobe_works_on_frozen_backend() {
     let (map_index, frozen_index, queries, r) = mixture_setup();
@@ -158,6 +200,70 @@ fn multiprobe_works_on_frozen_backend() {
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.report.collisions, b.report.collisions);
     }
+
+    // T = 1 ≡ single probe, for each family on both stores. Hybrid
+    // must take both arms on every corpus, or the arm comparison is
+    // vacuous.
+    let both_arms = |linear: usize, n: usize, label: &str| {
+        assert!(linear > 0 && linear < n, "{label}: {linear} of {n} Hybrid queries linear");
+    };
+    let n = queries.len();
+    both_arms(assert_one_probe_is_single_probe(&map_index, &queries, r, "p-stable map"), n, "l2");
+    both_arms(
+        assert_one_probe_is_single_probe(&frozen_index, &queries, r, "p-stable frozen"),
+        n,
+        "l2",
+    );
+
+    // SimHash over the same mixture corpus, cosine distance.
+    let (data, _) = hybrid_lsh::datagen::benchmark_mixture(16, 3_000, 1.4, 77);
+    let simhash = || {
+        IndexBuilder::new(SimHash::new(16), Cosine)
+            .tables(8)
+            .hash_len(6)
+            .seed(3)
+            .cost_model(CostModel::from_ratio(2.0))
+    };
+    let map = simhash().build(data.clone());
+    let frozen = simhash().build(data).freeze();
+    for r in [0.05, 0.2] {
+        both_arms(assert_one_probe_is_single_probe(&map, &queries, r, "simhash map"), n, "simhash");
+        both_arms(
+            assert_one_probe_is_single_probe(&frozen, &queries, r, "simhash frozen"),
+            n,
+            "simhash",
+        );
+    }
+
+    // Bit sampling over fingerprints with one dense cluster: queries in
+    // the cluster go linear, the rest stay on LSH.
+    let fps: Vec<u64> = (0..2_000u64)
+        .map(|i| {
+            if i < 500 {
+                0xABCD_EF01_2345_6789 ^ (i % 3)
+            } else {
+                hybrid_lsh::hll::hash::splitmix64(i / 4)
+            }
+        })
+        .collect();
+    let bit_queries: Vec<Vec<u64>> =
+        (0..40).map(|i| vec![fps[i * 49] ^ (1u64 << (i % 64))]).collect();
+    let bits = || {
+        IndexBuilder::new(BitSampling::new(64), Hamming)
+            .tables(6)
+            .hash_len(10)
+            .seed(8)
+            .cost_model(CostModel::from_ratio(1.0))
+    };
+    let map = bits().build(BinaryDataset::from_fingerprints(&fps));
+    let frozen = bits().build(BinaryDataset::from_fingerprints(&fps)).freeze();
+    let m = bit_queries.len();
+    both_arms(assert_one_probe_is_single_probe(&map, &bit_queries, 4.0, "bits map"), m, "bits");
+    both_arms(
+        assert_one_probe_is_single_probe(&frozen, &bit_queries, 4.0, "bits frozen"),
+        m,
+        "bits",
+    );
 }
 
 /// The packed register slab must be observationally lossless: every
