@@ -1,8 +1,11 @@
 //! Criterion benches of the numeric kernels: chunked vs scalar
 //! distance primitives across the paper's dimensionality range,
 //! one-at-a-time vs one-to-many candidate verification, packed
-//! matrix–vector hashing vs `k` separate scalar dot products, and the
-//! Hamming popcount scan / one-to-many kernels vs the per-point loops.
+//! matrix–vector hashing vs `k` separate scalar dot products, the
+//! Hamming popcount scan / one-to-many kernels vs the per-point loops,
+//! and the Webspam-shaped dense S3 arms: per-row `dot` vs eight-row
+//! `dot_rows` vs the metric's filter fanned out over the cores, plus the
+//! crossover that sizes the fan-out.
 //!
 //! `d ∈ {16, 64, 256, 960}` spans Corel (32), CoverType (54), MNIST
 //! (784) and GIST-like (960) regimes. The committed baseline lives in
@@ -14,7 +17,10 @@ use hlsh_families::sampling::{normal_vector, rng_stream};
 use hlsh_families::{LshFamily, PStableL2};
 use hlsh_hll::hash::splitmix64;
 use hlsh_vec::metric::{scan_scalar, verify_scalar};
-use hlsh_vec::{dense, kernels, BinaryDataset, Distance, GrowablePointSet, Hamming, PointSet};
+use hlsh_vec::{
+    dense, kernels, BinaryDataset, DenseDataset, Distance, GrowablePointSet, Hamming, PointId,
+    PointSet, UnitCosine,
+};
 
 const DIMS: [usize; 4] = [16, 64, 256, 960];
 
@@ -206,12 +212,145 @@ fn bench_hamming(c: &mut Criterion) {
     group.finish();
 }
 
+/// `UnitCosine`'s S3 filter over `n` rows of `flat` without the
+/// fan-out, given the per-row dot-product kernel it times.
+fn unit_cosine_scan_rows(
+    flat: &[f32],
+    dim: usize,
+    q: &[f32],
+    r: f64,
+    eight_rows: bool,
+    out: &mut Vec<PointId>,
+) {
+    let n = flat.len() / dim;
+    let row = |i: usize| &flat[i * dim..(i + 1) * dim];
+    let mut first = 0;
+    if eight_rows {
+        while first + kernels::DOT_ROWS <= n {
+            let dots = kernels::dot_rows(std::array::from_fn(|j| row(first + j)), q);
+            for (j, dot) in dots.into_iter().enumerate() {
+                if 1.0 - dot <= r {
+                    out.push((first + j) as PointId);
+                }
+            }
+            first += kernels::DOT_ROWS;
+        }
+    }
+    for i in first..n {
+        if 1.0 - kernels::dot(row(i), q) <= r {
+            out.push(i as PointId);
+        }
+    }
+}
+
+/// The Webspam analog's dense S3 (17 400 unit rows × 254 dims,
+/// `UnitCosine`). `webspam_scan` times the linear arm three ways — one
+/// `dot` per row, eight interleaved rows per `dot_rows` call, and the
+/// metric's `scan_within`, which also splits the rows over the cores —
+/// and `webspam_verify` the LSH arm's verification of 5 700 random
+/// candidates per row and in gathered groups of eight. `fan_out_split`
+/// sizes the fan-out: the inline `dot_rows` scan against the same scan
+/// cut into two halves on two scoped threads, at 256 KiB to 2 MiB of
+/// rows per half; the split pays once each half carries more than the
+/// spawn and join cost.
+fn bench_dense_s3(c: &mut Criterion) {
+    let (n, dim) = (17_400usize, 254usize);
+    let mut data = DenseDataset::from_flat(filled(n * dim, 0.6), dim);
+    data.normalize_l2();
+    let flat = data.as_flat();
+    let q = data.row(n / 3).to_vec();
+    let r = 1.0;
+    let ids: Vec<PointId> =
+        (0..5_700u64).map(|i| (splitmix64(i ^ 0x77) % n as u64) as PointId).collect();
+
+    let mut group = c.benchmark_group("webspam_scan");
+    for (label, eight_rows) in [("dot", false), ("dot_rows", true)] {
+        group.bench_with_input(BenchmarkId::new(label, n), &n, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                unit_cosine_scan_rows(std::hint::black_box(flat), dim, &q, r, eight_rows, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+    }
+    group.bench_with_input(BenchmarkId::new("fan_out", n), &n, |bch, _| {
+        bch.iter(|| {
+            let mut out = Vec::new();
+            UnitCosine.scan_within(std::hint::black_box(&data), &q, r, &mut out);
+            std::hint::black_box(out.len())
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("webspam_verify");
+    let m = ids.len();
+    group.bench_with_input(BenchmarkId::new("dot", m), &m, |bch, _| {
+        bch.iter(|| {
+            let mut out = Vec::<PointId>::new();
+            for &id in std::hint::black_box(&ids) {
+                let row = &flat[id as usize * dim..(id as usize + 1) * dim];
+                if 1.0 - kernels::dot(row, &q) <= r {
+                    out.push(id);
+                }
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("dot_rows", m), &m, |bch, _| {
+        bch.iter(|| {
+            // Below the fan-out size (5 700 rows ≈ 5.5 MiB would split):
+            // a worker-free inline call of the same metric filter.
+            let mut out = Vec::new();
+            for block in std::hint::black_box(&ids).chunks(1024) {
+                UnitCosine.verify_many(&data, block, &q, r, &mut out);
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("fan_out", m), &m, |bch, _| {
+        bch.iter(|| {
+            let mut out = Vec::new();
+            UnitCosine.verify_many(&data, std::hint::black_box(&ids), &q, r, &mut out);
+            std::hint::black_box(out.len())
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("fan_out_split");
+    let row_bytes = dim * std::mem::size_of::<f32>();
+    for kib in [256usize, 512, 1024, 2048] {
+        let half = kib * 1024 / row_bytes;
+        let rows = &flat[..2 * half * dim];
+        group.bench_with_input(BenchmarkId::new("inline", kib), &kib, |bch, _| {
+            bch.iter(|| {
+                let mut out = Vec::new();
+                unit_cosine_scan_rows(std::hint::black_box(rows), dim, &q, r, true, &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("split2", kib), &kib, |bch, _| {
+            bch.iter(|| {
+                let (lo, hi) = std::hint::black_box(rows).split_at(half * dim);
+                let mut out = Vec::new();
+                let mut tail = Vec::new();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| unit_cosine_scan_rows(hi, dim, &q, r, true, &mut tail));
+                    unit_cosine_scan_rows(lo, dim, &q, r, true, &mut out);
+                });
+                out.extend(tail.iter().map(|&id| id + half as PointId));
+                std::hint::black_box(out.len())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(100))
         .measurement_time(std::time::Duration::from_millis(400));
-    targets = bench_pair_kernels, bench_verify, bench_hashing, bench_hamming
+    targets = bench_pair_kernels, bench_verify, bench_hashing, bench_hamming, bench_dense_s3
 }
 criterion_main!(benches);

@@ -139,7 +139,17 @@ impl CostModel {
     /// Both distance timings run at radius `NaN`: every comparison with
     /// `NaN` is false, so each point is fully evaluated (no kernel exits
     /// early) and none is appended — the radius-independent per-point
-    /// cost.
+    /// cost. They time the filters as the engine runs them: a sample
+    /// large enough for the S3 fan-out
+    /// ([`hlsh_vec::parallel::fan_out_ways`]) is split over the cores,
+    /// so `β` prices the parallel scan a query then gets, and a sample
+    /// below it the inline one.
+    ///
+    /// The timings follow the host: on a shared or busy machine one
+    /// calibration can read `β/α` well below another's on the same
+    /// data, and so route hard queries to the other arm. A build whose
+    /// answers must not depend on the host passes an explicit model
+    /// ([`CostModel::new`], [`CostModel::from_ratio`]) instead.
     ///
     /// Each primitive is timed in nine samples of at least 2 ms each
     /// (after a warm-up sample) and the minimum is kept, which rejects scheduler and cache-warm noise.

@@ -82,6 +82,48 @@ pub fn dot(a: &[f32], b: &[f32]) -> f64 {
     sum
 }
 
+/// Rows per call of [`dot_rows`].
+pub const DOT_ROWS: usize = 8;
+
+/// [`dot`] of [`DOT_ROWS`] rows against one vector `x` in one pass:
+/// `out[j] = dot(rows[j], x)`, **bit-identical** to the per-row call.
+///
+/// Each row keeps `dot`'s lane and fold schedule (the way [`matvec`]
+/// rows do); only the rows are interleaved, so every chunk of `x` is
+/// loaded once for eight rows and the eight accumulator chains run
+/// independently instead of one row's chain stalling on its own
+/// additions. The rows may lie anywhere — consecutive rows of a scan,
+/// or gathered candidates.
+///
+/// # Panics
+/// Panics if a row's length differs from `x.len()`.
+#[inline]
+pub fn dot_rows(rows: [&[f32]; DOT_ROWS], x: &[f32]) -> [f64; DOT_ROWS] {
+    let dim = x.len();
+    assert!(rows.iter().all(|row| row.len() == dim), "row length mismatch");
+    let whole = dim - dim % LANES;
+    let mut acc = [[0.0f32; LANES]; DOT_ROWS];
+    let mut i = 0;
+    while i < whole {
+        let xc = &x[i..i + LANES];
+        for (lane, row) in acc.iter_mut().zip(&rows) {
+            let rc = &row[i..i + LANES];
+            for l in 0..LANES {
+                lane[l] += rc[l] * xc[l];
+            }
+        }
+        i += LANES;
+    }
+    let mut out = [0.0f64; DOT_ROWS];
+    for ((sum, lane), row) in out.iter_mut().zip(&acc).zip(&rows) {
+        *sum = fold(*lane);
+        for t in whole..dim {
+            *sum += (row[t] as f64) * (x[t] as f64);
+        }
+    }
+    out
+}
+
 /// Chunked squared Euclidean distance. Counterpart of
 /// [`crate::dense::l2_sq`].
 #[inline]
@@ -690,6 +732,18 @@ mod tests {
             for (j, &v) in out.iter().enumerate() {
                 let reference = dot(&mat[j * dim..(j + 1) * dim], &x);
                 assert_eq!(v.to_bits(), reference.to_bits(), "row {j} of {rows}x{dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_rows_match_dot_bitwise() {
+        for dim in [1usize, 5, 8, 17, 64, 254] {
+            let flat = wave(DOT_ROWS * dim, 0.9);
+            let x = wave(dim, 2.2);
+            let rows: [&[f32]; DOT_ROWS] = std::array::from_fn(|j| &flat[j * dim..(j + 1) * dim]);
+            for (j, v) in dot_rows(rows, &x).into_iter().enumerate() {
+                assert_eq!(v.to_bits(), dot(rows[j], &x).to_bits(), "row {j} at dim {dim}");
             }
         }
     }

@@ -10,7 +10,8 @@
 use crate::binary;
 use crate::dataset::{PointId, PointSet};
 use crate::hit::Hit;
-use crate::kernels;
+use crate::kernels::{self, DOT_ROWS};
+use crate::parallel::fan_out_hits;
 
 /// A distance function over borrowed points of type `P`.
 pub trait Distance<P: ?Sized>: Clone + Send + Sync {
@@ -31,10 +32,13 @@ pub trait Distance<P: ?Sized>: Clone + Send + Sync {
     /// dense metrics override it to score the whole candidate list with
     /// a one-to-many kernel straight out of the dataset's flat storage,
     /// and [`Hamming`] with a popcount kernel over the packed binary
-    /// storage (see [`crate::kernels`]). Overrides must preserve
-    /// ordering and may differ from the default only within the kernel
-    /// accuracy envelope documented in [`crate::kernels`] (the binary
-    /// kernels are exact).
+    /// storage (see [`crate::kernels`]). A list long enough to pay for
+    /// threads is split into contiguous ranges verified on every core
+    /// ([`crate::parallel::fan_out_ways`]), with the same hits in the
+    /// same order as one inline call. Overrides must preserve ordering
+    /// and may differ from the default only within the kernel accuracy
+    /// envelope documented in [`crate::kernels`] (the binary kernels
+    /// are exact).
     fn verify_hits<S, H>(&self, data: &S, ids: &[PointId], q: &P, r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = P> + ?Sized,
@@ -46,9 +50,10 @@ pub trait Distance<P: ?Sized>: Clone + Send + Sync {
 
     /// Full linear scan: appends a [`Hit`] for every point of `data`
     /// within `r` of `q`, in ascending id order. Same contract and
-    /// kernel dispatch as [`verify_hits`](Self::verify_hits), walking
-    /// all points; `r = f64::INFINITY` yields the full distance table
-    /// in one pass — the top-k exact fallback's shape.
+    /// kernel dispatch and fan-out over row ranges as
+    /// [`verify_hits`](Self::verify_hits), walking all points;
+    /// `r = f64::INFINITY` yields the full distance table in one pass —
+    /// the top-k exact fallback's shape.
     fn scan_hits<S, H>(&self, data: &S, q: &P, r: f64, out: &mut Vec<H>)
     where
         S: PointSet<Point = P> + ?Sized,
@@ -143,10 +148,44 @@ where
     }
 }
 
+/// Splits a full scan of the row-major slab `flat` (`row_len`
+/// elements per row) over row ranges through [`fan_out_hits`]:
+/// `scan(block, hits)` filters a contiguous block of rows with
+/// block-local ids, which are relabelled to slab ids here.
+fn fan_out_scan<T: Sync, H: Hit>(
+    flat: &[T],
+    row_len: usize,
+    out: &mut Vec<H>,
+    scan: impl Fn(&[T], &mut Vec<H>) + Sync,
+) {
+    let row_bytes = row_len * size_of::<T>();
+    fan_out_hits(flat.len() / row_len, row_bytes, out, |rows, out| {
+        let first = out.len();
+        scan(&flat[rows.start * row_len..rows.end * row_len], out);
+        if rows.start > 0 {
+            let base = rows.start as PointId;
+            for hit in &mut out[first..] {
+                *hit = hit.with_id(base + hit.id());
+            }
+        }
+    });
+}
+
+/// Splits a candidate verification over ranges of `ids` through
+/// [`fan_out_hits`]; each candidate reads one `row_bytes`-byte row.
+fn fan_out_verify<H: Hit>(
+    ids: &[PointId],
+    row_bytes: usize,
+    out: &mut Vec<H>,
+    verify: impl Fn(&[PointId], &mut Vec<H>) + Sync,
+) {
+    fan_out_hits(ids.len(), row_bytes, out, |range, out| verify(&ids[range], out));
+}
+
 /// Per-row dense filter over listed candidates for metrics without a
 /// dedicated one-to-many kernel: accepts id iff `row_dist(row) <= r`,
 /// where `row_dist` must compute exactly what the metric's
-/// `distance()` would on the same row (shared by the cosine metrics).
+/// `distance()` would on the same row.
 fn verify_dense_rows<H: Hit>(
     flat: &[f32],
     dim: usize,
@@ -180,6 +219,38 @@ fn scan_dense_rows<H: Hit>(
     }
 }
 
+/// [`UnitCosine`]'s dense filter over `n` rows, the `i`-th given by
+/// `row(i) = (id, row)`: accepts iff `1 − dot(row, q) <= r`. Groups of
+/// [`DOT_ROWS`] rows go through [`kernels::dot_rows`] and the tail
+/// through [`kernels::dot`], so every distance equals `distance()` bit
+/// for bit.
+fn unit_cosine_rows<'a, H: Hit>(
+    n: usize,
+    row: impl Fn(usize) -> (PointId, &'a [f32]),
+    q: &[f32],
+    r: f64,
+    out: &mut Vec<H>,
+) {
+    let mut push = |id, dot: f64| {
+        let dist = 1.0 - dot;
+        if dist <= r {
+            out.push(H::new(id, dist));
+        }
+    };
+    let whole = n - n % DOT_ROWS;
+    for first in (0..whole).step_by(DOT_ROWS) {
+        let group: [(PointId, &[f32]); DOT_ROWS] = std::array::from_fn(|j| row(first + j));
+        let dots = kernels::dot_rows(group.map(|(_, row)| row), q);
+        for ((id, _), dot) in group.into_iter().zip(dots) {
+            push(id, dot);
+        }
+    }
+    for i in whole..n {
+        let (id, row) = row(i);
+        push(id, kernels::dot(row, q));
+    }
+}
+
 /// Manhattan distance over dense vectors.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct L1;
@@ -200,7 +271,9 @@ impl Distance<[f32]> for L1 {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => kernels::l1_one_to_many(flat, dim, ids, q, r, out),
+            Some((flat, dim)) => fan_out_verify(ids, dim * size_of::<f32>(), out, |ids, out| {
+                kernels::l1_one_to_many(flat, dim, ids, q, r, out)
+            }),
             None => verify_scalar(self, data, ids, q, r, out),
         }
     }
@@ -211,7 +284,9 @@ impl Distance<[f32]> for L1 {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => kernels::l1_scan(flat, dim, q, r, out),
+            Some((flat, dim)) => {
+                fan_out_scan(flat, dim, out, |rows, out| kernels::l1_scan(rows, dim, q, r, out))
+            }
             None => scan_scalar(self, data, q, r, out),
         }
     }
@@ -241,7 +316,9 @@ impl Distance<[f32]> for L2 {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => kernels::l2_one_to_many(flat, dim, ids, q, r, out),
+            Some((flat, dim)) => fan_out_verify(ids, dim * size_of::<f32>(), out, |ids, out| {
+                kernels::l2_one_to_many(flat, dim, ids, q, r, out)
+            }),
             None => verify_scalar(self, data, ids, q, r, out),
         }
     }
@@ -252,7 +329,9 @@ impl Distance<[f32]> for L2 {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => kernels::l2_scan(flat, dim, q, r, out),
+            Some((flat, dim)) => {
+                fan_out_scan(flat, dim, out, |rows, out| kernels::l2_scan(rows, dim, q, r, out))
+            }
             None => scan_scalar(self, data, q, r, out),
         }
     }
@@ -281,9 +360,9 @@ impl Distance<[f32]> for Cosine {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => {
+            Some((flat, dim)) => fan_out_verify(ids, dim * size_of::<f32>(), out, |ids, out| {
                 verify_dense_rows(flat, dim, ids, r, |row| kernels::cosine_distance(row, q), out)
-            }
+            }),
             None => verify_scalar(self, data, ids, q, r, out),
         }
     }
@@ -294,9 +373,9 @@ impl Distance<[f32]> for Cosine {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => {
-                scan_dense_rows(flat, dim, r, |row| kernels::cosine_distance(row, q), out)
-            }
+            Some((flat, dim)) => fan_out_scan(flat, dim, out, |rows, out| {
+                scan_dense_rows(rows, dim, r, |row| kernels::cosine_distance(row, q), out)
+            }),
             None => scan_scalar(self, data, q, r, out),
         }
     }
@@ -329,9 +408,13 @@ impl Distance<[f32]> for UnitCosine {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => {
-                verify_dense_rows(flat, dim, ids, r, |row| 1.0 - kernels::dot(row, q), out)
-            }
+            Some((flat, dim)) => fan_out_verify(ids, dim * size_of::<f32>(), out, |ids, out| {
+                let row = |i: usize| {
+                    let start = ids[i] as usize * dim;
+                    (ids[i], &flat[start..start + dim])
+                };
+                unit_cosine_rows(ids.len(), row, q, r, out)
+            }),
             None => verify_scalar(self, data, ids, q, r, out),
         }
     }
@@ -342,9 +425,10 @@ impl Distance<[f32]> for UnitCosine {
         H: Hit,
     {
         match data.dense_view() {
-            Some((flat, dim)) => {
-                scan_dense_rows(flat, dim, r, |row| 1.0 - kernels::dot(row, q), out)
-            }
+            Some((flat, dim)) => fan_out_scan(flat, dim, out, |rows, out| {
+                let row = |i: usize| (i as PointId, &rows[i * dim..(i + 1) * dim]);
+                unit_cosine_rows(rows.len() / dim, row, q, r, out)
+            }),
             None => scan_scalar(self, data, q, r, out),
         }
     }
@@ -373,7 +457,9 @@ impl Distance<[u64]> for Hamming {
         H: Hit,
     {
         match data.binary_view() {
-            Some((words, wpr)) => kernels::hamming_one_to_many(words, wpr, ids, q, r, out),
+            Some((words, wpr)) => fan_out_verify(ids, wpr * size_of::<u64>(), out, |ids, out| {
+                kernels::hamming_one_to_many(words, wpr, ids, q, r, out)
+            }),
             None => verify_scalar(self, data, ids, q, r, out),
         }
     }
@@ -384,7 +470,9 @@ impl Distance<[u64]> for Hamming {
         H: Hit,
     {
         match data.binary_view() {
-            Some((words, wpr)) => kernels::hamming_scan(words, wpr, q, r, out),
+            Some((words, wpr)) => fan_out_scan(words, wpr, out, |rows, out| {
+                kernels::hamming_scan(rows, wpr, q, r, out)
+            }),
             None => scan_scalar(self, data, q, r, out),
         }
     }

@@ -1,10 +1,12 @@
 //! Property-based tests of the vector substrate: metric axioms,
-//! bit-vector round trips, parser totality, and chunked-kernel parity
-//! against the scalar reference implementations.
+//! bit-vector round trips, parser totality, chunked-kernel parity
+//! against the scalar reference implementations, and the S3 fan-out's
+//! answers against the inline call.
 
 use hlsh_vec::binary::{hamming, jaccard_distance};
 use hlsh_vec::dense::{cosine_distance, dot, l1, l2, norm};
 use hlsh_vec::metric::{scan_scalar, verify_scalar};
+use hlsh_vec::parallel::{fan_out_ways, par_map_with};
 use hlsh_vec::{
     kernels, BinaryDataset, BinaryVec, Cosine, DenseDataset, Distance, GrowablePointSet, Hamming,
     Jaccard, PointId, PointSet, UnitCosine, L1, L2,
@@ -325,12 +327,168 @@ proptest! {
         check_metric(&Jaccard, &binary, &binary_plain, &bit_ids, &q_bits, pick);
     }
 
+    /// `dot_rows` is eight `dot` calls, bit for bit, at every
+    /// dimension: below one lane chunk, on whole chunks and with a tail.
+    #[test]
+    fn dot_rows_equal_dot_bitwise(dim in 1usize..301, seed in any::<u64>()) {
+        let mut rng = Stream::new(seed);
+        let flat: Vec<f32> = (0..kernels::DOT_ROWS * dim).map(|_| rng.float() * 200.0).collect();
+        let x: Vec<f32> = (0..dim).map(|_| rng.float() * 3.0).collect();
+        let rows: [&[f32]; kernels::DOT_ROWS] =
+            std::array::from_fn(|j| &flat[j * dim..(j + 1) * dim]);
+        for (j, got) in kernels::dot_rows(rows, &x).into_iter().enumerate() {
+            prop_assert_eq!(got.to_bits(), kernels::dot(rows[j], &x).to_bits(), "row {}", j);
+        }
+    }
+
     #[test]
     fn libsvm_parser_never_panics(text in "[ -~\\n]{0,300}") {
         // Totality: arbitrary printable input either parses or errors,
         // never panics.
         let _ = hlsh_vec::io::parse_libsvm(text.as_bytes(), 8);
         let _ = hlsh_vec::io::parse_dense(text.as_bytes(), 4);
+    }
+}
+
+proptest! {
+    // Every case filters four sets of about 2 MiB each, several times
+    // (unoptimised, one case takes about ten seconds).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 1 } else { 6 }))]
+
+    /// Splitting one query's S3 filter over the cores changes nothing:
+    /// for every dense metric and for Hamming, the fanned-out
+    /// `scan_hits` and `verify_hits` report exactly what the inline call
+    /// reports, in both `Hit` forms — ids, order, repeats and distance
+    /// bits — at radii on an exact distance, 0, negative, `NaN` and `∞`,
+    /// on sets just below and just above the fan-out size (on a
+    /// multi-core host; a single-core one only runs inline).
+    #[test]
+    fn fanned_out_filters_equal_the_inline_call(
+        dim in 1usize..40,
+        wpr in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Stream::new(seed);
+        for above in [false, true] {
+            let n = fan_out_size(dim * std::mem::size_of::<f32>(), above);
+            let flat = (0..n * dim).map(|_| rng.float()).collect();
+            let mut dense = DenseDataset::from_flat(flat, dim);
+            let ids = rng.ids(n, n);
+            let q: Vec<f32> = dense.row(n / 2).iter().map(|x| x * 0.9 + 0.01).collect();
+            let pick = (seed % n as u64) as usize;
+            check_fan_out(&L1, &dense, &ids, &q, pick, above);
+            check_fan_out(&L2, &dense, &ids, &q, pick, above);
+            check_fan_out(&Cosine, &dense, &ids, &q, pick, above);
+            dense.normalize_l2();
+            let q: Vec<f32> = dense.row(n / 3).to_vec();
+            check_fan_out(&UnitCosine, &dense, &ids, &q, pick, above);
+
+            let n = fan_out_size(wpr * std::mem::size_of::<u64>(), above);
+            let mut binary = BinaryDataset::new(64 * wpr);
+            let q: Vec<u64> = (0..wpr).map(|_| rng.word()).collect();
+            for _ in 0..n {
+                // Each bit flipped with probability 1/8: distances spread
+                // over a range the exact radius cuts through.
+                let row: Vec<u64> =
+                    q.iter().map(|w| w ^ (rng.word() & rng.word() & rng.word())).collect();
+                binary.push_point(&row);
+            }
+            let ids = rng.ids(n, n);
+            check_fan_out(&Hamming, &binary, &ids, &q, pick % n, above);
+        }
+    }
+}
+
+/// A deterministic xorshift stream, for sets too large to draw value
+/// by value from a strategy.
+struct Stream(u64);
+
+impl Stream {
+    fn new(seed: u64) -> Self {
+        Self(seed | 1)
+    }
+
+    fn word(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A value in `[-0.5, 0.5)`.
+    fn float(&mut self) -> f32 {
+        (self.word() >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+    }
+
+    /// `len` ids below `n`, unsorted and with repeats.
+    fn ids(&mut self, n: usize, len: usize) -> Vec<PointId> {
+        (0..len).map(|_| (self.word() % n as u64) as PointId).collect()
+    }
+}
+
+/// An item count just at (`above`) or just below the least one that
+/// the S3 fan-out splits at `bytes_per_item`, found through the split
+/// rule itself; a single-core host never splits, so there both sides
+/// are the same two-megabyte set.
+fn fan_out_size(bytes_per_item: usize, above: bool) -> usize {
+    let fallback = (2 << 20) / bytes_per_item;
+    if fan_out_ways(usize::MAX / bytes_per_item, bytes_per_item) < 2 {
+        return fallback;
+    }
+    let (mut lo, mut hi) = (1usize, fallback.max(2));
+    while fan_out_ways(hi, bytes_per_item) < 2 {
+        hi *= 2;
+    }
+    // Invariant: `lo` runs inline, `hi` splits.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fan_out_ways(mid, bytes_per_item) < 2 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    if above {
+        hi
+    } else {
+        lo
+    }
+}
+
+/// Runs `f` on a thread that is already a fan-out worker, where every
+/// S3 filter runs inline.
+fn inline<T: Send>(f: impl Fn() -> T + Sync) -> T {
+    let mut out = par_map_with(2, Some(2), || (), |_, i| (i == 0).then(&f));
+    out.swap_remove(0).expect("the first chunk runs f")
+}
+
+/// Both `Hit` forms of `d`'s scan over `data` and verification of
+/// `ids`, fanned out from this thread, equal the inline calls' bit for
+/// bit at every radius kind.
+fn check_fan_out<P, S, D>(d: &D, data: &S, ids: &[PointId], q: &P, pick: usize, above: bool)
+where
+    P: ?Sized + Sync,
+    S: PointSet<Point = P> + Sync,
+    D: Distance<P>,
+{
+    let exact = d.distance(data.point(pick), q);
+    for r in [exact, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let run = || {
+            let (mut scan_ids, mut scan_pairs): (Vec<PointId>, Vec<Pair>) =
+                (Vec::new(), Vec::new());
+            d.scan_hits(data, q, r, &mut scan_ids);
+            d.scan_hits(data, q, r, &mut scan_pairs);
+            let (mut ver_ids, mut ver_pairs): (Vec<PointId>, Vec<Pair>) = (Vec::new(), Vec::new());
+            d.verify_hits(data, ids, q, r, &mut ver_ids);
+            d.verify_hits(data, ids, q, r, &mut ver_pairs);
+            (scan_ids, bits(&scan_pairs), ver_ids, bits(&ver_pairs))
+        };
+        let fanned = run();
+        let inline = inline(run);
+        assert_eq!(fanned, inline, "{} fan-out vs inline (above: {above}), r {r}", d.name());
+        if r == exact {
+            assert!(fanned.0.contains(&(pick as PointId)), "{} boundary row accepted", d.name());
+        }
     }
 }
 

@@ -317,6 +317,89 @@ fn kernel_and_scalar_verify_modes_agree_on_mixture() {
     }
 }
 
+/// A Webspam-shaped index (unit rows × 254 dims, SimHash, `UnitCosine`)
+/// large enough that one query's S3 — the linear scan and a hard
+/// query's candidate verification — splits over the cores: under every
+/// strategy, `Kernel` (fanned out, eight-row `dot_rows`) answers
+/// exactly as `Scalar` (the inline per-candidate loop) — ids, order,
+/// arm, collisions, estimate bits, candidate count — and a batch on 1,
+/// 2 or all threads (whose workers run S3 inline) answers exactly as
+/// the sequential loop.
+#[test]
+fn fanned_out_s3_is_invisible_on_a_webspam_shaped_index() {
+    let (n, row_bytes) = (4_000, 254 * std::mem::size_of::<f32>());
+    let mut data = hybrid_lsh::datagen::webspam_like(n, 11);
+    let held_out: Vec<usize> = (0..40).map(|i| i * 97).collect();
+    let queries_ds = data.split_off_rows(&held_out);
+    let queries: Vec<Vec<f32>> = queries_ds.rows().map(<[f32]>::to_vec).collect();
+    let r = 0.1;
+    let index = IndexBuilder::new(SimHash::new(data.dim()), UnitCosine)
+        .tables(8)
+        .hash_len(16)
+        .seed(9)
+        .cost_model(CostModel::from_ratio(4.0))
+        .build(data)
+        .freeze();
+    let splits = |rows: usize| hybrid_lsh::vec::parallel::fan_out_ways(rows, row_bytes) > 1;
+    let multi_core = splits(usize::MAX / row_bytes);
+    assert_eq!(
+        splits(index.len()),
+        multi_core,
+        "the linear scan must fan out on a multi-core host"
+    );
+
+    let mut kernel = QueryEngine::with_verify_mode(VerifyMode::Kernel);
+    let mut scalar = QueryEngine::with_verify_mode(VerifyMode::Scalar);
+    let (mut linear, mut split_verify) = (0, 0);
+    for strategy in Strategy::ALL {
+        let sequential: Vec<QueryOutput> =
+            queries.iter().map(|q| kernel.query_with_strategy(&index, q, r, strategy)).collect();
+        for (qi, (q, k)) in queries.iter().zip(&sequential).enumerate() {
+            let s = scalar.query_with_strategy(&index, q, r, strategy);
+            let (kr, sr) = (&k.report, &s.report);
+            assert_eq!(k.ids, s.ids, "{strategy} query {qi}");
+            assert_eq!(kr.executed, sr.executed, "{strategy} query {qi}");
+            assert_eq!(kr.collisions, sr.collisions, "{strategy} query {qi}");
+            assert_eq!(
+                kr.cand_size_estimate.to_bits(),
+                sr.cand_size_estimate.to_bits(),
+                "{strategy} query {qi}"
+            );
+            assert_eq!(kr.cand_size_actual, sr.cand_size_actual, "{strategy} query {qi}");
+            if strategy == Strategy::Hybrid {
+                linear +=
+                    usize::from(kr.executed == hybrid_lsh::index::search::ExecutedArm::Linear);
+            }
+            if strategy == Strategy::LshOnly {
+                split_verify += usize::from(kr.cand_size_actual.is_some_and(splits));
+            }
+        }
+        for threads in [Some(1), Some(2), None] {
+            let batch = index.query_batch_with_strategy(&queries, r, strategy, threads);
+            assert_eq!(batch.len(), sequential.len());
+            for (qi, (b, s)) in batch.iter().zip(&sequential).enumerate() {
+                let label = format!("{strategy} query {qi} ({threads:?} threads)");
+                assert_eq!(b.ids, s.ids, "{label}");
+                assert_eq!(b.report.executed, s.report.executed, "{label}");
+                assert_eq!(b.report.collisions, s.report.collisions, "{label}");
+                assert_eq!(
+                    b.report.cand_size_estimate.to_bits(),
+                    s.report.cand_size_estimate.to_bits(),
+                    "{label}"
+                );
+            }
+        }
+    }
+    // Both arms under Hybrid, and hard queries whose verification
+    // splits, or the claim is vacuous.
+    assert!(
+        linear > 0 && linear < queries.len(),
+        "{linear} of {} Hybrid queries linear",
+        queries.len()
+    );
+    assert_eq!(split_verify > 0, multi_core, "{split_verify} LshOnly verifications split");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
