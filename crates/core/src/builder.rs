@@ -167,6 +167,12 @@ impl<F, D> IndexBuilder<F, D> {
         })
     }
 
+    /// The HLL configuration every index this builder builds shares
+    /// (precision and element-hash seed).
+    pub(crate) fn hll_config(&self) -> HllConfig {
+        HllConfig::new(self.hll_precision, self.seed ^ 0x48_4C_4C)
+    }
+
     /// Samples the `L` g-functions and fixes the HLL configuration —
     /// the deterministic part of every build path (depends only on the
     /// builder's seed and knobs, never on the data).
@@ -176,7 +182,7 @@ impl<F, D> IndexBuilder<F, D> {
     {
         assert!(self.l > 0, "need at least one hash table");
         assert!(self.k > 0, "need at least one atom per g-function");
-        let hll_config = HllConfig::new(self.hll_precision, self.seed ^ 0x48_4C_4C);
+        let hll_config = self.hll_config();
         let lazy_threshold = self.lazy_threshold.unwrap_or_else(|| hll_config.registers());
         let gfns: Vec<F::GFn> = (0..self.l)
             .map(|j| {

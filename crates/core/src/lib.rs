@@ -106,7 +106,8 @@ pub use report::{QueryOutput, QueryReport};
 pub use schedule::RadiusSchedule;
 pub use search::{Strategy, VerifyMode};
 pub use segmented::{
-    MutationError, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex,
+    MutationError, Segmented, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine,
+    SegmentedTopKIndex,
 };
 pub use sharded::{
     ShardAssignment, ShardSummary, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine,

@@ -3,23 +3,31 @@
 //!
 //! Every serving path before this module assumed build-then-freeze:
 //! streaming `insert` hashed one point at a time into a [`MapStore`]
-//! and there was no delete at all. [`SegmentedIndex`] (and its top-k
-//! form [`SegmentedTopKIndex`]) restructure each shard as a small LSM
-//! hierarchy:
+//! and there was no delete at all. [`Segmented`] restructures each
+//! shard as a small LSM hierarchy over a list of **rungs** — one rung
+//! per LSH index configuration (an [`IndexBuilder`], its pinned
+//! [`CostModel`] and its HLL configuration). The rNNR index
+//! [`SegmentedIndex`] is the one-rung case; the top-k ladder
+//! [`SegmentedTopKIndex`] has one rung per schedule radius. A shard
+//! holds:
 //!
-//! - a **memtable** — a mutable [`MapStore`]-backed index absorbing
-//!   inserts one point at a time (buckets hold memtable-local rows; a
-//!   side table maps rows to global ids and tracks row liveness);
-//! - immutable **segments** — [`FrozenStore`] CSR arenas built from
-//!   flushed memtables through the existing blocked pipeline, their
-//!   buckets and sketches keyed by **global** ids exactly like shard
-//!   tables;
+//! - a **memtable** — one mutable [`MapStore`]-backed index per rung
+//!   absorbing inserts one point at a time (buckets hold
+//!   memtable-local rows; one side table maps rows to global ids and
+//!   tracks row liveness for every rung);
+//! - immutable **segments** — one shared row slab plus one
+//!   [`FrozenStore`] CSR arena per rung, built from flushed memtables
+//!   through the existing blocked pipeline, their buckets and sketches
+//!   keyed by **global** ids exactly like shard tables;
 //! - **tombstones** — per-segment sets of deleted global ids (a
 //!   HyperLogLog sketch cannot retract an element, so segment deletion
 //!   is logical until the next merge);
 //! - **merges** — small segments compact into one clean segment (dead
 //!   rows dropped, tombstones cleared) whenever a shard exceeds its
-//!   segment budget, or on demand via [`SegmentedIndex::compact`].
+//!   segment budget, or on demand via [`Segmented::compact`].
+//!
+//! Insert, delete, flush, merge and compact are written once and move
+//! every rung together; the rungs differ only in what a query reads.
 //!
 //! # Determinism contract
 //!
@@ -31,8 +39,8 @@
 //! rebuilt from scratch on the surviving points**
 //! ([`SegmentedIndex::build_bulk`] is that rebuild). The ingredients:
 //!
-//! 1. **Shared randomness** — every memtable and segment samples its
-//!    g-functions and HLL hash from the same builder seed
+//! 1. **Shared randomness** — every memtable and segment samples a
+//!    rung's g-functions and HLL hash from the same builder seed
 //!    (data-independent), so a point collides with a query in a
 //!    segment iff it would collide in the rebuilt index.
 //! 2. **Global ids in the registers** — clean segments contribute
@@ -41,11 +49,11 @@
 //!    dead rows filtered out. Register-wise `max` is associative, so
 //!    the merged registers equal the rebuild's bit for bit, and the
 //!    estimate (a pure function of the registers) matches exactly.
-//! 3. **Global decisions on a pinned cost model** — the cost model is
-//!    resolved once at creation and never recalibrated (calibration is
-//!    data-dependent; supply an explicit [`CostModel`] for a
-//!    mutation-independent byte-identity guarantee), and `n` is the
-//!    **live** point count, matching the rebuild's `n`.
+//! 3. **Global decisions on a pinned cost model** — each rung's cost
+//!    model is resolved once at creation and never recalibrated
+//!    (calibration is data-dependent; supply an explicit [`CostModel`]
+//!    for a mutation-independent byte-identity guarantee), and `n` is
+//!    the **live** point count, matching the rebuild's `n`.
 //! 4. **Liveness invariant** — at most one *live* location per global
 //!    id across all sources (inserts reject duplicates; deletes kill
 //!    the single live location), so per-source dedup sums equal the
@@ -56,18 +64,18 @@
 //! only on the offered candidate *set*, which is preserved level by
 //! level. `tests/mutable_props.rs` pins the contract across arbitrary
 //! interleavings, shard counts, verify modes and flush timings; the
-//! in-module tests pin the tombstone edge cases.
+//! in-module tests pin the tombstone edge cases on both faces.
 //!
 //! Merges run synchronously inside mutating calls (amortised by the
-//! segment budget): byte-identity makes merge *timing* unobservable to
-//! queries, so a background thread would change nothing a test could
-//! see — on the 1-CPU reference box it would only add locking.
+//! segment budget). Byte identity makes merge *timing* unobservable to
+//! queries, so moving merges to a background thread could only change
+//! when work happens, never an answer.
 
-use std::borrow::Borrow;
+use std::sync::Arc;
 
 use hlsh_families::LshFamily;
 use hlsh_hll::{HllConfig, MergeAccumulator};
-use hlsh_vec::{DenseDataset, Distance, Hit, PointId, PointSet, SubsetPointSet};
+use hlsh_vec::{DenseDataset, Distance, Hit, PointId, SubsetPointSet};
 
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
@@ -80,7 +88,7 @@ use crate::schedule::RadiusSchedule;
 use crate::search::{Strategy, VerifyMode};
 use crate::sharded::{relabel_from, ShardAssignment};
 use crate::store::{FrozenStore, MapStore};
-use crate::topk::{fallback_scan_pairs, TopKIndex, TopKOutput, TopKWalk};
+use crate::topk::{fallback_scan_pairs, TopKOutput, TopKWalk};
 
 /// Why an insert or delete was rejected. Mutations are all-or-nothing:
 /// a rejected mutation leaves the index untouched.
@@ -121,11 +129,55 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// Row bookkeeping shared by the rNNR and top-k memtables: memtable
-/// buckets hold local row numbers; this maps rows to global ids and
-/// tracks which rows are still live. Rows are append-only — a deleted
-/// or superseded row stays in the buckets (and the slab) as a dead row
-/// filtered out at query time, until the next flush drops it.
+/// One LSH index configuration: the builder every memtable and segment
+/// of this rung is built from, plus the cost model and HLL
+/// configuration pinned at creation.
+struct Rung<F, D> {
+    builder: IndexBuilder<F, D>,
+    cost: CostModel,
+    hll: HllConfig,
+}
+
+impl<F, D> Rung<F, D>
+where
+    F: LshFamily<[f32]> + Clone,
+    F::GFn: Send,
+    D: Distance<[f32]> + Clone,
+{
+    /// Pins the builder's cost model (its explicit model if set,
+    /// otherwise the empty-data default).
+    fn new(builder: IndexBuilder<F, D>, dim: usize) -> Self {
+        let cost = builder.resolve_cost(&DenseDataset::new(dim));
+        let hll = builder.hll_config();
+        Self { builder, cost, hll }
+    }
+
+    /// An empty memtable index: buckets hold memtable-local rows and are
+    /// never sketched (local rows must not leak into merged registers;
+    /// the engines contribute live global ids raw).
+    fn memtable(&self, dim: usize) -> HybridLshIndex<DenseDataset, F, D, MapStore> {
+        let builder = self.builder.clone().cost_model(self.cost);
+        builder.lazy_threshold(usize::MAX).sequential().build(DenseDataset::new(dim))
+    }
+
+    /// A frozen index over a segment slab whose row `i` carries global
+    /// id `ids[i]` (ascending — the blocked pipeline's id-mapping hook
+    /// requires it and the binary-search translation depends on it).
+    fn segment(
+        &self,
+        data: &Arc<DenseDataset>,
+        ids: &[PointId],
+    ) -> HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore> {
+        let builder = self.builder.clone().cost_model(self.cost).sequential();
+        builder.build_frozen_mapped(Arc::clone(data), Some(ids))
+    }
+}
+
+/// Memtable row bookkeeping shared by every rung: memtable buckets hold
+/// local row numbers; this maps rows to global ids and tracks which
+/// rows are still live. Rows are append-only — a deleted or superseded
+/// row stays in the buckets (and the slab) as a dead row filtered out
+/// at query time, until the next flush drops it.
 #[derive(Default)]
 struct Rows {
     /// `ids[row] = global id` (including dead rows).
@@ -160,9 +212,9 @@ impl Rows {
     }
 }
 
-/// A segment's id mapping plus its logical deletions, shared by the
-/// rNNR and top-k segments. `ids` is ascending, so local row `i` holds
-/// global id `ids[i]` and global→local is a binary search.
+/// A segment's id mapping plus its logical deletions. `ids` is
+/// ascending, so local row `i` holds global id `ids[i]` and
+/// global→local is a binary search.
 struct SegMeta {
     ids: Vec<PointId>,
     tombstones: FxHashSet<PointId>,
@@ -190,15 +242,15 @@ impl SegMeta {
     }
 }
 
-/// The mutable head of one shard: a [`MapStore`]-backed index whose
-/// buckets hold local rows (never sketched — local rows must not leak
-/// into merged registers; the engines contribute live global ids raw).
+/// The mutable head of one shard: one [`MapStore`]-backed index per
+/// rung (each owns its own small copy of the memtable points —
+/// memtables are small by construction) and the one row table.
 struct Memtable<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    index: HybridLshIndex<DenseDataset, F, D, MapStore>,
+    rungs: Vec<HybridLshIndex<DenseDataset, F, D, MapStore>>,
     rows: Rows,
 }
 
@@ -208,49 +260,81 @@ where
     F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
-    fn new(dim: usize, builder: &IndexBuilder<F, D>, cost: CostModel) -> Self {
-        let index = builder
-            .clone()
-            .cost_model(cost)
-            .lazy_threshold(usize::MAX)
-            .sequential()
-            .build(DenseDataset::new(dim));
-        Self { index, rows: Rows::default() }
+    fn new(rungs: &[Rung<F, D>], dim: usize) -> Self {
+        Self { rungs: rungs.iter().map(|rung| rung.memtable(dim)).collect(), rows: Rows::default() }
     }
 
     fn insert(&mut self, id: PointId, point: &[f32]) {
-        self.index.insert(point);
+        for index in &mut self.rungs {
+            index.insert(point);
+        }
         self.rows.append(id);
+    }
+
+    /// The live rows sorted by global id, as `(slab in id order,
+    /// ascending ids)` — the flush input.
+    fn drain_live(&self) -> (DenseDataset, Vec<PointId>) {
+        let data = self.rungs[0].data();
+        let mut pairs: Vec<(PointId, u32)> =
+            self.rows.row_of.iter().map(|(&id, &row)| (id, row)).collect();
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        let mut slab = DenseDataset::with_capacity(data.dim(), pairs.len());
+        for &(_, row) in &pairs {
+            slab.push(data.row(row as usize));
+        }
+        (slab, pairs.into_iter().map(|(id, _)| id).collect())
     }
 }
 
-/// One immutable frozen segment: buckets and sketches keyed by global
-/// ids, plus tombstones for logical deletes.
+/// One immutable segment: one row slab shared by one frozen index per
+/// rung, buckets and sketches keyed by global ids, plus tombstones for
+/// logical deletes.
 struct Segment<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    index: HybridLshIndex<DenseDataset, F, D, FrozenStore>,
+    data: Arc<DenseDataset>,
     meta: SegMeta,
+    rungs: Vec<HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore>>,
 }
 
-/// Builds one clean segment over `data` whose row `i` carries global
-/// id `ids[i]` (ascending — the blocked pipeline's id-mapping hook
-/// requires it and the binary-search translation depends on it).
-fn build_segment<F, D>(
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    data: DenseDataset,
-    ids: Vec<PointId>,
-) -> Segment<F, D>
+impl<F, D> Segment<F, D>
 where
     F: LshFamily<[f32]> + Clone,
     F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
-    let index = builder.clone().cost_model(cost).sequential().build_frozen_mapped(data, Some(&ids));
-    Segment { index, meta: SegMeta::new(ids) }
+    /// Builds one clean segment over `data` whose row `i` carries
+    /// global id `ids[i]` (ascending).
+    fn build(rungs: &[Rung<F, D>], data: DenseDataset, ids: Vec<PointId>) -> Self {
+        let data = Arc::new(data);
+        let indexes = rungs.iter().map(|rung| rung.segment(&data, &ids)).collect();
+        Self { data, meta: SegMeta::new(ids), rungs: indexes }
+    }
+
+    /// Merges segments into one clean segment (tombstoned rows
+    /// dropped); `None` when nothing survives.
+    fn merge(segs: Vec<Self>, rungs: &[Rung<F, D>]) -> Option<Self> {
+        let total: usize = segs.iter().map(|s| s.meta.live_len()).sum();
+        if total == 0 {
+            return None;
+        }
+        let mut entries: Vec<(PointId, usize, usize)> = Vec::with_capacity(total);
+        for (si, seg) in segs.iter().enumerate() {
+            for (local, &id) in seg.meta.ids.iter().enumerate() {
+                if !seg.meta.tombstones.contains(&id) {
+                    entries.push((id, si, local));
+                }
+            }
+        }
+        entries.sort_unstable_by_key(|&(id, _, _)| id);
+        let mut slab = DenseDataset::with_capacity(segs[0].data.dim(), entries.len());
+        for &(_, si, local) in &entries {
+            slab.push(segs[si].data.row(local));
+        }
+        Some(Self::build(rungs, slab, entries.into_iter().map(|(id, _, _)| id).collect()))
+    }
 }
 
 /// One shard's LSM hierarchy: the memtable plus its frozen segments.
@@ -263,108 +347,270 @@ where
     segments: Vec<Segment<F, D>>,
 }
 
-/// Collects a memtable's live rows sorted by global id, as
-/// `(sub-dataset in id order, ascending ids)` — the flush input.
-fn drain_live_rows(rows: &Rows, data: &DenseDataset, dim: usize) -> (DenseDataset, Vec<PointId>) {
-    let mut pairs: Vec<(PointId, u32)> = rows.row_of.iter().map(|(&id, &row)| (id, row)).collect();
-    pairs.sort_unstable_by_key(|&(id, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, pairs.len());
-    let mut ids = Vec::with_capacity(pairs.len());
-    for &(id, row) in &pairs {
-        sub.push(data.row(row as usize));
-        ids.push(id);
-    }
-    (sub, ids)
-}
-
-/// Merges segments into one clean segment (tombstoned rows dropped);
-/// `None` when nothing survives.
-fn merge_segments<F, D>(
-    segs: Vec<Segment<F, D>>,
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    dim: usize,
-) -> Option<Segment<F, D>>
+impl<F, D> LsmShard<F, D>
 where
     F: LshFamily<[f32]> + Clone,
     F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
-    let total: usize = segs.iter().map(|s| s.meta.live_len()).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut entries: Vec<(PointId, usize, usize)> = Vec::with_capacity(total);
-    for (si, seg) in segs.iter().enumerate() {
-        for (local, &id) in seg.meta.ids.iter().enumerate() {
-            if !seg.meta.tombstones.contains(&id) {
-                entries.push((id, si, local));
-            }
+    /// Compacts the two smallest segments (by live size) into one.
+    fn merge_two_smallest(&mut self, rungs: &[Rung<F, D>]) {
+        let mut order: Vec<usize> = (0..self.segments.len()).collect();
+        order.sort_by_key(|&i| (self.segments[i].meta.live_len(), i));
+        let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
+        let seg_b = self.segments.remove(b);
+        let seg_a = self.segments.remove(a);
+        if let Some(merged) = Segment::merge(vec![seg_a, seg_b], rungs) {
+            self.segments.insert(a, merged);
         }
     }
-    entries.sort_unstable_by_key(|&(id, _, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, entries.len());
-    let mut ids = Vec::with_capacity(entries.len());
-    for &(id, si, local) in &entries {
-        sub.push(segs[si].index.data().row(local));
-        ids.push(id);
-    }
-    Some(build_segment(builder, cost, sub, ids))
 }
 
-/// Compacts the shard's two smallest segments (by live size) into one.
-fn merge_two_smallest<F, D>(
-    shard: &mut LsmShard<F, D>,
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    dim: usize,
-) where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    if shard.segments.len() < 2 {
-        return;
-    }
-    let mut order: Vec<usize> = (0..shard.segments.len()).collect();
-    order.sort_by_key(|&i| (shard.segments[i].meta.live_len(), i));
-    let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
-    let seg_b = shard.segments.remove(b);
-    let seg_a = shard.segments.remove(a);
-    if let Some(merged) = merge_segments(vec![seg_a, seg_b], builder, cost, dim) {
-        shard.segments.insert(a, merged);
-    }
-}
-
-/// An rNNR index that accepts inserts and deletes while serving
-/// queries whose answers stay byte-identical to a rebuild from scratch
-/// on the surviving points (see the module docs for the contract).
+/// A living index over a list of rungs that accepts inserts and deletes
+/// while serving queries whose answers stay byte-identical to a rebuild
+/// from scratch on the surviving points (see the module docs for the
+/// contract).
 ///
 /// Points are partitioned across shards by a [`ShardAssignment`] (so a
 /// segmented index composes with the sharded serving layout); each
-/// shard is an independent memtable + segment hierarchy. Queries run
-/// through [`SegmentedQueryEngine`], which merges statistics globally
-/// before deciding the arm.
-pub struct SegmentedIndex<F, D>
+/// shard is an independent memtable + segment hierarchy whose every
+/// memtable and segment carries one index per rung. `L` is what the
+/// rungs stand for: `()` for the one-rung rNNR index
+/// [`SegmentedIndex`], the [`RadiusSchedule`] for the top-k ladder
+/// [`SegmentedTopKIndex`].
+pub struct Segmented<F, D, L>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
     shards: Vec<LsmShard<F, D>>,
+    rungs: Vec<Rung<F, D>>,
+    ladder: L,
     assignment: ShardAssignment,
-    builder: IndexBuilder<F, D>,
-    cost: CostModel,
-    hll: HllConfig,
     dim: usize,
     live: usize,
     flush_threshold: usize,
     max_segments: usize,
 }
 
+/// An rNNR index that accepts inserts and deletes: the one-rung
+/// [`Segmented`] index. Queries run through [`SegmentedQueryEngine`],
+/// which merges statistics globally before deciding the arm.
+pub type SegmentedIndex<F, D> = Segmented<F, D, ()>;
+
+/// A top-k index that accepts inserts and deletes while serving
+/// `(distance, id)` rankings byte-identical to a ladder rebuilt from
+/// scratch on the surviving points: the [`Segmented`] index with one
+/// rung per schedule radius, walked by [`SegmentedTopKEngine`].
+pub type SegmentedTopKIndex<F, D> = Segmented<F, D, RadiusSchedule>;
+
 /// Default memtable rows (live + dead) that trigger a flush.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 4096;
 /// Default per-shard segment budget before merges kick in.
 pub const DEFAULT_MAX_SEGMENTS: usize = 8;
+
+impl<F, D, L> Segmented<F, D, L>
+where
+    F: LshFamily<[f32]> + Clone,
+    F::GFn: Send,
+    D: Distance<[f32]> + Clone,
+{
+    /// An empty index with one rung per builder.
+    fn with_rungs(
+        dim: usize,
+        assignment: ShardAssignment,
+        ladder: L,
+        builders: impl IntoIterator<Item = IndexBuilder<F, D>>,
+        flush_threshold: usize,
+        max_segments: usize,
+    ) -> Self {
+        assert!(flush_threshold >= 1, "flush threshold must be at least 1");
+        assert!(max_segments >= 1, "segment budget must be at least 1");
+        let rungs: Vec<Rung<F, D>> = builders.into_iter().map(|b| Rung::new(b, dim)).collect();
+        let shards = (0..assignment.shards())
+            .map(|_| LsmShard { mem: Memtable::new(&rungs, dim), segments: Vec::new() })
+            .collect();
+        Self { shards, rungs, ladder, assignment, dim, live: 0, flush_threshold, max_segments }
+    }
+
+    /// Fills an empty index with a whole corpus at once: one clean
+    /// frozen segment per shard, empty memtables.
+    fn bulk(mut self, data: DenseDataset, ids: &[PointId]) -> Self {
+        assert_eq!(ids.len(), data.len(), "one id per data row");
+        let mut seen = FxHashSet::default();
+        for &id in ids {
+            assert!(seen.insert(id), "duplicate id {id} in bulk build");
+        }
+        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); self.assignment.shards()];
+        for (row, &id) in ids.iter().enumerate() {
+            per_shard[self.assignment.shard_of(id)].push((id, row as u32));
+        }
+        for (shard, mut pairs) in self.shards.iter_mut().zip(per_shard) {
+            if pairs.is_empty() {
+                continue;
+            }
+            pairs.sort_unstable_by_key(|&(id, _)| id);
+            let rows: Vec<PointId> = pairs.iter().map(|&(_, row)| row).collect();
+            let seg_ids = pairs.iter().map(|&(id, _)| id).collect();
+            shard.segments.push(Segment::build(&self.rungs, data.subset(&rows), seg_ids));
+        }
+        self.live = data.len();
+        self
+    }
+
+    /// Inserts `point` under global id `id` into every rung.
+    ///
+    /// The point lands in its shard's memtable; once the memtable
+    /// reaches the flush threshold the shard flushes (and possibly
+    /// merges) synchronously. Rejects ids that are already live and
+    /// points of the wrong dimension, leaving the index untouched.
+    pub fn insert(&mut self, id: PointId, point: &[f32]) -> Result<(), MutationError> {
+        if point.len() != self.dim {
+            return Err(MutationError::DimMismatch { expected: self.dim, got: point.len() });
+        }
+        if self.contains(id) {
+            return Err(MutationError::DuplicateId { id });
+        }
+        let si = self.assignment.shard_of(id);
+        self.shards[si].mem.insert(id, point);
+        self.live += 1;
+        if self.shards[si].mem.rows.ids.len() >= self.flush_threshold {
+            self.flush_shard(si);
+        }
+        Ok(())
+    }
+
+    /// Deletes global id `id`: kills its memtable row in place, or
+    /// tombstones it in the segment holding it live. Rejects ids that
+    /// are not live (never inserted, or already deleted).
+    pub fn delete(&mut self, id: PointId) -> Result<(), MutationError> {
+        let shard = &mut self.shards[self.assignment.shard_of(id)];
+        let killed = shard.mem.rows.kill(id)
+            || shard
+                .segments
+                .iter_mut()
+                .any(|seg| seg.meta.contains_live(id) && seg.meta.tombstones.insert(id));
+        if !killed {
+            return Err(MutationError::UnknownId { id });
+        }
+        self.live -= 1;
+        Ok(())
+    }
+
+    /// Flushes shard `shard`'s memtable into a new frozen segment
+    /// (dead rows dropped), then merges while the shard exceeds its
+    /// segment budget. A memtable with no live rows resets without
+    /// producing a segment. Query answers are unchanged.
+    pub fn flush_shard(&mut self, shard: usize) {
+        let sh = &mut self.shards[shard];
+        if sh.mem.rows.live_rows > 0 {
+            let (slab, ids) = sh.mem.drain_live();
+            sh.segments.push(Segment::build(&self.rungs, slab, ids));
+        }
+        if !sh.mem.rows.ids.is_empty() {
+            sh.mem = Memtable::new(&self.rungs, self.dim);
+        }
+        while sh.segments.len() > self.max_segments {
+            sh.merge_two_smallest(&self.rungs);
+        }
+    }
+
+    /// Flushes every shard's memtable; see
+    /// [`flush_shard`](Self::flush_shard).
+    pub fn flush(&mut self) {
+        for si in 0..self.shards.len() {
+            self.flush_shard(si);
+        }
+    }
+
+    /// Merges all of shard `shard`'s segments into one clean segment,
+    /// dropping tombstoned rows. No-op when the shard already holds at
+    /// most one clean segment. The memtable is untouched — flush first
+    /// for a fully compacted shard.
+    pub fn compact_shard(&mut self, shard: usize) {
+        let sh = &mut self.shards[shard];
+        if sh.segments.len() <= 1 && !sh.segments.iter().any(|s| s.meta.is_dirty()) {
+            return;
+        }
+        let segs = std::mem::take(&mut sh.segments);
+        sh.segments.extend(Segment::merge(segs, &self.rungs));
+    }
+
+    /// Compacts every shard; see
+    /// [`compact_shard`](Self::compact_shard).
+    pub fn compact(&mut self) {
+        for si in 0..self.shards.len() {
+            self.compact_shard(si);
+        }
+    }
+}
+
+impl<F, D, L> Segmented<F, D, L>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// Every memtable and segment at rung `rung` as one Algorithm 2
+    /// source.
+    fn rung_level(&self, rung: usize) -> SegmentedLevel<'_, F, D> {
+        let parts = self.shards.iter().flat_map(|shard| {
+            let mem = (shard.mem.rows.live_rows > 0)
+                .then(|| Part::Mem(&shard.mem.rungs[rung], &shard.mem.rows));
+            let segs = shard.segments.iter().map(move |s| Part::Seg(&s.rungs[rung], &s.meta));
+            mem.into_iter().chain(segs)
+        });
+        let Rung { cost, hll, .. } = self.rungs[rung];
+        SegmentedLevel { parts: parts.collect(), hll, cost, n: self.live }
+    }
+
+    /// Number of live points.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no live points are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The point dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The shard assignment in force.
+    pub fn assignment(&self) -> ShardAssignment {
+        self.assignment
+    }
+
+    /// Whether `id` is currently live.
+    pub fn contains(&self, id: PointId) -> bool {
+        let shard = &self.shards[self.assignment.shard_of(id)];
+        shard.mem.rows.row_of.contains_key(&id)
+            || shard.segments.iter().any(|s| s.meta.contains_live(id))
+    }
+
+    /// Per-shard frozen segment counts (instrumentation: shows flush
+    /// and merge activity).
+    pub fn segment_counts(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.segments.len()).collect()
+    }
+
+    /// All live global ids, ascending.
+    pub fn live_ids(&self) -> Vec<PointId> {
+        let mut ids = Vec::with_capacity(self.live);
+        for sh in &self.shards {
+            ids.extend(sh.mem.rows.row_of.keys().copied());
+            for seg in &sh.segments {
+                ids.extend(
+                    seg.meta.ids.iter().filter(|id| !seg.meta.tombstones.contains(id)).copied(),
+                );
+            }
+        }
+        ids.sort_unstable();
+        ids
+    }
+}
 
 impl<F, D> SegmentedIndex<F, D>
 where
@@ -400,14 +646,7 @@ where
         flush_threshold: usize,
         max_segments: usize,
     ) -> Self {
-        assert!(flush_threshold >= 1, "flush threshold must be at least 1");
-        assert!(max_segments >= 1, "segment budget must be at least 1");
-        let cost = builder.resolve_cost(&DenseDataset::new(dim));
-        let shards: Vec<LsmShard<F, D>> = (0..assignment.shards())
-            .map(|_| LsmShard { mem: Memtable::new(dim, &builder, cost), segments: Vec::new() })
-            .collect();
-        let hll = shards[0].mem.index.hll_config();
-        Self { shards, assignment, builder, cost, hll, dim, live: 0, flush_threshold, max_segments }
+        Self::with_rungs(dim, assignment, (), [builder], flush_threshold, max_segments)
     }
 
     /// Builds the index over a whole corpus at once: one clean frozen
@@ -424,122 +663,7 @@ where
         assignment: ShardAssignment,
         builder: IndexBuilder<F, D>,
     ) -> Self {
-        assert_eq!(ids.len(), data.len(), "one id per data row");
-        let mut index = Self::new(data.dim(), assignment, builder);
-        let mut seen = FxHashSet::default();
-        for &id in ids {
-            assert!(seen.insert(id), "duplicate id {id} in bulk build");
-        }
-        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); assignment.shards()];
-        for (row, &id) in ids.iter().enumerate() {
-            per_shard[assignment.shard_of(id)].push((id, row as u32));
-        }
-        for (si, mut pairs) in per_shard.into_iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            let rows: Vec<PointId> = pairs.iter().map(|&(_, row)| row).collect();
-            let sub = data.subset(&rows);
-            let seg_ids: Vec<PointId> = pairs.iter().map(|&(id, _)| id).collect();
-            index.shards[si].segments.push(build_segment(&index.builder, index.cost, sub, seg_ids));
-        }
-        index.live = data.len();
-        index
-    }
-
-    /// Inserts `point` under global id `id`.
-    ///
-    /// The point lands in its shard's memtable; once the memtable
-    /// reaches the flush threshold the shard flushes (and possibly
-    /// merges) synchronously. Rejects ids that are already live and
-    /// points of the wrong dimension, leaving the index untouched.
-    pub fn insert(&mut self, id: PointId, point: &[f32]) -> Result<(), MutationError> {
-        if point.len() != self.dim {
-            return Err(MutationError::DimMismatch { expected: self.dim, got: point.len() });
-        }
-        let si = self.assignment.shard_of(id);
-        let shard = &self.shards[si];
-        if shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-        {
-            return Err(MutationError::DuplicateId { id });
-        }
-        self.shards[si].mem.insert(id, point);
-        self.live += 1;
-        if self.shards[si].mem.rows.ids.len() >= self.flush_threshold {
-            self.flush_shard(si);
-        }
-        Ok(())
-    }
-
-    /// Deletes global id `id`: kills its memtable row in place, or
-    /// tombstones it in the segment holding it live. Rejects ids that
-    /// are not live (never inserted, or already deleted).
-    pub fn delete(&mut self, id: PointId) -> Result<(), MutationError> {
-        let si = self.assignment.shard_of(id);
-        let shard = &mut self.shards[si];
-        if shard.mem.rows.kill(id) {
-            self.live -= 1;
-            return Ok(());
-        }
-        for seg in &mut shard.segments {
-            if seg.meta.contains_live(id) {
-                seg.meta.tombstones.insert(id);
-                self.live -= 1;
-                return Ok(());
-            }
-        }
-        Err(MutationError::UnknownId { id })
-    }
-
-    /// Flushes shard `shard`'s memtable into a new frozen segment
-    /// (dead rows dropped), then merges while the shard exceeds its
-    /// segment budget. A memtable with no live rows resets without
-    /// producing a segment. Query answers are unchanged.
-    pub fn flush_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.mem.rows.live_rows > 0 {
-            let (sub, ids) = drain_live_rows(&sh.mem.rows, sh.mem.index.data(), self.dim);
-            sh.segments.push(build_segment(&self.builder, self.cost, sub, ids));
-        }
-        if !sh.mem.rows.ids.is_empty() {
-            sh.mem = Memtable::new(self.dim, &self.builder, self.cost);
-        }
-        while sh.segments.len() > self.max_segments {
-            merge_two_smallest(sh, &self.builder, self.cost, self.dim);
-        }
-    }
-
-    /// Flushes every shard's memtable; see
-    /// [`flush_shard`](Self::flush_shard).
-    pub fn flush(&mut self) {
-        for si in 0..self.shards.len() {
-            self.flush_shard(si);
-        }
-    }
-
-    /// Merges all of shard `shard`'s segments into one clean segment,
-    /// dropping tombstoned rows. No-op when the shard already holds at
-    /// most one clean segment. The memtable is untouched — flush first
-    /// for a fully compacted shard.
-    pub fn compact_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.segments.len() <= 1 && !sh.segments.iter().any(|s| s.meta.is_dirty()) {
-            return;
-        }
-        let segs = std::mem::take(&mut sh.segments);
-        if let Some(merged) = merge_segments(segs, &self.builder, self.cost, self.dim) {
-            self.shards[shard].segments.push(merged);
-        }
-    }
-
-    /// Compacts every shard; see
-    /// [`compact_shard`](Self::compact_shard).
-    pub fn compact(&mut self) {
-        for si in 0..self.shards.len() {
-            self.compact_shard(si);
-        }
+        Self::new(data.dim(), assignment, builder).bulk(data, ids)
     }
 }
 
@@ -548,74 +672,14 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Every memtable and segment as one Algorithm 2 source.
-    fn level(&self) -> SegmentedLevel<'_, DenseDataset, F, D> {
-        let parts = self.shards.iter().flat_map(|shard| {
-            shard_parts(
-                &shard.mem.index,
-                &shard.mem.rows,
-                shard.segments.iter().map(|s| (&s.index, &s.meta)),
-            )
-        });
-        SegmentedLevel { parts: parts.collect(), hll: self.hll, cost: self.cost, n: self.live }
-    }
-
-    /// Number of live points.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The shard assignment in force.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
     /// The cost model pinned at creation, shared by every source.
     pub fn cost_model(&self) -> CostModel {
-        self.cost
+        self.rungs[0].cost
     }
 
     /// The HLL configuration shared by every source's buckets.
     pub fn hll_config(&self) -> HllConfig {
-        self.hll
-    }
-
-    /// Whether `id` is currently live.
-    pub fn contains(&self, id: PointId) -> bool {
-        let shard = &self.shards[self.assignment.shard_of(id)];
-        shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-    }
-
-    /// Per-shard frozen segment counts (instrumentation: shows flush
-    /// and merge activity).
-    pub fn segment_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.segments.len()).collect()
-    }
-
-    /// All live global ids, ascending.
-    pub fn live_ids(&self) -> Vec<PointId> {
-        let mut ids = Vec::with_capacity(self.live);
-        for sh in &self.shards {
-            ids.extend(sh.mem.rows.row_of.keys().copied());
-            for seg in &sh.segments {
-                ids.extend(
-                    seg.meta.ids.iter().filter(|id| !seg.meta.tombstones.contains(id)).copied(),
-                );
-            }
-        }
-        ids.sort_unstable();
-        ids
+        self.rungs[0].hll
     }
 
     /// Hybrid query with fresh scratch; batch workloads should reuse a
@@ -628,6 +692,84 @@ where
     /// [`SegmentedQueryEngine::query_with_strategy`].
     pub fn query_with_strategy(&self, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
         SegmentedQueryEngine::new().query_with_strategy(self, q, r, strategy)
+    }
+}
+
+impl<F, D> SegmentedTopKIndex<F, D>
+where
+    F: LshFamily<[f32]> + Clone,
+    F::GFn: Send,
+    D: Distance<[f32]> + Clone,
+{
+    /// An empty segmented ladder with the default LSM knobs.
+    /// `level_builder(level, radius)` configures each level exactly as
+    /// for [`TopKIndex::build`](crate::topk::TopKIndex::build); each
+    /// level's cost model is pinned at creation (see
+    /// [`SegmentedIndex::new`] on why explicit models matter for
+    /// byte-identity).
+    pub fn new(
+        dim: usize,
+        assignment: ShardAssignment,
+        schedule: RadiusSchedule,
+        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
+    ) -> Self {
+        Self::with_limits(
+            dim,
+            assignment,
+            schedule,
+            level_builder,
+            DEFAULT_FLUSH_THRESHOLD,
+            DEFAULT_MAX_SEGMENTS,
+        )
+    }
+
+    /// [`new`](Self::new) with explicit flush threshold and per-shard
+    /// segment budget; neither affects query answers.
+    ///
+    /// # Panics
+    /// Panics if `flush_threshold == 0` or `max_segments == 0`.
+    pub fn with_limits(
+        dim: usize,
+        assignment: ShardAssignment,
+        schedule: RadiusSchedule,
+        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
+        flush_threshold: usize,
+        max_segments: usize,
+    ) -> Self {
+        let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r));
+        Self::with_rungs(dim, assignment, schedule, builders, flush_threshold, max_segments)
+    }
+
+    /// Builds the ladder over a whole corpus at once: one clean frozen
+    /// segment per shard, empty memtables — the rebuild oracle.
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != data.len()` or `ids` contains
+    /// duplicates.
+    pub fn build_bulk(
+        data: DenseDataset,
+        ids: &[PointId],
+        assignment: ShardAssignment,
+        schedule: RadiusSchedule,
+        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
+    ) -> Self {
+        Self::new(data.dim(), assignment, schedule, level_builder).bulk(data, ids)
+    }
+}
+
+impl<F, D> SegmentedTopKIndex<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// The radius schedule shared by every segment and memtable.
+    pub fn schedule(&self) -> RadiusSchedule {
+        self.ladder
+    }
+
+    /// Answers one top-k query with fresh scratch.
+    pub fn query_topk(&self, q: &[f32], k: usize) -> TopKOutput {
+        SegmentedTopKEngine::new().query_topk(self, q, k)
     }
 }
 
@@ -661,12 +803,9 @@ impl SourceIds<'_> {
     }
 }
 
-/// One memtable or segment at one level (the rNNR index, or one rung of
-/// the top-k ladder). `T` is a segment level's data handle: the segment
-/// itself for rNNR, the ladder's shared `Arc` for top-k.
-enum Part<'a, T, F, D>
+/// One memtable or segment at one rung.
+enum Part<'a, F, D>
 where
-    T: PointSet<Point = [f32]>,
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
@@ -674,28 +813,11 @@ where
     /// sketches.
     Mem(&'a HybridLshIndex<DenseDataset, F, D, MapStore>, &'a Rows),
     /// A segment: buckets and sketches hold global ids.
-    Seg(&'a HybridLshIndex<T, F, D, FrozenStore>, &'a SegMeta),
+    Seg(&'a HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore>, &'a SegMeta),
 }
 
-/// One shard's parts that can hold live points: the memtable (if it has
-/// live rows), then each segment.
-fn shard_parts<'a, T, F, D>(
-    mem: &'a HybridLshIndex<DenseDataset, F, D, MapStore>,
-    rows: &'a Rows,
-    segments: impl Iterator<Item = (&'a HybridLshIndex<T, F, D, FrozenStore>, &'a SegMeta)>,
-) -> impl Iterator<Item = Part<'a, T, F, D>>
+impl<'a, F, D> Part<'a, F, D>
 where
-    T: PointSet<Point = [f32]> + 'a,
-    F: LshFamily<[f32]> + 'a,
-    D: Distance<[f32]> + 'a,
-{
-    let mem = (rows.live_rows > 0).then_some(Part::Mem(mem, rows));
-    mem.into_iter().chain(segments.map(|(index, meta)| Part::Seg(index, meta)))
-}
-
-impl<'a, T, F, D> Part<'a, T, F, D>
-where
-    T: PointSet<Point = [f32]> + Borrow<DenseDataset>,
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
@@ -710,7 +832,7 @@ where
     fn slab(&self) -> (&'a DenseDataset, &'a D) {
         match *self {
             Part::Mem(index, _) => (index.data(), index.distance()),
-            Part::Seg(index, _) => (index.data().borrow(), index.distance()),
+            Part::Seg(index, _) => (index.data(), index.distance()),
         }
     }
 
@@ -740,7 +862,7 @@ where
     }
 }
 
-/// Every memtable and segment of a segmented index at one level as one
+/// Every memtable and segment of a segmented index at one rung as one
 /// Algorithm 2 source.
 ///
 /// S1 counts live members only; S2 feeds clean segments' stored
@@ -750,22 +872,20 @@ where
 /// the pinned cost model against the live `n`. Each part dedups its own
 /// surviving members — live ids are disjoint across parts — and hits are
 /// reported under global ids, part by part.
-pub(crate) struct SegmentedLevel<'a, T, F, D>
+pub(crate) struct SegmentedLevel<'a, F, D>
 where
-    T: PointSet<Point = [f32]>,
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    parts: Vec<Part<'a, T, F, D>>,
+    parts: Vec<Part<'a, F, D>>,
     hll: HllConfig,
     cost: CostModel,
     /// The live point count.
     n: usize,
 }
 
-impl<T, F, D> Level for SegmentedLevel<'_, T, F, D>
+impl<F, D> Level for SegmentedLevel<'_, F, D>
 where
-    T: PointSet<Point = [f32]> + Borrow<DenseDataset>,
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
@@ -974,454 +1094,7 @@ impl SegmentedQueryEngine {
         F: LshFamily<[f32]>,
         D: Distance<[f32]>,
     {
-        self.0.query_sorted(&index.level(), q, r, strategy)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Top-k
-// ---------------------------------------------------------------------------
-
-/// The mutable head of one top-k shard: one [`MapStore`]-backed index
-/// per schedule level (each owns its own small copy of the memtable
-/// points — memtables are small by construction, and per-level slabs
-/// keep the level indexes self-contained).
-struct TopKMemtable<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    levels: Vec<HybridLshIndex<DenseDataset, F, D, MapStore>>,
-    rows: Rows,
-}
-
-impl<F, D> TopKMemtable<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    fn new(dim: usize, level_builders: &[IndexBuilder<F, D>], level_costs: &[CostModel]) -> Self {
-        let levels = level_builders
-            .iter()
-            .zip(level_costs)
-            .map(|(b, &cost)| {
-                b.clone()
-                    .cost_model(cost)
-                    .lazy_threshold(usize::MAX)
-                    .sequential()
-                    .build(DenseDataset::new(dim))
-            })
-            .collect();
-        Self { levels, rows: Rows::default() }
-    }
-
-    fn insert(&mut self, id: PointId, point: &[f32]) {
-        for level in &mut self.levels {
-            level.insert(point);
-        }
-        self.rows.append(id);
-    }
-}
-
-/// One immutable top-k segment: a frozen radius-schedule ladder keyed
-/// by global ids, plus tombstones.
-struct TopKSegment<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    index: TopKIndex<DenseDataset, F, D, FrozenStore>,
-    meta: SegMeta,
-}
-
-fn build_topk_segment<F, D>(
-    schedule: RadiusSchedule,
-    level_builders: &[IndexBuilder<F, D>],
-    level_costs: &[CostModel],
-    data: DenseDataset,
-    ids: Vec<PointId>,
-) -> TopKSegment<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let index = TopKIndex::build_mapped(
-        data,
-        schedule,
-        |li, _r| level_builders[li].clone().cost_model(level_costs[li]).sequential(),
-        Some(&ids),
-    )
-    .freeze();
-    TopKSegment { index, meta: SegMeta::new(ids) }
-}
-
-/// One top-k shard's LSM hierarchy.
-struct LsmTopKShard<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    mem: TopKMemtable<F, D>,
-    segments: Vec<TopKSegment<F, D>>,
-}
-
-fn merge_topk_segments<F, D>(
-    segs: Vec<TopKSegment<F, D>>,
-    schedule: RadiusSchedule,
-    level_builders: &[IndexBuilder<F, D>],
-    level_costs: &[CostModel],
-    dim: usize,
-) -> Option<TopKSegment<F, D>>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let total: usize = segs.iter().map(|s| s.meta.live_len()).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut entries: Vec<(PointId, usize, usize)> = Vec::with_capacity(total);
-    for (si, seg) in segs.iter().enumerate() {
-        for (local, &id) in seg.meta.ids.iter().enumerate() {
-            if !seg.meta.tombstones.contains(&id) {
-                entries.push((id, si, local));
-            }
-        }
-    }
-    entries.sort_unstable_by_key(|&(id, _, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, entries.len());
-    let mut ids = Vec::with_capacity(entries.len());
-    for &(id, si, local) in &entries {
-        sub.push(segs[si].index.data().row(local));
-        ids.push(id);
-    }
-    Some(build_topk_segment(schedule, level_builders, level_costs, sub, ids))
-}
-
-/// A top-k index that accepts inserts and deletes while serving
-/// `(distance, id)` rankings byte-identical to a ladder rebuilt from
-/// scratch on the surviving points — the top-k form of
-/// [`SegmentedIndex`], walked by [`SegmentedTopKEngine`].
-pub struct SegmentedTopKIndex<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    shards: Vec<LsmTopKShard<F, D>>,
-    assignment: ShardAssignment,
-    schedule: RadiusSchedule,
-    level_builders: Vec<IndexBuilder<F, D>>,
-    level_costs: Vec<CostModel>,
-    level_hll: Vec<HllConfig>,
-    dim: usize,
-    live: usize,
-    flush_threshold: usize,
-    max_segments: usize,
-}
-
-impl<F, D> SegmentedTopKIndex<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    /// An empty segmented ladder with the default LSM knobs.
-    /// `level_builder(level, radius)` configures each level exactly as
-    /// for [`TopKIndex::build`]; each level's cost model is pinned at
-    /// creation (see [`SegmentedIndex::new`] on why explicit models
-    /// matter for byte-identity).
-    pub fn new(
-        dim: usize,
-        assignment: ShardAssignment,
-        schedule: RadiusSchedule,
-        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
-    ) -> Self {
-        Self::with_limits(
-            dim,
-            assignment,
-            schedule,
-            level_builder,
-            DEFAULT_FLUSH_THRESHOLD,
-            DEFAULT_MAX_SEGMENTS,
-        )
-    }
-
-    /// [`new`](Self::new) with explicit flush threshold and per-shard
-    /// segment budget; neither affects query answers.
-    ///
-    /// # Panics
-    /// Panics if `flush_threshold == 0` or `max_segments == 0`.
-    pub fn with_limits(
-        dim: usize,
-        assignment: ShardAssignment,
-        schedule: RadiusSchedule,
-        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
-        flush_threshold: usize,
-        max_segments: usize,
-    ) -> Self {
-        assert!(flush_threshold >= 1, "flush threshold must be at least 1");
-        assert!(max_segments >= 1, "segment budget must be at least 1");
-        let level_builders: Vec<IndexBuilder<F, D>> =
-            schedule.radii().enumerate().map(|(li, r)| level_builder(li, r)).collect();
-        let empty = DenseDataset::new(dim);
-        let level_costs: Vec<CostModel> =
-            level_builders.iter().map(|b| b.resolve_cost(&empty)).collect();
-        let shards: Vec<LsmTopKShard<F, D>> = (0..assignment.shards())
-            .map(|_| LsmTopKShard {
-                mem: TopKMemtable::new(dim, &level_builders, &level_costs),
-                segments: Vec::new(),
-            })
-            .collect();
-        let level_hll: Vec<HllConfig> =
-            shards[0].mem.levels.iter().map(|l| l.hll_config()).collect();
-        Self {
-            shards,
-            assignment,
-            schedule,
-            level_builders,
-            level_costs,
-            level_hll,
-            dim,
-            live: 0,
-            flush_threshold,
-            max_segments,
-        }
-    }
-
-    /// Builds the ladder over a whole corpus at once: one clean frozen
-    /// segment per shard, empty memtables — the rebuild oracle.
-    ///
-    /// # Panics
-    /// Panics if `ids.len() != data.len()` or `ids` contains
-    /// duplicates.
-    pub fn build_bulk(
-        data: DenseDataset,
-        ids: &[PointId],
-        assignment: ShardAssignment,
-        schedule: RadiusSchedule,
-        level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
-    ) -> Self {
-        assert_eq!(ids.len(), data.len(), "one id per data row");
-        let mut index = Self::new(data.dim(), assignment, schedule, level_builder);
-        let mut seen = FxHashSet::default();
-        for &id in ids {
-            assert!(seen.insert(id), "duplicate id {id} in bulk build");
-        }
-        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); assignment.shards()];
-        for (row, &id) in ids.iter().enumerate() {
-            per_shard[assignment.shard_of(id)].push((id, row as u32));
-        }
-        for (si, mut pairs) in per_shard.into_iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            let rows: Vec<PointId> = pairs.iter().map(|&(_, row)| row).collect();
-            let sub = data.subset(&rows);
-            let seg_ids: Vec<PointId> = pairs.iter().map(|&(id, _)| id).collect();
-            index.shards[si].segments.push(build_topk_segment(
-                index.schedule,
-                &index.level_builders,
-                &index.level_costs,
-                sub,
-                seg_ids,
-            ));
-        }
-        index.live = data.len();
-        index
-    }
-
-    /// Inserts `point` under global id `id` into every schedule level
-    /// of its shard's memtable; flushes at the threshold. Same
-    /// rejection rules as [`SegmentedIndex::insert`].
-    pub fn insert(&mut self, id: PointId, point: &[f32]) -> Result<(), MutationError> {
-        if point.len() != self.dim {
-            return Err(MutationError::DimMismatch { expected: self.dim, got: point.len() });
-        }
-        let si = self.assignment.shard_of(id);
-        let shard = &self.shards[si];
-        if shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-        {
-            return Err(MutationError::DuplicateId { id });
-        }
-        self.shards[si].mem.insert(id, point);
-        self.live += 1;
-        if self.shards[si].mem.rows.ids.len() >= self.flush_threshold {
-            self.flush_shard(si);
-        }
-        Ok(())
-    }
-
-    /// Deletes global id `id`; same semantics as
-    /// [`SegmentedIndex::delete`].
-    pub fn delete(&mut self, id: PointId) -> Result<(), MutationError> {
-        let si = self.assignment.shard_of(id);
-        let shard = &mut self.shards[si];
-        if shard.mem.rows.kill(id) {
-            self.live -= 1;
-            return Ok(());
-        }
-        for seg in &mut shard.segments {
-            if seg.meta.contains_live(id) {
-                seg.meta.tombstones.insert(id);
-                self.live -= 1;
-                return Ok(());
-            }
-        }
-        Err(MutationError::UnknownId { id })
-    }
-
-    /// Flushes shard `shard`'s memtable into a new frozen ladder
-    /// segment, then merges while over the segment budget.
-    pub fn flush_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.mem.rows.live_rows > 0 {
-            let (sub, ids) = drain_live_rows(&sh.mem.rows, sh.mem.levels[0].data(), self.dim);
-            sh.segments.push(build_topk_segment(
-                self.schedule,
-                &self.level_builders,
-                &self.level_costs,
-                sub,
-                ids,
-            ));
-        }
-        if !sh.mem.rows.ids.is_empty() {
-            sh.mem = TopKMemtable::new(self.dim, &self.level_builders, &self.level_costs);
-        }
-        while sh.segments.len() > self.max_segments {
-            if sh.segments.len() < 2 {
-                break;
-            }
-            let mut order: Vec<usize> = (0..sh.segments.len()).collect();
-            order.sort_by_key(|&i| (sh.segments[i].meta.live_len(), i));
-            let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
-            let seg_b = sh.segments.remove(b);
-            let seg_a = sh.segments.remove(a);
-            if let Some(merged) = merge_topk_segments(
-                vec![seg_a, seg_b],
-                self.schedule,
-                &self.level_builders,
-                &self.level_costs,
-                self.dim,
-            ) {
-                sh.segments.insert(a, merged);
-            }
-        }
-    }
-
-    /// Flushes every shard's memtable.
-    pub fn flush(&mut self) {
-        for si in 0..self.shards.len() {
-            self.flush_shard(si);
-        }
-    }
-
-    /// Merges all of shard `shard`'s segments into one clean segment.
-    pub fn compact_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.segments.len() <= 1 && !sh.segments.iter().any(|s| s.meta.is_dirty()) {
-            return;
-        }
-        let segs = std::mem::take(&mut sh.segments);
-        if let Some(merged) = merge_topk_segments(
-            segs,
-            self.schedule,
-            &self.level_builders,
-            &self.level_costs,
-            self.dim,
-        ) {
-            self.shards[shard].segments.push(merged);
-        }
-    }
-
-    /// Compacts every shard.
-    pub fn compact(&mut self) {
-        for si in 0..self.shards.len() {
-            self.compact_shard(si);
-        }
-    }
-}
-
-impl<F, D> SegmentedTopKIndex<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    /// Every memtable and segment at schedule level `li` as one
-    /// Algorithm 2 source (each memtable level has its own slab; a
-    /// segment's levels share one).
-    fn level_view(&self, li: usize) -> SegmentedLevel<'_, std::sync::Arc<DenseDataset>, F, D> {
-        let parts = self.shards.iter().flat_map(|shard| {
-            let segments = shard.segments.iter().map(move |s| (&s.index.levels()[li], &s.meta));
-            shard_parts(&shard.mem.levels[li], &shard.mem.rows, segments)
-        });
-        SegmentedLevel {
-            parts: parts.collect(),
-            hll: self.level_hll[li],
-            cost: self.level_costs[li],
-            n: self.live,
-        }
-    }
-
-    /// Number of live points.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The shard assignment in force.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
-    /// The radius schedule shared by every segment and memtable.
-    pub fn schedule(&self) -> RadiusSchedule {
-        self.schedule
-    }
-
-    /// Whether `id` is currently live.
-    pub fn contains(&self, id: PointId) -> bool {
-        let shard = &self.shards[self.assignment.shard_of(id)];
-        shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-    }
-
-    /// Per-shard frozen segment counts.
-    pub fn segment_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.segments.len()).collect()
-    }
-
-    /// All live global ids, ascending.
-    pub fn live_ids(&self) -> Vec<PointId> {
-        let mut ids = Vec::with_capacity(self.live);
-        for sh in &self.shards {
-            ids.extend(sh.mem.rows.row_of.keys().copied());
-            for seg in &sh.segments {
-                ids.extend(
-                    seg.meta.ids.iter().filter(|id| !seg.meta.tombstones.contains(id)).copied(),
-                );
-            }
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Answers one top-k query with fresh scratch.
-    pub fn query_topk(&self, q: &[f32], k: usize) -> TopKOutput {
-        SegmentedTopKEngine::new().query_topk(self, q, k)
+        self.0.query_sorted(&index.rung_level(0), q, r, strategy)
     }
 }
 
@@ -1476,8 +1149,8 @@ impl SegmentedTopKEngine {
         F: LshFamily<[f32]>,
         D: Distance<[f32]>,
     {
-        let levels: Vec<_> = (0..index.schedule.levels()).map(|li| index.level_view(li)).collect();
-        self.walk.run(&mut self.engine, &levels, index.schedule, q, k, strategy)
+        let levels: Vec<_> = (0..index.ladder.levels()).map(|li| index.rung_level(li)).collect();
+        self.walk.run(&mut self.engine, &levels, index.ladder, q, k, strategy)
     }
 }
 
@@ -1542,6 +1215,59 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// One face of the segmented index under test — the one-rung rNNR
+    /// index (`()`) or the top-k ladder (`RadiusSchedule`) — so a
+    /// tombstone history runs on both and is checked against each
+    /// face's rebuild oracle.
+    trait Face: Sized {
+        fn empty(
+            assignment: ShardAssignment,
+            flush_threshold: usize,
+            max_segments: usize,
+        ) -> Segmented<PStableL2, L2, Self>;
+        fn assert_matches_oracle(index: &Segmented<PStableL2, L2, Self>, context: &str);
+        /// How many points a query near `q` reports (radius 100 for
+        /// rNNR, k = 5 for top-k): zero on an index with no live point.
+        fn answered(index: &Segmented<PStableL2, L2, Self>, q: &[f32]) -> usize;
+    }
+
+    impl Face for () {
+        fn empty(
+            assignment: ShardAssignment,
+            flush_threshold: usize,
+            max_segments: usize,
+        ) -> SegmentedIndex<PStableL2, L2> {
+            SegmentedIndex::with_limits(DIM, assignment, builder(), flush_threshold, max_segments)
+        }
+
+        fn assert_matches_oracle(index: &SegmentedIndex<PStableL2, L2>, context: &str) {
+            assert_matches_oracle(index, context);
+        }
+
+        fn answered(index: &SegmentedIndex<PStableL2, L2>, q: &[f32]) -> usize {
+            index.query(q, 100.0).ids.len()
+        }
+    }
+
+    impl Face for RadiusSchedule {
+        fn empty(
+            assignment: ShardAssignment,
+            flush_threshold: usize,
+            max_segments: usize,
+        ) -> SegmentedTopKIndex<PStableL2, L2> {
+            let (flush, max) = (flush_threshold, max_segments);
+            SegmentedTopKIndex::with_limits(DIM, assignment, schedule(), level_builder, flush, max)
+        }
+
+        fn assert_matches_oracle(index: &SegmentedTopKIndex<PStableL2, L2>, context: &str) {
+            assert_topk_matches_oracle(index, context);
+        }
+
+        fn answered(index: &SegmentedTopKIndex<PStableL2, L2>, q: &[f32]) -> usize {
+            index.query_topk(q, 5).neighbors.len()
         }
     }
 
@@ -1623,37 +1349,45 @@ mod tests {
     #[test]
     fn delete_in_unflushed_memtable_matches_oracle() {
         // Never flush: deletes land on memtable rows in place.
-        let mut index =
-            SegmentedIndex::with_limits(DIM, ShardAssignment::new(2, 2), builder(), usize::MAX, 8);
-        for id in 0..120 {
-            index.insert(id, &point(id)).unwrap();
+        fn history<L: Face>() {
+            let mut index = L::empty(ShardAssignment::new(2, 2), usize::MAX, 8);
+            for id in 0..120 {
+                index.insert(id, &point(id)).unwrap();
+            }
+            for id in (0..120).step_by(3) {
+                index.delete(id).unwrap();
+            }
+            assert_eq!(index.segment_counts(), vec![0, 0], "nothing flushed");
+            assert_eq!(index.len(), 80);
+            L::assert_matches_oracle(&index, "memtable deletes");
         }
-        for id in (0..120).step_by(3) {
-            index.delete(id).unwrap();
-        }
-        assert_eq!(index.segment_counts(), vec![0, 0], "nothing flushed");
-        assert_eq!(index.len(), 80);
-        assert_matches_oracle(&index, "memtable deletes");
+        history::<()>();
+        history::<RadiusSchedule>();
     }
 
     #[test]
     fn delete_then_reinsert_matches_oracle() {
-        let mut index = SegmentedIndex::new(DIM, ShardAssignment::new(3, 2), builder());
-        for id in 0..100 {
-            index.insert(id, &point(id)).unwrap();
+        fn history<L: Face>() {
+            let assignment = ShardAssignment::new(3, 2);
+            let mut index = L::empty(assignment, DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS);
+            for id in 0..100 {
+                index.insert(id, &point(id)).unwrap();
+            }
+            index.flush();
+            // Tombstone a segment id, then reinsert it (lands in the
+            // memtable; the segment row stays dead).
+            index.delete(42).unwrap();
+            index.insert(42, &point(42)).unwrap();
+            // Kill a memtable row and reinsert: the dead row stays in
+            // the buckets, the live row is appended after it.
+            index.insert(200, &point(200)).unwrap();
+            index.delete(200).unwrap();
+            index.insert(200, &point(200)).unwrap();
+            assert_eq!(index.len(), 101);
+            L::assert_matches_oracle(&index, "delete then reinsert");
         }
-        index.flush();
-        // Tombstone a segment id, then reinsert it (lands in the
-        // memtable; the segment row stays dead).
-        index.delete(42).unwrap();
-        index.insert(42, &point(42)).unwrap();
-        // Kill a memtable row and reinsert: the dead row stays in the
-        // buckets, the live row is appended after it.
-        index.insert(200, &point(200)).unwrap();
-        index.delete(200).unwrap();
-        index.insert(200, &point(200)).unwrap();
-        assert_eq!(index.len(), 101);
-        assert_matches_oracle(&index, "delete then reinsert");
+        history::<()>();
+        history::<RadiusSchedule>();
     }
 
     #[test]
@@ -1662,45 +1396,54 @@ mod tests {
         // exercises the merge path; queries issued between partial
         // compactions (one shard compacted, the other not) must match
         // the oracle at every step.
-        let mut index =
-            SegmentedIndex::with_limits(DIM, ShardAssignment::new(7, 2), builder(), 1, 4);
-        for id in 0..90 {
-            index.insert(id, &point(id)).unwrap();
+        fn history<L: Face>() {
+            let mut index = L::empty(ShardAssignment::new(7, 2), 1, 4);
+            for id in 0..90 {
+                index.insert(id, &point(id)).unwrap();
+            }
+            assert!(
+                index.segment_counts().iter().all(|&c| c <= 4),
+                "budget enforced: {:?}",
+                index.segment_counts()
+            );
+            for id in (0..90).step_by(4) {
+                index.delete(id).unwrap();
+            }
+            L::assert_matches_oracle(&index, "pre-compact");
+            index.compact_shard(0);
+            L::assert_matches_oracle(&index, "mid-merge (shard 0 compacted)");
+            index.compact();
+            assert_eq!(index.segment_counts(), vec![1, 1], "fully compacted");
+            L::assert_matches_oracle(&index, "post-compact");
         }
-        assert!(
-            index.segment_counts().iter().all(|&c| c <= 4),
-            "budget enforced: {:?}",
-            index.segment_counts()
-        );
-        for id in (0..90).step_by(4) {
-            index.delete(id).unwrap();
-        }
-        assert_matches_oracle(&index, "pre-compact");
-        index.compact_shard(0);
-        assert_matches_oracle(&index, "mid-merge (shard 0 compacted)");
-        index.compact();
-        assert_eq!(index.segment_counts(), vec![1, 1], "fully compacted");
-        assert_matches_oracle(&index, "post-compact");
+        history::<()>();
+        history::<RadiusSchedule>();
     }
 
     #[test]
     fn empty_and_emptied_indexes_answer_cleanly() {
-        let index = SegmentedIndex::new(DIM, ShardAssignment::new(1, 2), builder());
-        assert!(index.is_empty());
-        assert!(index.query(&point(0), 2.0).ids.is_empty());
-        let mut index = SegmentedIndex::new(DIM, ShardAssignment::new(1, 2), builder());
-        for id in 0..10 {
-            index.insert(id, &point(id)).unwrap();
+        fn history<L: Face>() {
+            let assignment = ShardAssignment::new(1, 2);
+            let index = L::empty(assignment, DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS);
+            assert!(index.is_empty());
+            assert_eq!(L::answered(&index, &point(0)), 0);
+            let mut index = L::empty(assignment, DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS);
+            for id in 0..10 {
+                index.insert(id, &point(id)).unwrap();
+            }
+            index.flush();
+            assert!(L::answered(&index, &point(0)) > 0);
+            for id in 0..10 {
+                index.delete(id).unwrap();
+            }
+            assert!(index.is_empty());
+            assert_eq!(L::answered(&index, &point(0)), 0);
+            assert!(index.live_ids().is_empty());
+            index.compact();
+            assert_eq!(index.segment_counts(), vec![0, 0], "all-dead segments vanish");
         }
-        index.flush();
-        for id in 0..10 {
-            index.delete(id).unwrap();
-        }
-        assert!(index.is_empty());
-        assert!(index.query(&point(0), 100.0).ids.is_empty());
-        assert!(index.live_ids().is_empty());
-        index.compact();
-        assert_eq!(index.segment_counts(), vec![0, 0], "all-dead segments vanish");
+        history::<()>();
+        history::<RadiusSchedule>();
     }
 
     // -- top-k ------------------------------------------------------

@@ -17,7 +17,7 @@
 //!   while queries stay byte-identical to a rebuild on the surviving
 //!   points.
 
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use hlsh_core::{
     FrozenStore, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex,
@@ -508,26 +508,35 @@ where
     }
 }
 
-/// The living-index deployment: LSM-segmented indexes behind a
+/// The living-index deployment: LSM-segmented indexes behind one
 /// reader-writer lock, so the server keeps answering queries while the
 /// corpus churns under [`Request::Insert`](crate::protocol::Request::Insert)
 /// and [`Request::Delete`](crate::protocol::Request::Delete) frames.
 ///
-/// Mutations take the write lock and apply to the rNNR index and the
-/// top-k ladder (when present) in lockstep, so both always cover the
-/// same live id set. Queries take the read lock and run the segmented
-/// engines, whose answers are byte-identical to an index rebuilt from
-/// scratch on the surviving points — the contract
-/// `tests/mutable_props.rs` pins and the CI churn smoke checks over
-/// this very service.
+/// The rNNR index and the top-k ladder (when present) sit under that
+/// one lock: a mutation batch is validated and applied to both under a
+/// single write guard, so every reader sees both cover the same live
+/// id set. Queries take the read lock and run the segmented engines,
+/// whose answers are byte-identical to an index rebuilt from scratch
+/// on the surviving points — the contract `tests/mutable_props.rs`
+/// pins and the CI churn smoke checks over this very service.
 pub struct LiveLshService<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    rnnr: RwLock<SegmentedIndex<F, D>>,
-    topk: Option<RwLock<SegmentedTopKIndex<F, D>>>,
+    indexes: RwLock<LiveIndexes<F, D>>,
     dim: u32,
+}
+
+/// The structures a [`LiveLshService`] serves, mutated together.
+struct LiveIndexes<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    rnnr: SegmentedIndex<F, D>,
+    topk: Option<SegmentedTopKIndex<F, D>>,
 }
 
 impl<F, D> LiveLshService<F, D>
@@ -543,7 +552,7 @@ where
             assert_eq!(t.dim(), rnnr.dim(), "rNNR and top-k ladders must share dimensionality");
             assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
         }
-        Self { rnnr: RwLock::new(rnnr), topk: topk.map(RwLock::new), dim }
+        Self { indexes: RwLock::new(LiveIndexes { rnnr, topk }), dim }
     }
 
     /// The vector dimensionality requests are validated against.
@@ -554,8 +563,13 @@ where
     /// Runs `f` over the live rNNR index under the read lock — how the
     /// churn smoke compares served state against a rebuild oracle.
     pub fn with_rnnr<R>(&self, f: impl FnOnce(&SegmentedIndex<F, D>) -> R) -> R {
-        f(&self.rnnr.read().expect("rnnr lock poisoned"))
+        f(&self.indexes.read().expect("live index lock poisoned").rnnr)
     }
+}
+
+/// The error a request gets once a panicking writer poisoned the lock.
+fn poisoned<G>(_: PoisonError<G>) -> ServiceError {
+    ServiceError::internal("live index lock poisoned")
 }
 
 /// Maps a core [`hlsh_core::MutationError`] onto the wire's error
@@ -577,15 +591,12 @@ where
     D: Distance<[f32]> + Clone + Send + Sync + 'static,
 {
     fn info(&self) -> ServerInfo {
-        let rnnr = self.rnnr.read().expect("rnnr lock poisoned");
+        let live = self.indexes.read().expect("live index lock poisoned");
         ServerInfo {
-            points: rnnr.len() as u64,
+            points: live.rnnr.len() as u64,
             dim: self.dim,
-            shards: rnnr.assignment().shards() as u32,
-            topk_levels: self
-                .topk
-                .as_ref()
-                .map_or(0, |t| t.read().expect("topk lock poisoned").schedule().levels() as u32),
+            shards: live.rnnr.assignment().shards() as u32,
+            topk_levels: live.topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
         }
     }
 
@@ -597,8 +608,8 @@ where
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
         // One engine per worker thread under the batch's thread
         // budget; answers are byte-identical to a sequential loop.
-        let rnnr = self.rnnr.read().map_err(|_| ServiceError::internal("rnnr lock poisoned"))?;
-        let rnnr = &*rnnr;
+        let live = self.indexes.read().map_err(poisoned)?;
+        let rnnr = &live.rnnr;
         Ok(par_map_with(queries.len(), threads, SegmentedQueryEngine::new, |engine, qi| {
             engine.query_with_strategy(rnnr, &queries[qi], radius, Strategy::Hybrid).ids
         }))
@@ -610,12 +621,11 @@ where
         k: usize,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        let topk = self
+        let live = self.indexes.read().map_err(poisoned)?;
+        let topk = live
             .topk
             .as_ref()
             .ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
-        let topk = topk.read().map_err(|_| ServiceError::internal("topk lock poisoned"))?;
-        let topk = &*topk;
         Ok(par_map_with(queries.len(), threads, SegmentedTopKEngine::new, |engine, qi| {
             engine
                 .query_topk(topk, &queries[qi], k)
@@ -630,26 +640,30 @@ where
         if points.dim != self.dim && !ids.is_empty() {
             return Err(ServiceError::dim_mismatch(self.dim, points.dim));
         }
-        // Lock order is always rNNR then ladder (mirrored by
-        // delete_batch), and validation completes against the rNNR
-        // index before either structure is touched — the batch either
-        // fully applies to both or to neither.
-        let mut rnnr =
-            self.rnnr.write().map_err(|_| ServiceError::internal("rnnr lock poisoned"))?;
+        if points.data.len() != ids.len() * self.dim as usize {
+            return Err(ServiceError::malformed(format!(
+                "insert carries {} ids but {} floats of dimension {}",
+                ids.len(),
+                points.data.len(),
+                self.dim
+            )));
+        }
+        // Validation completes against the rNNR index before either
+        // structure is touched — the batch either fully applies to
+        // both or to neither.
+        let mut live = self.indexes.write().map_err(poisoned)?;
         let mut batch = std::collections::HashSet::with_capacity(ids.len());
         for &id in ids {
-            if !batch.insert(id) || rnnr.contains(id) {
+            if !batch.insert(id) || live.rnnr.contains(id) {
                 return Err(ServiceError::duplicate_id(id));
             }
         }
-        let rows = points.rows();
-        for (&id, row) in ids.iter().zip(&rows) {
+        let LiveIndexes { rnnr, topk } = &mut *live;
+        let dim = self.dim as usize;
+        for (i, &id) in ids.iter().enumerate() {
+            let row = &points.data[i * dim..(i + 1) * dim];
             rnnr.insert(id, row).map_err(mutation_error)?;
-        }
-        if let Some(topk) = &self.topk {
-            let mut topk =
-                topk.write().map_err(|_| ServiceError::internal("topk lock poisoned"))?;
-            for (&id, row) in ids.iter().zip(&rows) {
+            if let Some(topk) = topk {
                 topk.insert(id, row).map_err(mutation_error)?;
             }
         }
@@ -657,21 +671,17 @@ where
     }
 
     fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        let mut rnnr =
-            self.rnnr.write().map_err(|_| ServiceError::internal("rnnr lock poisoned"))?;
+        let mut live = self.indexes.write().map_err(poisoned)?;
         let mut batch = std::collections::HashSet::with_capacity(ids.len());
         for &id in ids {
-            if !batch.insert(id) || !rnnr.contains(id) {
+            if !batch.insert(id) || !live.rnnr.contains(id) {
                 return Err(ServiceError::unknown_id(id));
             }
         }
+        let LiveIndexes { rnnr, topk } = &mut *live;
         for &id in ids {
             rnnr.delete(id).map_err(mutation_error)?;
-        }
-        if let Some(topk) = &self.topk {
-            let mut topk =
-                topk.write().map_err(|_| ServiceError::internal("topk lock poisoned"))?;
-            for &id in ids {
+            if let Some(topk) = topk {
                 topk.delete(id).map_err(mutation_error)?;
             }
         }

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use hybrid_lsh::prelude::*;
 use hybrid_lsh::server::{
-    spawn, Client, ClientError, ErrorCode, LiveLshService, QueryService, ServerConfig,
+    spawn, Client, ClientError, ErrorCode, LiveLshService, QueryBlock, QueryService, ServerConfig,
     ServerHandle, ShardNodeService, ShardedLshService,
 };
 
@@ -298,6 +298,7 @@ fn live_builder(radius: f64) -> IndexBuilder<PStableL2, L2> {
 struct LiveFixture {
     data: DenseDataset,
     queries: Vec<Vec<f32>>,
+    service: Arc<LiveLshService<PStableL2, L2>>,
     server: ServerHandle,
 }
 
@@ -321,7 +322,7 @@ fn live_fixture() -> LiveFixture {
         ServerConfig::default(),
     )
     .expect("bind loopback");
-    LiveFixture { data, queries, server }
+    LiveFixture { data, queries, service, server }
 }
 
 #[test]
@@ -451,6 +452,33 @@ fn mutation_error_frames_are_recoverable_and_all_or_nothing() {
     // The connection survived every recoverable error above and the
     // index reflects exactly the acked mutations (+1 for `fresh`).
     assert_eq!(client.info().unwrap().points, LIVE_N as u64 + 1);
+    fx.server.shutdown();
+}
+
+#[test]
+fn in_process_insert_without_a_row_per_id_is_rejected_whole() {
+    // The wire decoder keeps ids and rows in step; a direct caller can
+    // hand the service fewer rows than ids, or a ragged block. Either
+    // batch must fail before any id is applied.
+    let mut fx = live_fixture();
+    let ids: Vec<PointId> = (0..3).map(|i| LIVE_N as PointId + i).collect();
+    let one_row = QueryBlock::pack(&[fx.data.row(0).to_vec()], DIM);
+    let mut ragged = QueryBlock::pack(&[fx.data.row(1).to_vec(), fx.data.row(2).to_vec()], DIM);
+    ragged.data.pop();
+    for (block, ids) in [(&one_row, &ids[..]), (&ragged, &ids[..2])] {
+        match fx.service.insert_batch(ids, block) {
+            Err(e) => assert_eq!(e.code, ErrorCode::Malformed, "{}", e.message),
+            Ok(n) => {
+                panic!("a block of {} floats for {} ids acked {n}", block.data.len(), ids.len())
+            }
+        }
+        fx.service.with_rnnr(|rnnr| {
+            assert_eq!(rnnr.len(), LIVE_N, "a rejected batch must not change the live count");
+            for &id in ids {
+                assert!(!rnnr.contains(id), "id {id} of a rejected batch is live");
+            }
+        });
+    }
     fx.server.shutdown();
 }
 
