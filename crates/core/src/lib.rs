@@ -110,7 +110,7 @@ pub use segmented::{
     SegmentedTopKIndex,
 };
 pub use sharded::{
-    ShardAssignment, ShardSummary, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine,
+    ShardAssignment, ShardSummary, Sharded, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine,
     ShardedTopKIndex,
 };
 pub use snapshot::{

@@ -97,10 +97,9 @@ impl MixturePreset {
         &self,
         data: DenseDataset,
     ) -> ShardedTopKIndex<DenseDataset, PStableL2, L2, FrozenStore> {
-        ShardedTopKIndex::build(data, self.assignment(), self.schedule(), |_, r| {
+        ShardedTopKIndex::build_frozen(data, self.assignment(), self.schedule(), |_, r| {
             self.level_builder(r)
         })
-        .freeze()
     }
 
     /// Builds the LSM-segmented (living) rNNR index over `data` with

@@ -1,44 +1,45 @@
 //! Sharded indexes: partition the data across `N` independent indexes
 //! and answer queries by merging per-shard outputs.
 //!
-//! The hybrid rNNR design partitions cleanly: per-shard candidate sets
-//! union to exactly the unsharded candidate set, and per-shard
-//! HyperLogLog sketches merge losslessly (registers are element-wise
-//! maxima). Two properties make the merge *byte-identical* to an
-//! unsharded index over the same data, not merely equivalent in
-//! expectation:
+//! [`Sharded`] holds one index per shard, reached as a list of
+//! **rungs** (each a [`HybridLshIndex`] over the shard's rows):
+//! [`ShardedIndex`] holds one [`HybridLshIndex`] (one rung) per shard,
+//! [`ShardedTopKIndex`] one [`TopKIndex`] (one rung per schedule
+//! radius). Partitioning, the parallel build, freezing, reassembly, the
+//! per-rung Algorithm 2 view and the distributed node hooks are written
+//! once; the aliases add their build entry points, queries and engines.
 //!
-//! 1. **Shared randomness, global ids** — every shard samples its
-//!    g-functions and HLL hash from the same builder seed, so a point
-//!    hashes to the same bucket key in its shard as it would in the
-//!    unsharded index; and shard tables store the points' **global**
-//!    ids (the build pipeline's id-mapping hook), so bucket members
-//!    *and sketch element hashes* are exactly the global bucket
-//!    restricted to the shard's points. Without global ids the merged
-//!    registers would encode local row numbers and shard-count-
-//!    dependent estimates would leak into the walk's decisions.
+//! Per-shard candidate sets union to exactly the unsharded candidate
+//! set, and per-shard HyperLogLog sketches merge losslessly (registers
+//! are element-wise maxima). Two properties make the merge
+//! *byte-identical* to an unsharded index over the same data:
+//!
+//! 1. **Shared randomness, global ids** — every shard samples a rung's
+//!    g-functions and HLL hash from the same builder seed, and shard
+//!    tables store the points' **global** ids (the build pipeline's
+//!    id-mapping hook), so bucket members *and sketch element hashes*
+//!    are exactly the unsharded bucket restricted to the shard's
+//!    points. Local row numbers in the registers would leak
+//!    shard-count-dependent estimates into the walk's decisions.
 //! 2. **Global decisions** — Algorithm 2's cost comparison and the
-//!    top-k engine's skip/early-exit decisions run once per query on
-//!    the *merged* statistics (summed collision counts, one
-//!    accumulator over every shard's probed sketches, the global `n`,
-//!    and a cost model calibrated once on the full data), never
-//!    per-shard. Merged registers equal the unsharded registers, so
-//!    every decision matches the unsharded walk bit for bit.
+//!    top-k walk's skip/early-exit decisions run once per query on the
+//!    *merged* statistics (summed collisions, one accumulator over every
+//!    shard's probed sketches, the global `n`, and each rung's cost
+//!    model resolved once on the full data), never per shard.
 //!
-//! With both in place, [`ShardedIndex`] reports exactly the unsharded
-//! result set (ids canonically sorted ascending — the shard merge's
-//! natural order; the unsharded LSH arm's first-collision order is not
-//! meaningful across shards), and [`ShardedTopKIndex`] produces
-//! byte-identical `(distance, id)` rankings and reports, because a
-//! bounded heap's content depends only on the *set* of offered
-//! candidates, which is preserved level by level. `tests/
-//! sharded_props.rs` pins both contracts across shard counts, storage
-//! backends and verify modes.
+//! So [`ShardedIndex`] reports exactly the unsharded result set (ids
+//! ascending — the first-collision order is not meaningful across
+//! shards), and [`ShardedTopKIndex`] produces byte-identical
+//! `(distance, id)` rankings and reports: a bounded heap's content
+//! depends only on the *set* of offered candidates, which is preserved
+//! level by level. `tests/sharded_props.rs` pins both contracts across
+//! shard counts, storage backends and verify modes.
 //!
 //! Shards are built in parallel (one worker per shard via
-//! [`hlsh_vec::parallel::par_map_with`], each running the blocked build
-//! pipeline) and hold disjoint copies of their rows, so the total
-//! resident data equals the unsharded index and each shard is a
+//! [`hlsh_vec::parallel::par_map_with`], each through the blocked build
+//! pipeline — straight into [`FrozenStore`] for `build_frozen`) and hold
+//! disjoint copies of their rows (a ladder's rungs share one `Arc`), so
+//! the resident data equals the unsharded index and each shard is a
 //! self-contained unit ready to migrate to another machine.
 
 use std::ops::Range;
@@ -111,25 +112,137 @@ impl ShardAssignment {
     }
 }
 
-/// An rNNR index partitioned across `N` shards; see the module docs for
-/// the byte-identity contract.
-pub struct ShardedIndex<S, F, D, B = MapStore>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    shards: Vec<HybridLshIndex<S, F, D, B>>,
+/// Sealed: [`Sharded`]'s bounds name these traits, nothing outside this
+/// module implements them.
+mod rungs {
+    use super::*;
+
+    /// One shard's index as a list of rungs over the shard's rows (a
+    /// ladder's rungs share them through one `Arc`).
+    pub trait ShardRungs {
+        type Data: PointSet;
+        type Family: LshFamily<<Self::Data as PointSet>::Point>;
+        type Dist: Distance<<Self::Data as PointSet>::Point>;
+        type Store: BucketStore;
+
+        /// The rungs, in order (rung `li` is `rungs()[li]`).
+        fn rungs(&self) -> &[Rung<Self>];
+
+        /// Number of points the shard owns.
+        fn len(&self) -> usize;
+    }
+
+    /// A shard index on [`MapStore`] that freezes every rung.
+    pub trait FreezeShard {
+        type Frozen;
+        fn freeze(self) -> Self::Frozen;
+    }
+
+    /// The rNNR index is its own one rung.
+    impl<S, F, D, B> ShardRungs for HybridLshIndex<S, F, D, B>
+    where
+        S: PointSet,
+        F: LshFamily<S::Point>,
+        D: Distance<S::Point>,
+        B: BucketStore,
+    {
+        type Data = S;
+        type Family = F;
+        type Dist = D;
+        type Store = B;
+
+        fn rungs(&self) -> &[Self] {
+            std::slice::from_ref(self)
+        }
+
+        fn len(&self) -> usize {
+            HybridLshIndex::len(self)
+        }
+    }
+
+    /// A ladder has one rung per schedule radius.
+    impl<S, F, D, B> ShardRungs for TopKIndex<S, F, D, B>
+    where
+        S: PointSet,
+        F: LshFamily<S::Point>,
+        D: Distance<S::Point>,
+        B: BucketStore,
+    {
+        type Data = Arc<S>;
+        type Family = F;
+        type Dist = D;
+        type Store = B;
+
+        fn rungs(&self) -> &[Rung<Self>] {
+            self.levels()
+        }
+
+        fn len(&self) -> usize {
+            TopKIndex::len(self)
+        }
+    }
+
+    impl<S, F, D> FreezeShard for HybridLshIndex<S, F, D, MapStore>
+    where
+        S: PointSet,
+        F: LshFamily<S::Point>,
+        D: Distance<S::Point>,
+    {
+        type Frozen = HybridLshIndex<S, F, D, FrozenStore>;
+
+        fn freeze(self) -> Self::Frozen {
+            HybridLshIndex::freeze(self)
+        }
+    }
+
+    impl<S, F, D> FreezeShard for TopKIndex<S, F, D, MapStore>
+    where
+        S: PointSet + Send + Sync,
+        F: LshFamily<S::Point>,
+        F::GFn: Send,
+        D: Distance<S::Point>,
+    {
+        type Frozen = TopKIndex<S, F, D, FrozenStore>;
+
+        fn freeze(self) -> Self::Frozen {
+            TopKIndex::freeze(self)
+        }
+    }
+}
+
+use rungs::{FreezeShard, ShardRungs};
+
+/// A rung of shard index `X`.
+type Rung<X> = HybridLshIndex<
+    <X as ShardRungs>::Data,
+    <X as ShardRungs>::Family,
+    <X as ShardRungs>::Dist,
+    <X as ShardRungs>::Store,
+>;
+
+/// The point type shard index `X` indexes.
+type PointOf<X> = <<X as ShardRungs>::Data as PointSet>::Point;
+
+/// A data set partitioned across shards, one index `X` per shard; see
+/// the module docs for the byte-identity contract.
+pub struct Sharded<X> {
+    shards: Vec<X>,
     /// `owners[s][local] = global` (ascending per shard).
     owners: Vec<Vec<PointId>>,
-    /// `local_of[global] = local` (the shard is implied by the
-    /// assignment); translates global bucket members to rows of their
-    /// shard's slab for verification.
+    /// `local_of[global] = local`: bucket members to rows of their slab.
     local_of: Vec<PointId>,
     assignment: ShardAssignment,
     n: usize,
 }
+
+/// An rNNR index partitioned across shards: one [`HybridLshIndex`] per
+/// shard, queried through [`ShardedQueryEngine`].
+pub type ShardedIndex<S, F, D, B = MapStore> = Sharded<HybridLshIndex<S, F, D, B>>;
+
+/// A top-k index partitioned across shards: one [`TopKIndex`] ladder
+/// per shard, walked by the *global* [`ShardedTopKEngine`] — rankings
+/// and reports are byte-identical to the unsharded [`TopKIndex`].
+pub type ShardedTopKIndex<S, F, D, B = MapStore> = Sharded<TopKIndex<S, F, D, B>>;
 
 /// Inverts per-shard owner lists into the `global → local` table.
 fn invert_owners(owners: &[Vec<PointId>], n: usize) -> Vec<PointId> {
@@ -161,14 +274,10 @@ pub(crate) fn relabel_from<H: Hit>(
     out.truncate(kept);
 }
 
-/// Some shards of a sharded deployment at one level — the rNNR index,
-/// or one rung of the top-k ladder — as one Algorithm 2 source.
-///
-/// Shard tables store global ids and share the builder's seed, so the
-/// shards' buckets partition the unsharded buckets: collisions sum, the
-/// probed sketches merge into the unsharded registers, and each shard
-/// dedups its own members (global ids, translated to rows of its slab
-/// for verification). Hits are reported under global ids, shard by
+/// Some shards at one rung as one Algorithm 2 source: collisions sum,
+/// probed sketches merge into the unsharded registers, each shard
+/// dedups its own members (global ids, translated to slab rows for
+/// verification), and hits are reported under global ids, shard by
 /// shard. The engines view every shard; a shard node views its own.
 pub(crate) struct ShardedLevel<'a, T, F, D, B>
 where
@@ -177,11 +286,10 @@ where
     D: Distance<T::Point>,
     B: BucketStore,
 {
-    /// Each viewed shard's index at this level.
+    /// Each viewed shard's index at this rung.
     shards: Vec<&'a HybridLshIndex<T, F, D, B>>,
-    /// The viewed shards' owner lists (`owners[s][local] = global`).
+    /// The viewed shards' owner lists.
     owners: &'a [Vec<PointId>],
-    /// `local_of[global] = local` over the whole id space.
     local_of: &'a [PointId],
     /// The global point count.
     n: usize,
@@ -209,8 +317,6 @@ where
         self.shards[0].hll_config()
     }
 
-    /// Resolved once on the full data at build time and shared by every
-    /// shard.
     fn cost_model(&self) -> CostModel {
         self.shards[0].cost_model()
     }
@@ -278,155 +384,45 @@ where
     }
 }
 
-impl<S, F, D> ShardedIndex<S, F, D, MapStore>
-where
-    S: SubsetPointSet + Send + Sync,
-    F: LshFamily<S::Point>,
-    F::GFn: Send,
-    D: Distance<S::Point>,
-{
-    /// Partitions `data` per `assignment` and builds one index per
-    /// shard — in parallel, each through the blocked build pipeline.
-    ///
-    /// The cost model is resolved **once on the full data** (explicit
-    /// model or one calibration) and shared by every shard; the builder
-    /// seed is shared too, so all shards sample identical g-functions.
-    /// Consumes `data`: after the per-shard copies are cut, the
-    /// original is dropped, keeping resident memory at one copy.
-    pub fn build(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, &builder, |b, sub, cost, ids| {
-            b.cost_model(cost).build_mapped(sub, Some(ids))
-        })
-    }
-
-    /// Converts every shard to the read-optimised [`FrozenStore`];
-    /// query results are byte-identical before and after.
-    pub fn freeze(self) -> ShardedIndex<S, F, D, FrozenStore> {
-        ShardedIndex {
-            shards: self.shards.into_iter().map(HybridLshIndex::freeze).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            n: self.n,
-        }
-    }
-}
-
-impl<S, F, D> ShardedIndex<S, F, D, FrozenStore>
-where
-    S: SubsetPointSet + Send + Sync,
-    F: LshFamily<S::Point>,
-    F::GFn: Send,
-    D: Distance<S::Point>,
-{
-    /// Like [`ShardedIndex::build`] but every shard's tables are laid
-    /// out directly as frozen CSR arenas (no intermediate hashmaps).
-    pub fn build_frozen(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, &builder, |b, sub, cost, ids| {
-            b.cost_model(cost).build_frozen_mapped(sub, Some(ids))
-        })
-    }
-
-    /// Converts every shard back to the mutable [`MapStore`] backend.
-    pub fn thaw(self) -> ShardedIndex<S, F, D, MapStore> {
-        ShardedIndex {
-            shards: self.shards.into_iter().map(HybridLshIndex::thaw).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            n: self.n,
-        }
-    }
-
-    /// Reassembles a sharded index from already-built shards and their
-    /// persisted owner lists — the snapshot loader's entry point.
-    /// `local_of` is recomputed from `owners`, which is the one
-    /// direction that is always consistent.
-    ///
-    /// # Panics
-    /// Panics if the shapes disagree: shard count vs assignment, owner
-    /// list lengths vs shard sizes, or owner ids out of `0..n`.
-    pub(crate) fn assemble(
-        shards: Vec<HybridLshIndex<S, F, D, FrozenStore>>,
-        owners: Vec<Vec<PointId>>,
-        assignment: ShardAssignment,
-        n: usize,
-    ) -> Self {
-        assert_eq!(shards.len(), assignment.shards(), "one shard index per assignment shard");
-        assert_eq!(owners.len(), shards.len(), "one owner list per shard");
-        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
-        for (shard, ids) in shards.iter().zip(&owners) {
-            assert_eq!(shard.len(), ids.len(), "shard size must match its owner list");
-            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
-        }
-        let local_of = invert_owners(&owners, n);
-        Self { shards, owners, local_of, assignment, n }
-    }
-}
-
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
-    S: SubsetPointSet + Send + Sync,
-    F: LshFamily<S::Point>,
-    F::GFn: Send,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    /// Shared shard-construction scaffold: partition, resolve the
-    /// global cost model, cut each shard's subset inside its worker and
-    /// build it there.
-    fn build_each(
+impl<X> Sharded<X> {
+    /// The build scaffold: partitions `data`, pins on each rung builder
+    /// its cost model resolved **once on the full data**, then builds
+    /// every shard in its own worker as `build_shard(rows, global_ids,
+    /// rung_builders)`. `data` is dropped once the shards are cut.
+    fn build_each<S, F, D>(
         data: S,
         assignment: ShardAssignment,
-        builder: &IndexBuilder<F, D>,
-        build_one: impl Fn(
-                IndexBuilder<F, D>,
-                S,
-                crate::cost::CostModel,
-                &[PointId],
-            ) -> HybridLshIndex<S, F, D, B>
-            + Sync,
+        builders: impl IntoIterator<Item = IndexBuilder<F, D>>,
+        build_shard: impl Fn(S, &[PointId], &[IndexBuilder<F, D>]) -> X + Sync,
     ) -> Self
     where
-        S: Send,
-        HybridLshIndex<S, F, D, B>: Send,
+        S: SubsetPointSet + Sync,
+        F: LshFamily<S::Point>,
+        D: Distance<S::Point>,
+        X: Send,
     {
         let n = data.len();
         let owners = assignment.partition(n);
         let local_of = invert_owners(&owners, n);
-        let cost = builder.resolve_cost(&data);
         // One worker per shard; nested table-parallelism is pointless
         // once shards already fan out, so inner builds go sequential
         // whenever more than one shard exists.
-        let inner_sequential = owners.len() > 1;
-        let data_ref = &data;
-        let owners_ref = &owners;
-        let build_one_ref = &build_one;
+        let sequential = owners.len() > 1;
+        let pin = |b: IndexBuilder<F, D>| {
+            let cost = b.resolve_cost(&data);
+            (if sequential { b.sequential() } else { b }).cost_model(cost)
+        };
+        let builders: Vec<_> = builders.into_iter().map(pin).collect();
         let shards = par_map_with(
             owners.len(),
             None,
             || (),
-            |_, si| {
-                let sub = data_ref.subset(&owners_ref[si]);
-                let mut b = builder.clone();
-                if inner_sequential {
-                    b = b.sequential();
-                }
-                build_one_ref(b, sub, cost, &owners_ref[si])
-            },
+            |_, si| build_shard(data.subset(&owners[si]), &owners[si], &builders),
         );
         drop(data);
         Self { shards, owners, local_of, assignment, n }
     }
-}
 
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
     /// Total indexed points across all shards.
     pub fn len(&self) -> usize {
         self.n
@@ -443,10 +439,9 @@ where
     }
 
     /// The per-shard indexes. **Caution:** shard tables store *global*
-    /// ids (so sketches merge byte-identically with the unsharded
-    /// index), which do not index the shard's own data slab — query
-    /// them through the sharded engines, never directly.
-    pub fn shards(&self) -> &[HybridLshIndex<S, F, D, B>] {
+    /// ids, which do not index the shard's own data slab — query them
+    /// through the sharded engines, never directly.
+    pub fn shards(&self) -> &[X] {
         &self.shards
     }
 
@@ -454,21 +449,116 @@ where
     pub fn global_ids(&self, shard: usize) -> &[PointId] {
         &self.owners[shard]
     }
+}
 
-    /// Shards `shards` as one Algorithm 2 source.
-    fn view(&self, shards: Range<usize>) -> ShardedLevel<'_, S, F, D, B> {
+impl<X: FreezeShard> Sharded<X> {
+    /// Converts every shard's every rung to the read-optimised
+    /// [`FrozenStore`]; answers are byte-identical before and after.
+    pub fn freeze(self) -> Sharded<X::Frozen> {
+        Sharded {
+            shards: self.shards.into_iter().map(X::freeze).collect(),
+            owners: self.owners,
+            local_of: self.local_of,
+            assignment: self.assignment,
+            n: self.n,
+        }
+    }
+}
+
+impl<X: ShardRungs> Sharded<X> {
+    /// Reassembles a sharded structure from built shard indexes and
+    /// their persisted owner lists — the snapshot loader's entry point.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree: shard count vs assignment, shard
+    /// sizes vs owner lists, rung counts across shards, or owner ids
+    /// out of `0..n`.
+    pub(crate) fn assemble(
+        shards: Vec<X>,
+        owners: Vec<Vec<PointId>>,
+        assignment: ShardAssignment,
+        n: usize,
+    ) -> Self {
+        assert_eq!(shards.len(), assignment.shards(), "one shard index per assignment shard");
+        assert_eq!(owners.len(), shards.len(), "one owner list per shard");
+        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
+        for (shard, ids) in shards.iter().zip(&owners) {
+            assert_eq!(shard.len(), ids.len(), "shard size must match its owner list");
+            assert_eq!(shard.rungs().len(), shards[0].rungs().len(), "ragged rungs");
+            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
+        }
+        let local_of = invert_owners(&owners, n);
+        Self { shards, owners, local_of, assignment, n }
+    }
+
+    /// Rung `rung`'s HLL configuration, shared by every shard.
+    pub fn hll_config(&self, rung: usize) -> HllConfig {
+        self.shards[0].rungs()[rung].hll_config()
+    }
+
+    /// Rung `rung`'s cost model, resolved once on the full data and
+    /// shared by every shard.
+    pub fn cost_model(&self, rung: usize) -> CostModel {
+        self.shards[0].rungs()[rung].cost_model()
+    }
+
+    /// Shards `shards` at rung `rung` as one Algorithm 2 source.
+    fn view(
+        &self,
+        rung: usize,
+        shards: Range<usize>,
+    ) -> ShardedLevel<'_, X::Data, X::Family, X::Dist, X::Store> {
         ShardedLevel {
-            shards: self.shards[shards.clone()].iter().collect(),
+            shards: self.shards[shards.clone()].iter().map(|x| &x.rungs()[rung]).collect(),
             owners: &self.owners[shards],
             local_of: &self.local_of,
             n: self.n,
         }
     }
+}
 
-    /// Hybrid query (Algorithm 2 with a global decision); allocates
-    /// fresh scratch. Batch workloads should prefer
-    /// [`query_batch`](Self::query_batch) or a reused
-    /// [`ShardedQueryEngine`].
+impl<S, F, D> ShardedIndex<S, F, D, MapStore>
+where
+    S: SubsetPointSet + Send + Sync,
+    F: LshFamily<S::Point>,
+    F::GFn: Send,
+    D: Distance<S::Point>,
+{
+    /// Partitions `data` per `assignment` and builds one index per
+    /// shard in parallel, with one cost model (the builder's, or one
+    /// calibration on the full data) and one seed for every shard.
+    pub fn build(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
+        Self::build_each(data, assignment, [builder], |rows, ids, b| {
+            b[0].clone().build_mapped(rows, Some(ids))
+        })
+    }
+}
+
+impl<S, F, D> ShardedIndex<S, F, D, FrozenStore>
+where
+    S: SubsetPointSet + Send + Sync,
+    F: LshFamily<S::Point>,
+    F::GFn: Send,
+    D: Distance<S::Point>,
+{
+    /// Like [`ShardedIndex::build`] but every shard's tables are laid
+    /// out directly as frozen CSR arenas (no intermediate hashmaps).
+    pub fn build_frozen(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
+        Self::build_each(data, assignment, [builder], |rows, ids, b| {
+            b[0].clone().build_frozen_mapped(rows, Some(ids))
+        })
+    }
+}
+
+impl<S, F, D, B> ShardedIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    /// Hybrid query (Algorithm 2 with a global decision) with fresh
+    /// scratch; batch workloads should reuse a [`ShardedQueryEngine`].
     pub fn query(&self, q: &S::Point, r: f64) -> QueryOutput {
         ShardedQueryEngine::new().query(self, q, r)
     }
@@ -553,14 +643,11 @@ impl ShardedQueryEngine {
         self.query_with_strategy(index, q, r, Strategy::Hybrid)
     }
 
-    /// Runs one query across every shard under `strategy`.
-    ///
-    /// S1 probes all shards, S2 merges every probed sketch into one
-    /// accumulator, the Algorithm 2 decision compares the *global*
-    /// costs once, and the chosen arm then runs on every shard; shard
-    /// outputs are mapped to global ids and reported in ascending-id
-    /// order. The reported id *set* is identical to the unsharded
-    /// index's under the same strategy (see the module docs).
+    /// Runs one query across every shard under `strategy`: S1 probes
+    /// all shards, S2 merges every probed sketch into one accumulator,
+    /// the *global* costs are compared once, and the chosen arm runs on
+    /// every shard. Ids are global and ascending; the id *set* equals
+    /// the unsharded index's under the same strategy.
     pub fn query_with_strategy<S, F, D, B>(
         &mut self,
         index: &ShardedIndex<S, F, D, B>,
@@ -574,31 +661,8 @@ impl ShardedQueryEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        self.0.query_sorted(&index.view(0..index.shards.len()), q, r, strategy)
+        self.0.query_sorted(&index.view(0, 0..index.shards.len()), q, r, strategy)
     }
-}
-
-/// A top-k index partitioned across shards: one [`TopKIndex`] (a full
-/// radius-schedule ladder) per shard, walked by a *global* engine.
-///
-/// Per-shard heaps are merged through the same bounded `(distance, id)`
-/// heap the unsharded engine uses — and because every walk decision
-/// (skip, early exit, fallback, arm choice) is made on merged
-/// statistics, the final ranking and report are byte-identical to the
-/// unsharded [`TopKIndex`] over the same data.
-pub struct ShardedTopKIndex<S, F, D, B = MapStore>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    shards: Vec<TopKIndex<S, F, D, B>>,
-    owners: Vec<Vec<PointId>>,
-    local_of: Vec<PointId>,
-    assignment: ShardAssignment,
-    schedule: RadiusSchedule,
-    n: usize,
 }
 
 impl<S, F, D> ShardedTopKIndex<S, F, D, MapStore>
@@ -608,120 +672,53 @@ where
     F::GFn: Send,
     D: Distance<S::Point>,
 {
-    /// Partitions `data` and builds one schedule ladder per shard, in
-    /// parallel.
-    ///
-    /// `level_builder(level, radius)` configures each level exactly as
-    /// for [`TopKIndex::build`]; it must be `Fn` (not `FnMut`) because
-    /// it is re-invoked per `(shard, level)` from parallel workers.
-    /// Each level's cost model is resolved once on the **full** data
-    /// and shared by that level's builders in every shard, keeping the
-    /// walk's arm decisions byte-identical to the unsharded ladder.
+    /// Partitions `data` and builds one schedule ladder per shard in
+    /// parallel. `level_builder(level, radius)` configures each level
+    /// as for [`TopKIndex::build`]; each level's cost model is resolved
+    /// once on the **full** data and shared by every shard.
     pub fn build<M>(
         data: S,
         assignment: ShardAssignment,
         schedule: RadiusSchedule,
-        level_builder: M,
+        mut level_builder: M,
     ) -> Self
     where
-        M: Fn(usize, f64) -> IndexBuilder<F, D> + Sync,
-        D: Sync,
-        F: Sync,
-        TopKIndex<S, F, D, MapStore>: Send,
+        M: FnMut(usize, f64) -> IndexBuilder<F, D>,
     {
-        let n = data.len();
-        let owners = assignment.partition(n);
-        let local_of = invert_owners(&owners, n);
-        let level_costs: Vec<crate::cost::CostModel> = schedule
-            .radii()
-            .enumerate()
-            .map(|(li, r)| level_builder(li, r).resolve_cost(&data))
-            .collect();
-        let inner_sequential = owners.len() > 1;
-        let data_ref = &data;
-        let owners_ref = &owners;
-        let level_builder_ref = &level_builder;
-        let level_costs_ref = &level_costs;
-        let shards = par_map_with(
-            owners.len(),
-            None,
-            || (),
-            |_, si| {
-                let sub = data_ref.subset(&owners_ref[si]);
-                TopKIndex::build_mapped(
-                    sub,
-                    schedule,
-                    |li, r| {
-                        let mut b = level_builder_ref(li, r).cost_model(level_costs_ref[li]);
-                        if inner_sequential {
-                            b = b.sequential();
-                        }
-                        b
-                    },
-                    Some(&owners_ref[si]),
-                )
-            },
-        );
-        drop(data);
-        Self { shards, owners, local_of, assignment, schedule, n }
-    }
-
-    /// Freezes every shard's every level into the CSR arena backend.
-    pub fn freeze(self) -> ShardedTopKIndex<S, F, D, FrozenStore> {
-        ShardedTopKIndex {
-            shards: self.shards.into_iter().map(TopKIndex::freeze).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            schedule: self.schedule,
-            n: self.n,
-        }
+        let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r));
+        Self::build_each(data, assignment, builders, |rows, ids, b| {
+            TopKIndex::build_mapped(rows, schedule, |li, _| b[li].clone(), Some(ids))
+        })
     }
 }
 
 impl<S, F, D> ShardedTopKIndex<S, F, D, FrozenStore>
 where
-    S: PointSet,
+    S: SubsetPointSet + Send + Sync,
     F: LshFamily<S::Point>,
+    F::GFn: Send,
     D: Distance<S::Point>,
 {
-    /// Converts every shard back to the mutable backend.
-    pub fn thaw(self) -> ShardedTopKIndex<S, F, D, MapStore> {
-        ShardedTopKIndex {
-            shards: self.shards.into_iter().map(TopKIndex::thaw).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            schedule: self.schedule,
-            n: self.n,
-        }
-    }
-
-    /// Reassembles a sharded ladder from already-built per-shard
-    /// ladders and their persisted owner lists — the snapshot loader's
-    /// entry point. `local_of` is recomputed from `owners`.
-    ///
-    /// # Panics
-    /// Panics if the shapes disagree: shard count vs assignment, ladder
-    /// sizes or schedules vs their owner lists, or owner ids out of
-    /// `0..n`.
-    pub(crate) fn assemble(
-        shards: Vec<TopKIndex<S, F, D, FrozenStore>>,
-        owners: Vec<Vec<PointId>>,
+    /// Like [`ShardedTopKIndex::build`] but every rung is laid out
+    /// directly as frozen CSR arenas; byte-identical to
+    /// `build(..).freeze()`.
+    pub fn build_frozen<M>(
+        data: S,
         assignment: ShardAssignment,
         schedule: RadiusSchedule,
-        n: usize,
-    ) -> Self {
-        assert_eq!(shards.len(), assignment.shards(), "one ladder per assignment shard");
-        assert_eq!(owners.len(), shards.len(), "one owner list per shard");
-        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
-        for (shard, ids) in shards.iter().zip(&owners) {
-            assert_eq!(shard.len(), ids.len(), "ladder size must match its owner list");
-            assert_eq!(shard.schedule(), schedule, "every ladder shares the schedule");
-            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
-        }
-        let local_of = invert_owners(&owners, n);
-        Self { shards, owners, local_of, assignment, schedule, n }
+        mut level_builder: M,
+    ) -> Self
+    where
+        M: FnMut(usize, f64) -> IndexBuilder<F, D>,
+    {
+        let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r));
+        Self::build_each(data, assignment, builders, |rows, ids, b| {
+            let rows = Arc::new(rows);
+            let levels =
+                b.iter().map(|b| b.clone().build_frozen_mapped(Arc::clone(&rows), Some(ids)));
+            let levels = levels.collect();
+            TopKIndex::assemble(rows, schedule, levels)
+        })
     }
 }
 
@@ -732,47 +729,9 @@ where
     D: Distance<S::Point>,
     B: BucketStore,
 {
-    /// Total indexed points across all shards.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The radius schedule shared by every shard.
     pub fn schedule(&self) -> RadiusSchedule {
-        self.schedule
-    }
-
-    /// The shard assignment in force.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
-    /// The per-shard ladders. **Caution:** shard tables store *global*
-    /// ids (see [`ShardedIndex::shards`]); query them only through the
-    /// sharded engines.
-    pub fn shards(&self) -> &[TopKIndex<S, F, D, B>] {
-        &self.shards
-    }
-
-    /// The global ids owned by `shard`, in that shard's local row order
-    /// (as [`ShardedIndex::global_ids`]).
-    pub fn global_ids(&self, shard: usize) -> &[PointId] {
-        &self.owners[shard]
-    }
-
-    /// Shards `shards` at schedule level `li` as one Algorithm 2 source.
-    fn level_view(&self, li: usize, shards: Range<usize>) -> ShardedLevel<'_, Arc<S>, F, D, B> {
-        ShardedLevel {
-            shards: self.shards[shards.clone()].iter().map(|ladder| &ladder.levels()[li]).collect(),
-            owners: &self.owners[shards],
-            local_of: &self.local_of,
-            n: self.n,
-        }
+        self.shards[0].schedule()
     }
 
     /// Answers one top-k query with fresh scratch.
@@ -789,9 +748,8 @@ where
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {
-    /// Answers a batch of top-k queries, sharded across all available
-    /// cores; outputs in input order, byte-identical to a sequential
-    /// loop.
+    /// Answers a batch of top-k queries across all available cores;
+    /// outputs in input order, byte-identical to a sequential loop.
     pub fn query_topk_batch<Q>(&self, queries: &[Q], k: usize) -> Vec<TopKOutput>
     where
         Q: AsRef<S::Point> + Sync,
@@ -855,10 +813,8 @@ impl ShardedTopKEngine {
         self.query_topk_with(index, q, k, Strategy::Hybrid)
     }
 
-    /// The global schedule walk, every level query fanned across shards
-    /// and every decision made on merged statistics;
-    /// `tests/sharded_props.rs` pins the byte-identity of outputs and
-    /// reports with the unsharded engine.
+    /// The global schedule walk: every level query fans across shards
+    /// and every decision is made on merged statistics.
     pub fn query_topk_with<S, F, D, B>(
         &mut self,
         index: &ShardedTopKIndex<S, F, D, B>,
@@ -872,34 +828,24 @@ impl ShardedTopKEngine {
         D: Distance<S::Point>,
         B: BucketStore,
     {
-        let shards = 0..index.shards.len();
+        let schedule = index.schedule();
         let levels: Vec<_> =
-            (0..index.schedule.levels()).map(|li| index.level_view(li, shards.clone())).collect();
-        self.walk.run(&mut self.engine, &levels, index.schedule, q, k, strategy)
+            (0..schedule.levels()).map(|li| index.view(li, 0..index.shards.len())).collect();
+        self.walk.run(&mut self.engine, &levels, schedule, q, k, strategy)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Distributed hooks
-// ---------------------------------------------------------------------------
-//
-// A shard node in a distributed deployment holds the full sharded index
-// (loaded from the same snapshot every node ships) but answers only for
-// its assigned shard. The methods below expose exactly the per-shard
-// work of the level query — probe + local sketch merge, arm execution,
-// fallback scan — on a one-shard view, so a remote coordinator that
-// merges the summaries and replays the global decisions reproduces the
-// in-process answers byte for byte. All of them verify in the default
-// [`VerifyMode::Kernel`], matching the engines the serving layer uses.
+// Distributed hooks: a shard node holds the full sharded structures but
+// answers only for its shard. Each hook runs one shard's part of a level
+// query at one rung — probe + sketch merge, arm, fallback scan — so a
+// coordinator that merges the summaries and replays the global decisions
+// reproduces the in-process answers byte for byte. All verify in the
+// default [`VerifyMode::Kernel`], as the serving engines do.
 
 /// One query's compact S1/S2 summary from one shard: the summed bucket
-/// sizes (S1) and the shard-local merged HyperLogLog registers (S2).
-///
-/// Register-wise `max` over per-shard registers equals the registers of
-/// one accumulator fed every shard's probed buckets — HLL merge is
-/// associative and commutative — so a coordinator that max-merges these
-/// summaries and estimates once reproduces the in-process
-/// [`ShardedQueryEngine`] statistics bit for bit.
+/// sizes and the shard-local merged HyperLogLog registers. HLL merge is
+/// associative and commutative, so a coordinator that max-merges these
+/// and estimates once reproduces the in-process statistics bit for bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSummary {
     /// Sum of probed bucket sizes on this shard (S1 contribution).
@@ -908,215 +854,60 @@ pub struct ShardSummary {
     pub registers: Vec<u8>,
 }
 
-/// The S1/S2 summary of `q` against `level`: probe, sum the collisions,
-/// merge the probed sketches.
-fn summarize<L: Level>(
-    level: &L,
-    q: &L::Point,
-    acc: &mut Option<MergeAccumulator>,
-) -> ShardSummary {
-    let (probe, collisions) = level.probe(q);
-    let acc = ensure_accumulator(acc, level.hll_config());
-    level.contribute(&probe, acc);
-    ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
-}
-
-/// The arm a coordinator chose, run on `level` (see
-/// [`LevelEngine::run_arm`]). Hits come in the order the in-process
-/// engines produce them: first-collision order for the LSH arm,
-/// ascending row order for the linear arm.
-fn chosen_arm<L: Level, H: Hit>(
-    engine: &mut LevelEngine<L::Seen>,
-    level: &L,
-    q: &L::Point,
-    r: f64,
-    lsh: bool,
-) -> Vec<H> {
-    engine.run_arm(level, q, r, if lsh { ExecutedArm::Lsh } else { ExecutedArm::Linear })
-}
-
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
+impl<X: ShardRungs> Sharded<X>
 where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
+    Rung<X>: Sync,
 {
-    /// The HLL configuration shared by every shard's buckets.
-    pub fn hll_config(&self) -> HllConfig {
-        self.shards[0].hll_config()
-    }
-
-    /// The cost model shared by every shard (resolved once on the full
-    /// data at build time).
-    pub fn cost_model(&self) -> CostModel {
-        self.shards[0].cost_model()
-    }
-
-    /// One shard's S1/S2 summary for one query: probe the shard's
-    /// tables, sum the bucket sizes, merge the probed sketches.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_summary(&self, shard: usize, q: &S::Point) -> ShardSummary {
-        summarize(&self.view(shard..shard + 1), q, &mut None)
-    }
-
-    /// One shard's chosen-arm execution for one query: the LSH arm
-    /// (probe → dedup global members → batched kernel verification) or
-    /// the linear arm (full shard scan), either way returning the
-    /// shard's **global** ids within `r`, ascending.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
-        let mut ids =
-            chosen_arm(&mut LevelEngine::default(), &self.view(shard..shard + 1), q, r, lsh);
-        ids.sort_unstable();
-        ids
-    }
-}
-
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
-    S: PointSet + Sync,
-    F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
-    D: Distance<S::Point> + Sync,
-    B: BucketStore + Sync,
-{
-    /// [`shard_summary`](Self::shard_summary) over a batch, fanned
-    /// across scoped threads; outputs in input order.
+    /// One shard's S1/S2 summaries against rung `rung` for a batch of
+    /// queries, fanned across scoped threads; outputs in input order.
+    /// Panics if `shard` or `rung` is out of range, as every hook does.
     pub fn shard_summaries<Q>(
         &self,
         shard: usize,
+        rung: usize,
         queries: &[Q],
         threads: Option<usize>,
     ) -> Vec<ShardSummary>
     where
-        Q: AsRef<S::Point> + Sync,
+        Q: AsRef<PointOf<X>> + Sync,
     {
-        let view = self.view(shard..shard + 1);
-        par_map_with(
-            queries.len(),
-            threads,
-            || None,
-            |acc, qi| summarize(&view, queries[qi].as_ref(), acc),
-        )
+        let view = self.view(rung, shard..shard + 1);
+        let summarize = |acc: &mut Option<MergeAccumulator>, qi: usize| {
+            let (probe, collisions) = view.probe(queries[qi].as_ref());
+            let acc = ensure_accumulator(acc, view.hll_config());
+            view.contribute(&probe, acc);
+            ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
+        };
+        par_map_with(queries.len(), threads, || None, summarize)
     }
 
-    /// [`shard_arm`](Self::shard_arm) over a batch, fanned across
-    /// scoped threads; outputs in input order.
-    pub fn shard_arm_batch<Q>(
+    /// One shard's run of the arm a coordinator chose (LSH when `lsh`,
+    /// else linear) against rung `rung`: per query, the hits within `r`
+    /// under **global** ids (ids alone or `(id, distance)` pairs) in the
+    /// in-process order — first collision for LSH, row order for linear.
+    pub fn shard_arm_batch<Q, H>(
         &self,
         shard: usize,
+        rung: usize,
         queries: &[Q],
         r: f64,
         lsh: bool,
         threads: Option<usize>,
-    ) -> Vec<Vec<PointId>>
+    ) -> Vec<Vec<H>>
     where
-        Q: AsRef<S::Point> + Sync,
+        Q: AsRef<PointOf<X>> + Sync,
+        H: Hit,
     {
-        let view = self.view(shard..shard + 1);
+        let view = self.view(rung, shard..shard + 1);
+        let arm = if lsh { ExecutedArm::Lsh } else { ExecutedArm::Linear };
         par_map_with(queries.len(), threads, LevelEngine::default, |engine, qi| {
-            let mut ids: Vec<PointId> = chosen_arm(engine, &view, queries[qi].as_ref(), r, lsh);
-            ids.sort_unstable();
-            ids
-        })
-    }
-}
-
-impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    /// Level `li`'s HLL configuration (shared by every shard).
-    ///
-    /// # Panics
-    /// Panics if `li` is out of range.
-    pub fn level_hll_config(&self, li: usize) -> HllConfig {
-        self.shards[0].levels()[li].hll_config()
-    }
-
-    /// Level `li`'s cost model (resolved once on the full data).
-    ///
-    /// # Panics
-    /// Panics if `li` is out of range.
-    pub fn level_cost_model(&self, li: usize) -> CostModel {
-        self.shards[0].levels()[li].cost_model()
-    }
-}
-
-impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
-where
-    S: PointSet + Send + Sync,
-    F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
-    D: Distance<S::Point> + Sync,
-    B: BucketStore + Sync,
-{
-    /// One shard's S1/S2 summaries against schedule level `li` for a
-    /// batch of queries; outputs in input order.
-    ///
-    /// # Panics
-    /// Panics if `shard` or `li` is out of range.
-    pub fn shard_level_summaries<Q>(
-        &self,
-        shard: usize,
-        li: usize,
-        queries: &[Q],
-        threads: Option<usize>,
-    ) -> Vec<ShardSummary>
-    where
-        Q: AsRef<S::Point> + Sync,
-    {
-        let view = self.level_view(li, shard..shard + 1);
-        par_map_with(
-            queries.len(),
-            threads,
-            || None,
-            |acc, qi| summarize(&view, queries[qi].as_ref(), acc),
-        )
-    }
-
-    /// One shard's chosen-arm execution against level `li`: per query,
-    /// the shard's `(global id, distance)` pairs within `r` — in the
-    /// shard-local candidate order the in-process walk offers them
-    /// (first-collision order for the LSH arm, ascending row order for
-    /// the linear arm).
-    ///
-    /// # Panics
-    /// Panics if `shard` or `li` is out of range.
-    pub fn shard_level_arm_batch<Q>(
-        &self,
-        shard: usize,
-        li: usize,
-        queries: &[Q],
-        r: f64,
-        lsh: bool,
-        threads: Option<usize>,
-    ) -> Vec<Vec<(PointId, f64)>>
-    where
-        Q: AsRef<S::Point> + Sync,
-    {
-        let view = self.level_view(li, shard..shard + 1);
-        par_map_with(queries.len(), threads, LevelEngine::default, |engine, qi| {
-            chosen_arm(engine, &view, queries[qi].as_ref(), r, lsh)
+            engine.run_arm(&view, queries[qi].as_ref(), r, arm)
         })
     }
 
     /// One shard's exact-fallback scan: per query, **every** row the
-    /// shard owns as `(global id, distance)`, ascending by local row,
-    /// NaN-distance gaps completed — the per-shard slice of the walk's
-    /// exact fallback. The coordinator filters already-reported ids,
-    /// exactly as the in-process [`TopKWalk`] does.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
+    /// shard owns as `(global id, distance)`, ascending by local row —
+    /// the shard's slice of the [`TopKWalk`]'s exact fallback.
     pub fn shard_fallback_scan_batch<Q>(
         &self,
         shard: usize,
@@ -1124,9 +915,9 @@ where
         threads: Option<usize>,
     ) -> Vec<Vec<(PointId, f64)>>
     where
-        Q: AsRef<S::Point> + Sync,
+        Q: AsRef<PointOf<X>> + Sync,
     {
-        let view = self.level_view(0, shard..shard + 1);
+        let view = self.view(0, shard..shard + 1);
         par_map_with(
             queries.len(),
             threads,
@@ -1245,8 +1036,6 @@ mod tests {
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(frozen.query(q, 1.5).ids, sequential[qi], "frozen q={qi}");
         }
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.query(&queries[0], 1.5).ids, sequential[0]);
     }
 
     /// Replays the distributed coordinator's merge protocol in-process:
@@ -1256,17 +1045,17 @@ mod tests {
     fn shard_summaries_and_arms_replay_the_global_decision() {
         let data = grid_data(300);
         let sharded = ShardedIndex::build(data.clone(), ShardAssignment::new(5, 3), builder());
-        let config = sharded.hll_config();
-        let cost = sharded.cost_model();
+        let config = sharded.hll_config(0);
+        let cost = sharded.cost_model(0);
         for (qi, r) in [(0usize, 1.0), (140, 2.5), (299, 0.2)] {
-            let q = data.row(qi).to_vec();
-            let expect = sharded.query(&q[..], r);
+            let q = [data.row(qi)];
+            let expect = sharded.query(q[0], r);
 
             // Coordinator-side merge: sum collisions, max registers.
             let mut collisions = 0usize;
             let mut regs = vec![0u8; config.registers()];
             for si in 0..3 {
-                let s = sharded.shard_summary(si, &q[..]);
+                let s = &sharded.shard_summaries(si, 0, &q, None)[0];
                 collisions += s.collisions as usize;
                 for (m, &v) in regs.iter_mut().zip(&s.registers) {
                     *m = (*m).max(v);
@@ -1278,8 +1067,9 @@ mod tests {
 
             // Global decision + per-shard arms concatenated and sorted.
             let lsh = cost.prefer_lsh(collisions, est, sharded.len());
-            let mut ids: Vec<PointId> =
-                (0..3).flat_map(|si| sharded.shard_arm(si, &q[..], r, lsh)).collect();
+            let mut ids: Vec<PointId> = (0..3)
+                .flat_map(|si| sharded.shard_arm_batch(si, 0, &q, r, lsh, None).remove(0))
+                .collect();
             ids.sort_unstable();
             assert_eq!(ids, expect.ids, "q={qi} r={r}");
         }

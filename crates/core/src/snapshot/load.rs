@@ -513,13 +513,8 @@ where
             }
             ladders.push(TopKIndex::assemble(data, schedule, levels));
         }
-        topk_index = Some(ShardedTopKIndex::assemble(
-            ladders,
-            owners_all.clone(),
-            assignment,
-            schedule,
-            raw.n,
-        ));
+        topk_index =
+            Some(ShardedTopKIndex::assemble(ladders, owners_all.clone(), assignment, raw.n));
     }
     let rnnr = ShardedIndex::assemble(rnnr_shards, owners_all, assignment, raw.n);
     Ok(LoadedSnapshot { rnnr, topk: topk_index, manifest: manifest_of(&raw), plan })

@@ -287,15 +287,6 @@ where
     F: LshFamily<S::Point>,
     D: Distance<S::Point>,
 {
-    /// Converts every level back to the mutable [`MapStore`] backend.
-    pub fn thaw(self) -> TopKIndex<S, F, D, MapStore> {
-        TopKIndex {
-            data: self.data,
-            schedule: self.schedule,
-            levels: self.levels.into_iter().map(HybridLshIndex::thaw).collect(),
-        }
-    }
-
     /// Reassembles a ladder from already-built levels — the snapshot
     /// loader's entry point. Every level must index `data` (the loader
     /// hands each level the same `Arc`).
@@ -892,8 +883,6 @@ mod tests {
         let frozen = index.freeze();
         let frozen_out = frozen.query_topk_batch(&queries, 6);
         assert_eq!(map_out, frozen_out, "frozen vs map");
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.query_topk_batch(&queries, 6), map_out, "thawed vs map");
     }
 
     #[test]

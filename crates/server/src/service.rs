@@ -211,6 +211,11 @@ where
     ) -> Self {
         if let Some(t) = &topk {
             assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
+            assert_eq!(
+                t.assignment(),
+                rnnr.assignment(),
+                "rNNR and top-k indexes must be sharded under the same assignment"
+            );
         }
         Self { rnnr, topk, dim: dim as u32 }
     }
@@ -346,24 +351,23 @@ where
         Ok(queries.rows())
     }
 
-    /// Resolves a wire target to a validated ladder level — `None` for
+    /// The served ladder, or the typed error for a frame that needs one.
+    fn ladder(&self) -> Result<&ShardedTopKIndex<S, F, D, FrozenStore>, ServiceError> {
+        let ladder = self.inner.topk_index();
+        ladder.ok_or_else(|| ServiceError::unsupported("this shard node has no top-k ladder"))
+    }
+
+    /// Resolves a wire target to a validated ladder rung — `None` for
     /// the rNNR index.
     fn check_target(&self, target: ShardTarget) -> Result<Option<usize>, ServiceError> {
-        match target {
-            ShardTarget::Rnnr => Ok(None),
-            ShardTarget::TopKLevel(li) => {
-                let levels = self.inner.topk_index().map_or(0, |t| t.schedule().levels() as u32);
-                if levels == 0 {
-                    return Err(ServiceError::unsupported("this shard node has no top-k ladder"));
-                }
-                if li >= levels {
-                    return Err(ServiceError::malformed(format!(
-                        "ladder level {li} out of range ({levels} levels)"
-                    )));
-                }
-                Ok(Some(li as usize))
-            }
+        let ShardTarget::TopKLevel(li) = target else { return Ok(None) };
+        let levels = self.ladder()?.schedule().levels();
+        if li as usize >= levels {
+            return Err(ServiceError::malformed(format!(
+                "ladder level {li} out of range ({levels} levels)"
+            )));
         }
+        Ok(Some(li as usize))
     }
 }
 
@@ -419,7 +423,7 @@ where
                     Some(t) => (0..t.schedule().levels())
                         .map(|li| ShardLevelInfo {
                             radius: t.schedule().radius(li),
-                            params: params_of(t.level_hll_config(li), t.level_cost_model(li)),
+                            params: params_of(t.hll_config(li), t.cost_model(li)),
                         })
                         .collect(),
                     None => Vec::new(),
@@ -429,19 +433,15 @@ where
                     shards: rnnr.assignment().shards() as u32,
                     points: rnnr.len() as u64,
                     dim: self.inner.dim(),
-                    rnnr: params_of(rnnr.hll_config(), rnnr.cost_model()),
+                    rnnr: params_of(rnnr.hll_config(0), rnnr.cost_model(0)),
                     levels,
                 }))
             }
             ShardRequest::Summarize { target, queries } => {
                 let rows = self.check_rows(queries)?;
                 let summaries = match self.check_target(*target)? {
-                    None => rnnr.shard_summaries(shard, &rows, threads),
-                    Some(li) => self
-                        .inner
-                        .topk_index()
-                        .expect("check_target verified the ladder exists")
-                        .shard_level_summaries(shard, li, &rows, threads),
+                    None => rnnr.shard_summaries(shard, 0, &rows, threads),
+                    Some(li) => self.ladder()?.shard_summaries(shard, li, &rows, threads),
                 };
                 Ok(ShardResponse::Summaries(
                     summaries
@@ -461,27 +461,27 @@ where
                 }
                 let rows = self.check_rows(queries)?;
                 let lsh = matches!(arm, crate::protocol::Arm::Lsh);
-                match self.check_target(*target)? {
-                    None => Ok(ShardResponse::Ids(
-                        rnnr.shard_arm_batch(shard, &rows, *radius, lsh, threads),
-                    )),
-                    Some(li) => {
-                        let t = self
-                            .inner
-                            .topk_index()
-                            .expect("check_target verified the ladder exists");
-                        Ok(ShardResponse::Pairs(
-                            t.shard_level_arm_batch(shard, li, &rows, *radius, lsh, threads),
-                        ))
-                    }
-                }
+                Ok(match self.check_target(*target)? {
+                    // An ids frame lists each query's ids ascending.
+                    None => ShardResponse::Ids(
+                        rnnr.shard_arm_batch(shard, 0, &rows, *radius, lsh, threads)
+                            .into_iter()
+                            .map(|mut ids: Vec<PointId>| {
+                                ids.sort_unstable();
+                                ids
+                            })
+                            .collect(),
+                    ),
+                    Some(li) => ShardResponse::Pairs(
+                        self.ladder()?.shard_arm_batch(shard, li, &rows, *radius, lsh, threads),
+                    ),
+                })
             }
             ShardRequest::Scan { queries } => {
                 let rows = self.check_rows(queries)?;
-                let t = self.inner.topk_index().ok_or_else(|| {
-                    ServiceError::unsupported("this shard node has no top-k ladder")
-                })?;
-                Ok(ShardResponse::Pairs(t.shard_fallback_scan_batch(shard, &rows, threads)))
+                Ok(ShardResponse::Pairs(
+                    self.ladder()?.shard_fallback_scan_batch(shard, &rows, threads),
+                ))
             }
         }
     }
@@ -686,5 +686,32 @@ where
             }
         }
         Ok(ids.len() as u32)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hlsh_core::{CostModel, IndexBuilder, RadiusSchedule, ShardAssignment};
+    use hlsh_families::PStableL2;
+    use hlsh_vec::{DenseDataset, L2};
+
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "sharded under the same assignment")]
+    fn a_ladder_sharded_under_another_assignment_is_rejected() {
+        let data = DenseDataset::from_rows(2, (0..60).map(|i| [i as f32, (i % 7) as f32]));
+        let builder = |_: usize, r: f64| {
+            IndexBuilder::new(PStableL2::new(2, 2.0 * r), L2)
+                .tables(3)
+                .hash_len(2)
+                .cost_model(CostModel::from_ratio(2.0))
+        };
+        let rnnr =
+            ShardedIndex::build_frozen(data.clone(), ShardAssignment::new(4, 2), builder(0, 1.0));
+        let schedule = RadiusSchedule::doubling(1.0, 2);
+        let topk =
+            ShardedTopKIndex::build_frozen(data, ShardAssignment::new(4, 3), schedule, builder);
+        ShardedLshService::new(rnnr, Some(topk), 2);
     }
 }

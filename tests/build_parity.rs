@@ -150,3 +150,57 @@ fn bulk_insert_run_matches_per_id_inserts() {
     per_id.insert(9, 7, config, 4);
     assert_eq!(bulk.freeze(), per_id.freeze());
 }
+
+#[test]
+fn sharded_ladder_frozen_build_equals_build_then_freeze() {
+    // The sharded ladder built straight into frozen arenas must equal
+    // the map-store build frozen afterwards: store for store on every
+    // shard's every rung, in answers, and in snapshot bytes.
+    let data = mixture(1_500, 12);
+    let schedule = RadiusSchedule::doubling(0.8, 4);
+    let level_builder = |li: usize, r: f64| {
+        IndexBuilder::new(PStableL2::new(12, 2.0 * r), L2)
+            .tables(6)
+            .hash_len(5)
+            .seed(31 + li as u64)
+            .lazy_threshold(8)
+            .cost_model(CostModel::from_ratio(4.0))
+    };
+    let rnnr_builder = || level_builder(0, 1.0);
+    let queries: Vec<Vec<f32>> = (0..24).map(|i| data.row(i * 61).to_vec()).collect();
+    let dir = std::env::temp_dir().join("hlsh-build-parity");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for shards in [1usize, 2, 4] {
+        let assignment = ShardAssignment::new(5, shards);
+        let direct =
+            ShardedTopKIndex::build_frozen(data.clone(), assignment, schedule, level_builder);
+        let frozen =
+            ShardedTopKIndex::build(data.clone(), assignment, schedule, level_builder).freeze();
+        assert_eq!(direct.shards().len(), shards);
+        for (s, (a, b)) in direct.shards().iter().zip(frozen.shards()).enumerate() {
+            assert_eq!(a.levels().len(), schedule.levels(), "shard {s}");
+            assert_eq!(b.levels().len(), schedule.levels(), "shard {s}");
+            for (li, (la, lb)) in a.levels().iter().zip(b.levels()).enumerate() {
+                assert_tables_identical!(la, lb, format!("shards={shards} shard {s} rung {li}"));
+            }
+        }
+        assert_eq!(
+            direct.query_topk_batch(&queries, 10),
+            frozen.query_topk_batch(&queries, 10),
+            "shards={shards}: answers and reports"
+        );
+
+        let rnnr = ShardedIndex::build_frozen(data.clone(), assignment, rnnr_builder());
+        let pid = std::process::id();
+        let (pa, pb) = (
+            dir.join(format!("direct-{shards}-{pid}.hlsh")),
+            dir.join(format!("frozen-{shards}-{pid}.hlsh")),
+        );
+        save_snapshot(&pa, &rnnr, Some(&direct)).expect("save direct");
+        save_snapshot(&pb, &rnnr, Some(&frozen)).expect("save frozen");
+        let (ba, bb) = (std::fs::read(&pa).expect("read"), std::fs::read(&pb).expect("read"));
+        std::fs::remove_file(&pa).ok();
+        std::fs::remove_file(&pb).ok();
+        assert!(ba == bb, "shards={shards}: snapshot bytes differ ({} vs {})", ba.len(), bb.len());
+    }
+}
