@@ -33,7 +33,7 @@ use hlsh_vec::{Distance, Hit, PointId, PointSet};
 
 use crate::bucket::BucketRef;
 use crate::cost::CostModel;
-use crate::dedup::SeenBitmap;
+use crate::dedup::Dedup;
 use crate::engine::{Level, LevelEngine};
 use crate::report::QueryOutput;
 use crate::search::{Strategy, VerifyMode};
@@ -203,7 +203,7 @@ where
     /// positives); the hybrid decision only changes *how fast* the
     /// answer is produced, never *what* it is.
     pub fn query(&self, q: &[u64], r: f64, strategy: Strategy) -> QueryOutput {
-        LevelEngine::<SeenBitmap>::default().query(self, q, r, strategy)
+        LevelEngine::default().query(self, q, r, strategy)
     }
 }
 
@@ -216,7 +216,6 @@ where
     B: BucketStore,
 {
     type Point = [u64];
-    type Seen = SeenBitmap;
     type Probe<'a>
         = Vec<BucketRef<'a>>
     where
@@ -258,11 +257,11 @@ where
         q: &[u64],
         r: f64,
         verify: VerifyMode,
-        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        Dedup { bitmap, cands, .. }: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize {
         cands.clear();
-        seen.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
+        bitmap.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
         verify.verify(&self.distance, &self.data, cands, q, r, out);
         cands.len()
     }

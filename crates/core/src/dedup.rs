@@ -15,8 +15,21 @@
 
 use hlsh_vec::PointId;
 
-/// A one-bit-per-id seen set, reused across queries by the query
-/// engines (one per engine, so one per thread).
+use crate::hasher::FxHashSet;
+
+/// The level query's reusable dedup scratch, one per engine. Every
+/// source whose members are dense ids dedups on the bitmap; the
+/// segmented sources, whose members are sparse global ids, dedup on the
+/// hash set. Either fills the candidate list.
+#[derive(Debug, Default)]
+pub(crate) struct Dedup {
+    pub(crate) bitmap: SeenBitmap,
+    pub(crate) set: FxHashSet<PointId>,
+    pub(crate) cands: Vec<PointId>,
+}
+
+/// A one-bit-per-id seen set, reused across queries (one per engine,
+/// so one per thread).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SeenBitmap {
     words: Vec<u64>,

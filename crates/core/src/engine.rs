@@ -1,5 +1,6 @@
-//! The query execution engine: the one Algorithm 2 level query, its
-//! reusable per-thread scratch, and the parallel batch API.
+//! The query execution engine: the one Algorithm 2 level query, the
+//! one public [`Engine`] every deployment is queried through, and the
+//! one parallel batch path.
 //!
 //! Algorithm 2 is one rule whatever the deployment: probe the tables
 //! (S1) and sum the collisions, merge the probed sketches into one
@@ -17,25 +18,33 @@
 //! A query also needs transient state — the probed buckets, the HLL
 //! merge accumulator and the candidate-dedup scratch. Allocating it per
 //! query is fine for one call but wasteful under batch load, where the
-//! dedup bitmap alone spans all `n` ids. [`QueryEngine`] owns that
-//! scratch and reuses it across queries;
-//! [`HybridLshIndex::query_batch`] shards a query slice over scoped
-//! threads, one engine per thread, and returns outputs in input order —
-//! byte-identical ids to a sequential loop.
+//! dedup bitmap alone spans all `n` ids. [`Engine`] owns that scratch
+//! plus the top-k [`TopKWalk`](crate::TopKWalk) and reuses both across
+//! queries and across index types: it answers any [`RnnrIndex`] (the
+//! single, sharded and segmented rNNR indexes) and any [`TopKLadder`]
+//! (their top-k ladders).
+//! The six engine names of earlier releases ([`QueryEngine`],
+//! [`TopKEngine`](crate::TopKEngine) and the sharded and segmented
+//! ones) are aliases of it. Every batch entry point — the indexes'
+//! `query_batch*` / `query_topk_batch*` and the services built on them —
+//! shards a query slice over scoped threads, one engine per thread, and
+//! returns outputs in input order, byte-identical to a sequential loop.
 
 use std::time::Instant;
 
 use hlsh_families::LshFamily;
 use hlsh_hll::{HllConfig, MergeAccumulator};
+use hlsh_vec::parallel::par_map_with;
 use hlsh_vec::{Distance, Hit, PointId, PointSet};
 
 use crate::bucket::BucketRef;
 use crate::cost::CostModel;
-use crate::dedup::SeenBitmap;
+use crate::dedup::Dedup;
 use crate::index::HybridLshIndex;
 use crate::report::{QueryOutput, QueryReport};
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::BucketStore;
+use crate::topk::TopKOutput;
 
 /// One Algorithm 2 source: what the level query needs to probe,
 /// estimate, decide and run either arm.
@@ -47,8 +56,6 @@ use crate::store::BucketStore;
 pub(crate) trait Level {
     /// The point type of queries and data.
     type Point: ?Sized;
-    /// Per-part candidate-dedup scratch, reused across queries.
-    type Seen: Default;
     /// The probed buckets (S1), kept for S2 and the LSH arm.
     type Probe<'a>
     where
@@ -70,16 +77,16 @@ pub(crate) trait Level {
     /// S2: merges the probed buckets into `acc`.
     fn contribute(&self, probe: &Self::Probe<'_>, acc: &mut MergeAccumulator);
 
-    /// The LSH arm's S3: dedups the probed members, verifies them, and
-    /// appends the hits within `r` to `out`. Returns the distinct
-    /// candidate count.
+    /// The LSH arm's S3: dedups the probed members on the part of
+    /// `dedup` this source uses, verifies them, and appends the hits
+    /// within `r` to `out`. Returns the distinct candidate count.
     fn lsh_into<H: Hit>(
         &self,
         probe: &Self::Probe<'_>,
         q: &Self::Point,
         r: f64,
         verify: VerifyMode,
-        scratch: (&mut Self::Seen, &mut Vec<PointId>),
+        dedup: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize;
 
@@ -100,7 +107,6 @@ where
     B: BucketStore,
 {
     type Point = S::Point;
-    type Seen = SeenBitmap;
     type Probe<'a>
         = Vec<BucketRef<'a>>
     where
@@ -138,11 +144,11 @@ where
         q: &S::Point,
         r: f64,
         verify: VerifyMode,
-        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        Dedup { bitmap, cands, .. }: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize {
         cands.clear();
-        seen.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
+        bitmap.dedup_into(self.len(), probe.iter().map(BucketRef::members), cands);
         verify.verify(self.distance(), self.data(), cands, q, r, out);
         cands.len()
     }
@@ -213,26 +219,17 @@ pub fn decide(
     }
 }
 
-/// Reusable scratch for the level query — the per-part dedup scratch
-/// `S`, the candidate list and the merge accumulator — plus the S3
-/// verification mode. Every public rNNR and top-k engine wraps one.
+/// Reusable scratch for the level query — the dedup scratch (candidate
+/// list included) and the merge accumulator — plus the S3 verification
+/// mode. Every [`Engine`] holds one.
 #[derive(Debug, Default)]
-pub(crate) struct LevelEngine<S> {
-    seen: S,
-    cands: Vec<PointId>,
+pub(crate) struct LevelEngine {
+    dedup: Dedup,
     acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
+    pub(crate) verify: VerifyMode,
 }
 
-impl<S: Default> LevelEngine<S> {
-    pub(crate) fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
-    }
-
-    pub(crate) fn verify_mode(&self) -> VerifyMode {
-        self.verify
-    }
-
+impl LevelEngine {
     /// One Algorithm 2 query against `level`, generic over what step S3
     /// emits: ids ([`PointId`], the rNNR answer) or `(id, distance)`
     /// pairs (the top-k walk, which ranks by the distances the filter
@@ -262,7 +259,7 @@ impl<S: Default> LevelEngine<S> {
         skip_at_most: Option<f64>,
     ) -> Result<(Vec<H>, QueryReport), ExecutedArm>
     where
-        L: Level<Seen = S>,
+        L: Level,
         H: Hit,
     {
         let t_start = Instant::now();
@@ -299,8 +296,7 @@ impl<S: Default> LevelEngine<S> {
         let cand_actual = match (executed, &probe) {
             // `decide` picks LSH only for a probed (non-LinearOnly) query.
             (ExecutedArm::Lsh, Some(probe)) => {
-                let scratch = (&mut self.seen, &mut self.cands);
-                Some(level.lsh_into(probe, q, r, self.verify, scratch, &mut hits))
+                Some(level.lsh_into(probe, q, r, self.verify, &mut self.dedup, &mut hits))
             }
             _ => {
                 level.scan_into(q, r, self.verify, &mut hits);
@@ -335,15 +331,14 @@ impl<S: Default> LevelEngine<S> {
         arm: ExecutedArm,
     ) -> Vec<H>
     where
-        L: Level<Seen = S>,
+        L: Level,
         H: Hit,
     {
         let mut hits = Vec::new();
         match arm {
             ExecutedArm::Lsh => {
                 let (probe, _) = level.probe(q);
-                let scratch = (&mut self.seen, &mut self.cands);
-                level.lsh_into(&probe, q, r, self.verify, scratch, &mut hits);
+                level.lsh_into(&probe, q, r, self.verify, &mut self.dedup, &mut hits);
             }
             ExecutedArm::Linear => level.scan_into(q, r, self.verify, &mut hits),
         }
@@ -359,7 +354,7 @@ impl<S: Default> LevelEngine<S> {
         strategy: Strategy,
     ) -> QueryOutput
     where
-        L: Level<Seen = S>,
+        L: Level,
     {
         let (ids, report) = self
             .query_hits(level, q, r, strategy, None)
@@ -378,7 +373,7 @@ impl<S: Default> LevelEngine<S> {
         strategy: Strategy,
     ) -> QueryOutput
     where
-        L: Level<Seen = S>,
+        L: Level,
     {
         let mut out = self.query(level, q, r, strategy);
         out.ids.sort_unstable();
@@ -386,15 +381,111 @@ impl<S: Default> LevelEngine<S> {
     }
 }
 
-/// Reusable scratch state for running queries.
+/// An rNNR index an [`Engine`] answers: the single
+/// [`HybridLshIndex`], the [`ShardedIndex`](crate::ShardedIndex) and the
+/// living [`SegmentedIndex`](crate::SegmentedIndex). Sealed.
+pub trait RnnrIndex {
+    /// The point type of queries.
+    type Point: ?Sized;
+
+    /// One query on an engine's scratch.
+    #[doc(hidden)]
+    fn rnnr(&self, s: &mut Scratch, q: &Self::Point, r: f64, strategy: Strategy) -> QueryOutput;
+
+    /// Answers a batch of queries under `strategy` across `threads`
+    /// scoped threads (`None` = all available cores), one [`Engine`]
+    /// per thread. Outputs are in input order and byte-identical to a
+    /// sequential [`Engine::query_with_strategy`] loop.
+    fn query_batch_with_strategy<Q>(
+        &self,
+        queries: &[Q],
+        r: f64,
+        strategy: Strategy,
+        threads: Option<usize>,
+    ) -> Vec<QueryOutput>
+    where
+        Self: Sync,
+        Q: AsRef<Self::Point> + Sync,
+    {
+        par_queries(queries.len(), threads, |engine, qi| {
+            engine.query_with_strategy(self, queries[qi].as_ref(), r, strategy)
+        })
+    }
+}
+
+/// A top-k ladder an [`Engine`] walks: the single
+/// [`TopKIndex`](crate::TopKIndex), the
+/// [`ShardedTopKIndex`](crate::ShardedTopKIndex) and the living
+/// [`SegmentedTopKIndex`](crate::SegmentedTopKIndex). Sealed.
+pub trait TopKLadder {
+    /// The point type of queries.
+    type Point: ?Sized;
+
+    /// One walk on an engine's scratch.
+    #[doc(hidden)]
+    fn topk(&self, s: &mut Scratch, q: &Self::Point, k: usize, strategy: Strategy) -> TopKOutput;
+
+    /// Answers a batch of top-k queries, every executed level under
+    /// `strategy`, across `threads` scoped threads (`None` = all
+    /// available cores), one [`Engine`] per thread. Outputs are in
+    /// input order and byte-identical to a sequential
+    /// [`Engine::query_topk_with`] loop.
+    fn query_topk_batch_with<Q>(
+        &self,
+        queries: &[Q],
+        k: usize,
+        strategy: Strategy,
+        threads: Option<usize>,
+    ) -> Vec<TopKOutput>
+    where
+        Self: Sync,
+        Q: AsRef<Self::Point> + Sync,
+    {
+        par_queries(queries.len(), threads, |engine, qi| {
+            engine.query_topk_with(self, queries[qi].as_ref(), k, strategy)
+        })
+    }
+}
+
+/// The one batch path: `f(engine, qi)` for every query index in
+/// `0..len` over scoped threads, one [`Engine`] per thread, outputs in
+/// input order.
+pub(crate) fn par_queries<T, F>(len: usize, threads: Option<usize>, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut Engine, usize) -> T + Sync,
+{
+    par_map_with(len, threads, Engine::new, f)
+}
+
+/// Seals [`RnnrIndex`] and [`TopKLadder`]: their one method takes an
+/// engine's scratch, which no other crate can name.
+pub(crate) mod sealed {
+    /// An [`Engine`](super::Engine)'s scratch: the level query's and
+    /// the top-k walk's.
+    #[derive(Debug, Default)]
+    pub struct Scratch {
+        pub(crate) level: super::LevelEngine,
+        pub(crate) walk: crate::topk::TopKWalk,
+    }
+}
+
+pub(crate) use sealed::Scratch;
+
+/// Reusable scratch for rNNR and top-k queries against any index: the
+/// level query's dedup scratch and merge accumulator, and the top-k
+/// walk's heap and offered-id set.
 ///
 /// One engine serves one thread: methods take `&mut self` and recycle
-/// the dedup bitmap, candidate list and merge accumulator between
-/// calls. Results are identical to the allocate-per-query path.
+/// the scratch between calls, also across indexes of different types
+/// and sizes. Results are identical to the allocate-per-query path.
 #[derive(Debug, Default)]
-pub struct QueryEngine(LevelEngine<SeenBitmap>);
+pub struct Engine(Scratch);
 
-impl QueryEngine {
+/// The engine of a single [`HybridLshIndex`] (an alias of [`Engine`]).
+pub type QueryEngine = Engine;
+
+impl Engine {
     /// Creates an engine with empty scratch and the default
     /// [`VerifyMode::Kernel`] distance filter.
     pub fn new() -> Self {
@@ -403,70 +494,81 @@ impl QueryEngine {
 
     /// Creates an engine with an explicit S3 verification mode
     /// ([`VerifyMode::Scalar`] forces per-candidate `distance()` calls;
-    /// useful as a benchmark baseline).
+    /// useful as a benchmark baseline). Top-k output is identical across
+    /// modes — the mode only changes how the radius filter is computed.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self(LevelEngine::with_verify_mode(verify))
+        let level = LevelEngine { verify, ..LevelEngine::default() };
+        Self(Scratch { level, ..Scratch::default() })
     }
 
     /// The S3 verification mode in force.
     pub fn verify_mode(&self) -> VerifyMode {
-        self.0.verify_mode()
+        self.0.level.verify
     }
 
     /// Hybrid query (Algorithm 2) with reused scratch.
-    pub fn query<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-    ) -> QueryOutput
+    pub fn query<I>(&mut self, index: &I, q: &I::Point, r: f64) -> QueryOutput
     where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
+        I: RnnrIndex + ?Sized,
     {
         self.query_with_strategy(index, q, r, Strategy::Hybrid)
     }
 
-    /// Runs a query under an explicit strategy with reused scratch. Ids
-    /// come in first-collision order from the LSH arm, ascending from
-    /// the linear arm.
-    pub fn query_with_strategy<S, F, D, B>(
+    /// Runs a query under an explicit strategy with reused scratch. On
+    /// a single index ids come in first-collision order from the LSH
+    /// arm, ascending from the linear arm. A sharded or segmented index
+    /// decides once on statistics merged over its parts, runs the arm
+    /// on every part, and reports global ids ascending.
+    pub fn query_with_strategy<I>(
         &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
+        index: &I,
+        q: &I::Point,
         r: f64,
         strategy: Strategy,
     ) -> QueryOutput
     where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
+        I: RnnrIndex + ?Sized,
     {
-        self.0.query(index, q, r, strategy)
+        index.rnnr(&mut self.0, q, r, strategy)
+    }
+
+    /// Answers one top-k query under the default per-level
+    /// [`Strategy::Hybrid`].
+    pub fn query_topk<I>(&mut self, index: &I, q: &I::Point, k: usize) -> TopKOutput
+    where
+        I: TopKLadder + ?Sized,
+    {
+        self.query_topk_with(index, q, k, Strategy::Hybrid)
+    }
+
+    /// Answers one top-k query, running every executed level's rNNR
+    /// query under `strategy`. On a sharded or segmented ladder every
+    /// decision of the walk is made on merged statistics.
+    pub fn query_topk_with<I>(
+        &mut self,
+        index: &I,
+        q: &I::Point,
+        k: usize,
+        strategy: Strategy,
+    ) -> TopKOutput
+    where
+        I: TopKLadder + ?Sized,
+    {
+        index.topk(&mut self.0, q, k, strategy)
     }
 }
 
-/// Adapter presenting a slice of `AsRef<P>` values as a [`PointSet`].
-/// (The `fn() -> &P` phantom keeps the adapter `Sync` regardless of
-/// `P`'s own `Sync`-ness; only `&Q` is ever shared across threads.)
-struct SliceSet<'a, Q, P: ?Sized>(&'a [Q], std::marker::PhantomData<fn() -> &'a P>);
-
-impl<Q, P> PointSet for SliceSet<'_, Q, P>
+impl<S, F, D, B> RnnrIndex for HybridLshIndex<S, F, D, B>
 where
-    Q: AsRef<P>,
-    P: ?Sized,
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
 {
-    type Point = P;
+    type Point = S::Point;
 
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn point(&self, i: usize) -> &P {
-        self.0[i].as_ref()
+    fn rnnr(&self, s: &mut Scratch, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
+        s.level.query(self, q, r, strategy)
     }
 }
 
@@ -489,7 +591,8 @@ where
     }
 
     /// Batch querying under an explicit strategy and optional thread
-    /// count (`None` = all available cores).
+    /// count (`None` = all available cores); see
+    /// [`RnnrIndex::query_batch_with_strategy`].
     pub fn query_batch_with_strategy<Q>(
         &self,
         queries: &[Q],
@@ -500,7 +603,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        self.query_batch_set(&SliceSet(queries, std::marker::PhantomData), r, strategy, threads)
+        RnnrIndex::query_batch_with_strategy(self, queries, r, strategy, threads)
     }
 
     /// Batch querying over any [`PointSet`] of queries (the natural
@@ -516,7 +619,7 @@ where
     where
         Q: PointSet<Point = S::Point> + Sync,
     {
-        hlsh_vec::parallel::par_map_with(queries.len(), threads, QueryEngine::new, |engine, qi| {
+        par_queries(queries.len(), threads, |engine, qi| {
             engine.query_with_strategy(self, queries.point(qi), r, strategy)
         })
     }

@@ -8,7 +8,7 @@ use hlsh_vec::{Distance, PointId, PointSet};
 use crate::bucket::BucketRef;
 use crate::builder::BuildMode;
 use crate::cost::{CostEstimate, CostModel};
-use crate::engine::{Level, QueryEngine};
+use crate::engine::{Engine, Level};
 use crate::hasher::FxHashSet;
 use crate::pipeline::BuildPipeline;
 use crate::report::QueryOutput;
@@ -89,8 +89,8 @@ where
     ///
     /// `id_map`, when present, renames row `i` to `id_map[i]` in every
     /// bucket and sketch — the sharded build's global-id hook. A mapped
-    /// index must only be queried through the sharded engines, which
-    /// translate members back to rows.
+    /// index must only be queried through the sharded view, which
+    /// translates members back to rows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn construct(
         data: S,
@@ -352,7 +352,7 @@ where
     /// arm, report every indexed point within distance `r` of `q`.
     ///
     /// Allocates fresh per-query scratch; batch workloads should prefer
-    /// [`query_batch`](Self::query_batch) or a reused [`QueryEngine`].
+    /// [`query_batch`](Self::query_batch) or a reused [`Engine`].
     pub fn query(&self, q: &S::Point, r: f64) -> QueryOutput {
         self.query_with_strategy(q, r, Strategy::Hybrid)
     }
@@ -365,7 +365,7 @@ where
     /// Runs a query under an explicit strategy (the Figure 2 baselines:
     /// `LshOnly`, `LinearOnly`, or the adaptive `Hybrid`).
     pub fn query_with_strategy(&self, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
-        QueryEngine::new().query_with_strategy(self, q, r, strategy)
+        Engine::new().query_with_strategy(self, q, r, strategy)
     }
 
     /// Returns the Algorithm 2 cost estimate for a query without

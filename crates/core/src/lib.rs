@@ -30,10 +30,16 @@
 //! [`frozen`](HybridLshIndex::freeze) into the CSR-arena
 //! [`FrozenStore`] for read-mostly serving (binary-search lookups over
 //! contiguous arrays, zero per-bucket allocation; `thaw` converts
-//! back). Query execution lives in [`QueryEngine`], which reuses
-//! per-thread scratch across queries;
-//! [`query_batch`](HybridLshIndex::query_batch) shards a batch over
-//! scoped threads with byte-identical results to a sequential loop.
+//! back). Query execution lives in one [`Engine`], which reuses
+//! per-thread scratch across queries and answers every rNNR index
+//! ([`RnnrIndex`]: single, sharded, segmented) and every top-k ladder
+//! ([`TopKLadder`]); the six engine names of earlier releases
+//! (`QueryEngine`, `TopKEngine` and their sharded and segmented twins)
+//! are aliases of it. Every batch entry point —
+//! [`query_batch`](HybridLshIndex::query_batch) and its sharded,
+//! segmented and top-k counterparts — shards a batch over scoped
+//! threads through one path, with byte-identical results to a
+//! sequential loop.
 //!
 //! # Example
 //!
@@ -97,7 +103,7 @@ pub mod topk;
 pub use bucket::BucketRef;
 pub use builder::{BuildMode, IndexBuilder};
 pub use cost::{CostEstimate, CostModel};
-pub use engine::QueryEngine;
+pub use engine::{Engine, QueryEngine, RnnrIndex, TopKLadder};
 pub use index::{HybridLshIndex, IndexStats};
 pub use pipeline::{BuildPipeline, KeyRuns};
 pub use presets::MixturePreset;

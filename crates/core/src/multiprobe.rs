@@ -16,7 +16,7 @@ use hlsh_vec::{Distance, Hit, PointId, PointSet};
 
 use crate::bucket::BucketRef;
 use crate::cost::CostModel;
-use crate::dedup::SeenBitmap;
+use crate::dedup::Dedup;
 use crate::engine::{Level, LevelEngine};
 use crate::index::HybridLshIndex;
 use crate::perturb::{PerturbationGenerator, ProbeOption};
@@ -148,7 +148,6 @@ where
     B: BucketStore,
 {
     type Point = S::Point;
-    type Seen = SeenBitmap;
     type Probe<'b>
         = Vec<BucketRef<'b>>
     where
@@ -192,10 +191,10 @@ where
         q: &S::Point,
         r: f64,
         verify: VerifyMode,
-        scratch: (&mut SeenBitmap, &mut Vec<PointId>),
+        dedup: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize {
-        self.index.lsh_into(probe, q, r, verify, scratch, out)
+        self.index.lsh_into(probe, q, r, verify, dedup, out)
     }
 
     fn scan_into<H: Hit>(&self, q: &S::Point, r: f64, verify: VerifyMode, out: &mut Vec<H>) {
@@ -214,7 +213,7 @@ where
 /// sketches drive the Algorithm 2 decision exactly as in single-probe
 /// hybrid search; [`Strategy::LshOnly`] always collects candidates;
 /// [`Strategy::LinearOnly`] always scans. With one probe per table the
-/// output equals [`QueryEngine::query_with_strategy`](crate::QueryEngine::query_with_strategy)'s.
+/// output equals [`Engine::query_with_strategy`](crate::Engine::query_with_strategy)'s.
 ///
 /// # Panics
 /// Panics if `probes_per_table == 0`.
@@ -234,7 +233,7 @@ where
 {
     assert!(probes_per_table > 0, "need at least one probe per table");
     let level = Probed { index, probes: probes_per_table };
-    LevelEngine::<SeenBitmap>::default().query(&level, q, r, strategy)
+    LevelEngine::default().query(&level, q, r, strategy)
 }
 
 #[cfg(test)]

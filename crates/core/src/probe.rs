@@ -13,7 +13,7 @@
 //!   whose g-functions implement [`ProbeSequence`]: the view changes
 //!   only step S1, so the decision and both arms are the single-probe
 //!   engine's, and `T = 1` probe per table answers exactly as
-//!   [`QueryEngine::query_with_strategy`](crate::QueryEngine::query_with_strategy).
+//!   [`Engine::query_with_strategy`](crate::Engine::query_with_strategy).
 //!
 //! * **Covering LSH** (Pagh, SODA'16): a Hamming-space construction
 //!   with *zero false negatives* within radius `r`. We implement the

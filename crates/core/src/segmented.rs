@@ -1,5 +1,5 @@
-//! LSM-style segmented indexes: a living corpus behind the static
-//! query engines.
+//! LSM-style segmented indexes: a living corpus behind the one query
+//! [`Engine`].
 //!
 //! Every serving path before this module assumed build-then-freeze:
 //! streaming `insert` hashed one point at a time into a [`MapStore`]
@@ -80,7 +80,8 @@ use hlsh_vec::{DenseDataset, Distance, Hit, PointId, SubsetPointSet};
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
 use crate::cost::CostModel;
-use crate::engine::{Level, LevelEngine};
+use crate::dedup::Dedup;
+use crate::engine::{Engine, Level, RnnrIndex, Scratch, TopKLadder};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::HybridLshIndex;
 use crate::report::QueryOutput;
@@ -88,7 +89,7 @@ use crate::schedule::RadiusSchedule;
 use crate::search::{Strategy, VerifyMode};
 use crate::sharded::{relabel_from, ShardAssignment};
 use crate::store::{FrozenStore, MapStore};
-use crate::topk::{fallback_scan_pairs, TopKOutput, TopKWalk};
+use crate::topk::{fallback_scan_pairs, TopKOutput};
 
 /// Why an insert or delete was rejected. Mutations are all-or-nothing:
 /// a rejected mutation leaves the index untouched.
@@ -154,7 +155,7 @@ where
 
     /// An empty memtable index: buckets hold memtable-local rows and are
     /// never sketched (local rows must not leak into merged registers;
-    /// the engines contribute live global ids raw).
+    /// the level query contributes live global ids raw).
     fn memtable(&self, dim: usize) -> HybridLshIndex<DenseDataset, F, D, MapStore> {
         let builder = self.builder.clone().cost_model(self.cost);
         builder.lazy_threshold(usize::MAX).sequential().build(DenseDataset::new(dim))
@@ -394,14 +395,14 @@ where
 }
 
 /// An rNNR index that accepts inserts and deletes: the one-rung
-/// [`Segmented`] index. Queries run through [`SegmentedQueryEngine`],
-/// which merges statistics globally before deciding the arm.
+/// [`Segmented`] index. Queries run through the [`Engine`], which
+/// merges statistics globally before deciding the arm.
 pub type SegmentedIndex<F, D> = Segmented<F, D, ()>;
 
 /// A top-k index that accepts inserts and deletes while serving
 /// `(distance, id)` rankings byte-identical to a ladder rebuilt from
 /// scratch on the surviving points: the [`Segmented`] index with one
-/// rung per schedule radius, walked by [`SegmentedTopKEngine`].
+/// rung per schedule radius, walked by the [`Engine`].
 pub type SegmentedTopKIndex<F, D> = Segmented<F, D, RadiusSchedule>;
 
 /// Default memtable rows (live + dead) that trigger a flush.
@@ -682,16 +683,16 @@ where
         self.rungs[0].hll
     }
 
-    /// Hybrid query with fresh scratch; batch workloads should reuse a
-    /// [`SegmentedQueryEngine`].
+    /// Hybrid query with fresh scratch; batch workloads should reuse an
+    /// [`Engine`].
     pub fn query(&self, q: &[f32], r: f64) -> QueryOutput {
-        SegmentedQueryEngine::new().query(self, q, r)
+        Engine::new().query(self, q, r)
     }
 
     /// Runs a query under an explicit strategy; see
-    /// [`SegmentedQueryEngine::query_with_strategy`].
+    /// [`Engine::query_with_strategy`].
     pub fn query_with_strategy(&self, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
-        SegmentedQueryEngine::new().query_with_strategy(self, q, r, strategy)
+        Engine::new().query_with_strategy(self, q, r, strategy)
     }
 }
 
@@ -769,9 +770,51 @@ where
 
     /// Answers one top-k query with fresh scratch.
     pub fn query_topk(&self, q: &[f32], k: usize) -> TopKOutput {
-        SegmentedTopKEngine::new().query_topk(self, q, k)
+        Engine::new().query_topk(self, q, k)
     }
 }
+
+/// One query across every memtable and segment: S1 probes every source
+/// (dead rows excluded from the counts), S2 merges every probed sketch
+/// or surviving raw id into one accumulator, the Algorithm 2 decision
+/// compares the global costs once against the **live** `n`, and the
+/// chosen arm runs on every source; outputs are mapped to global ids
+/// and reported in ascending-id order — byte-identical to
+/// [`SegmentedIndex::build_bulk`] on the surviving points.
+impl<F, D> RnnrIndex for SegmentedIndex<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    type Point = [f32];
+
+    fn rnnr(&self, s: &mut Scratch, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
+        s.level.query_sorted(&self.rung_level(0), q, r, strategy)
+    }
+}
+
+/// The global schedule walk over memtables and segments; every decision
+/// (skip, early exit, arm choice, fallback) is made on merged statistics
+/// against the live point count, so the walk matches a rebuilt ladder
+/// step for step.
+impl<F, D> TopKLadder for SegmentedTopKIndex<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    type Point = [f32];
+
+    fn topk(&self, s: &mut Scratch, q: &[f32], k: usize, strategy: Strategy) -> TopKOutput {
+        let rungs: Vec<_> = (0..self.ladder.levels()).map(|li| self.rung_level(li)).collect();
+        s.walk.run(&mut s.level, &rungs, self.ladder, q, k, strategy)
+    }
+}
+
+/// The engine of a [`SegmentedIndex`] (an alias of [`Engine`]).
+pub type SegmentedQueryEngine = Engine;
+
+/// The engine of a [`SegmentedTopKIndex`] (an alias of [`Engine`]).
+pub type SegmentedTopKEngine = Engine;
 
 /// How one source's local rows map to global ids: a memtable's row
 /// bookkeeping, or a segment's ascending id list and tombstones.
@@ -890,7 +933,6 @@ where
     D: Distance<[f32]>,
 {
     type Point = [f32];
-    type Seen = FxHashSet<PointId>;
     type Probe<'p>
         = Vec<Vec<BucketRef<'p>>>
     where
@@ -960,7 +1002,7 @@ where
         q: &[f32],
         r: f64,
         verify: VerifyMode,
-        (seen, cands): (&mut FxHashSet<PointId>, &mut Vec<PointId>),
+        Dedup { set: seen, cands, .. }: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize {
         let mut distinct = 0;
@@ -1040,117 +1082,6 @@ fn collect_seg_cands(
                 cands.push(local as PointId);
             }
         }
-    }
-}
-
-/// Reusable scratch for querying a [`SegmentedIndex`]: per-source
-/// dedup set and candidate list plus the global merge accumulator.
-#[derive(Debug, Default)]
-pub struct SegmentedQueryEngine(LevelEngine<FxHashSet<PointId>>);
-
-impl SegmentedQueryEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine with an explicit S3 verification mode.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self(LevelEngine::with_verify_mode(verify))
-    }
-
-    /// The S3 verification mode in force.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.0.verify_mode()
-    }
-
-    /// Hybrid query with reused scratch.
-    pub fn query<F, D>(&mut self, index: &SegmentedIndex<F, D>, q: &[f32], r: f64) -> QueryOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        self.query_with_strategy(index, q, r, Strategy::Hybrid)
-    }
-
-    /// Runs one query across every memtable and segment under
-    /// `strategy`.
-    ///
-    /// S1 probes every source (dead rows excluded from the counts), S2
-    /// merges every probed sketch or surviving raw id into one
-    /// accumulator, the Algorithm 2 decision compares the global costs
-    /// once against the **live** `n`, and the chosen arm runs on every
-    /// source; outputs are mapped to global ids and reported in
-    /// ascending-id order — byte-identical to
-    /// [`SegmentedIndex::build_bulk`] on the surviving points.
-    pub fn query_with_strategy<F, D>(
-        &mut self,
-        index: &SegmentedIndex<F, D>,
-        q: &[f32],
-        r: f64,
-        strategy: Strategy,
-    ) -> QueryOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        self.0.query_sorted(&index.rung_level(0), q, r, strategy)
-    }
-}
-
-/// Reusable scratch for running top-k queries over a
-/// [`SegmentedTopKIndex`]: the per-source rNNR scratch plus the global
-/// [`TopKWalk`].
-#[derive(Debug, Default)]
-pub struct SegmentedTopKEngine {
-    engine: LevelEngine<FxHashSet<PointId>>,
-    walk: TopKWalk,
-}
-
-impl SegmentedTopKEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine whose rNNR level queries verify in an explicit
-    /// [`VerifyMode`]; output is identical across modes.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
-    }
-
-    /// Answers one top-k query under the default per-level
-    /// [`Strategy::Hybrid`].
-    pub fn query_topk<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        q: &[f32],
-        k: usize,
-    ) -> TopKOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        self.query_topk_with(index, q, k, Strategy::Hybrid)
-    }
-
-    /// The global schedule walk over memtables and segments; every
-    /// decision (skip, early exit, arm choice, fallback) is made on
-    /// merged statistics against the live point count, so the walk
-    /// matches a rebuilt ladder step for step.
-    pub fn query_topk_with<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        q: &[f32],
-        k: usize,
-        strategy: Strategy,
-    ) -> TopKOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let levels: Vec<_> = (0..index.ladder.levels()).map(|li| index.rung_level(li)).collect();
-        self.walk.run(&mut self.engine, &levels, index.ladder, q, k, strategy)
     }
 }
 

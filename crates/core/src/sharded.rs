@@ -7,7 +7,8 @@
 //! [`ShardedTopKIndex`] one [`TopKIndex`] (one rung per schedule
 //! radius). Partitioning, the parallel build, freezing, reassembly, the
 //! per-rung Algorithm 2 view and the distributed node hooks are written
-//! once; the aliases add their build entry points, queries and engines.
+//! once; the aliases add their build entry points and how the
+//! [`Engine`] queries them.
 //!
 //! Per-shard candidate sets union to exactly the unsharded candidate
 //! set, and per-shard HyperLogLog sketches merge losslessly (registers
@@ -54,14 +55,16 @@ use hlsh_vec::{Distance, Hit, PointId, PointSet, SubsetPointSet};
 use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
 use crate::cost::CostModel;
-use crate::dedup::SeenBitmap;
-use crate::engine::{ensure_accumulator, Level, LevelEngine};
+use crate::dedup::Dedup;
+use crate::engine::{
+    ensure_accumulator, Engine, Level, LevelEngine, RnnrIndex, Scratch, TopKLadder,
+};
 use crate::index::HybridLshIndex;
 use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
-use crate::topk::{TopKIndex, TopKOutput, TopKWalk};
+use crate::topk::{TopKIndex, TopKOutput};
 
 /// Deterministic seeded assignment of global point ids to shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,12 +239,12 @@ pub struct Sharded<X> {
 }
 
 /// An rNNR index partitioned across shards: one [`HybridLshIndex`] per
-/// shard, queried through [`ShardedQueryEngine`].
+/// shard, queried through the [`Engine`].
 pub type ShardedIndex<S, F, D, B = MapStore> = Sharded<HybridLshIndex<S, F, D, B>>;
 
 /// A top-k index partitioned across shards: one [`TopKIndex`] ladder
-/// per shard, walked by the *global* [`ShardedTopKEngine`] — rankings
-/// and reports are byte-identical to the unsharded [`TopKIndex`].
+/// per shard, walked *globally* by the [`Engine`] — rankings and
+/// reports are byte-identical to the unsharded [`TopKIndex`].
 pub type ShardedTopKIndex<S, F, D, B = MapStore> = Sharded<TopKIndex<S, F, D, B>>;
 
 /// Inverts per-shard owner lists into the `global → local` table.
@@ -278,7 +281,7 @@ pub(crate) fn relabel_from<H: Hit>(
 /// probed sketches merge into the unsharded registers, each shard
 /// dedups its own members (global ids, translated to slab rows for
 /// verification), and hits are reported under global ids, shard by
-/// shard. The engines view every shard; a shard node views its own.
+/// shard. The `Engine` views every shard; a shard node views its own.
 pub(crate) struct ShardedLevel<'a, T, F, D, B>
 where
     T: PointSet,
@@ -303,7 +306,6 @@ where
     B: BucketStore,
 {
     type Point = T::Point;
-    type Seen = SeenBitmap;
     type Probe<'p>
         = Vec<Vec<BucketRef<'p>>>
     where
@@ -347,13 +349,13 @@ where
         q: &T::Point,
         r: f64,
         verify: VerifyMode,
-        (seen, cands): (&mut SeenBitmap, &mut Vec<PointId>),
+        Dedup { bitmap, cands, .. }: &mut Dedup,
         out: &mut Vec<H>,
     ) -> usize {
         let mut distinct = 0;
         for ((shard, owners), buckets) in self.shards.iter().zip(self.owners).zip(probe) {
             cands.clear();
-            seen.dedup_into(self.local_of.len(), buckets.iter().map(BucketRef::members), cands);
+            bitmap.dedup_into(self.local_of.len(), buckets.iter().map(BucketRef::members), cands);
             for c in cands.iter_mut() {
                 *c = self.local_of[*c as usize];
             }
@@ -440,7 +442,7 @@ impl<X> Sharded<X> {
 
     /// The per-shard indexes. **Caution:** shard tables store *global*
     /// ids, which do not index the shard's own data slab — query them
-    /// through the sharded engines, never directly.
+    /// through the `Engine`, never directly.
     pub fn shards(&self) -> &[X] {
         &self.shards
     }
@@ -558,17 +560,61 @@ where
     B: BucketStore,
 {
     /// Hybrid query (Algorithm 2 with a global decision) with fresh
-    /// scratch; batch workloads should reuse a [`ShardedQueryEngine`].
+    /// scratch; batch workloads should reuse an [`Engine`].
     pub fn query(&self, q: &S::Point, r: f64) -> QueryOutput {
-        ShardedQueryEngine::new().query(self, q, r)
+        Engine::new().query(self, q, r)
     }
 
     /// Runs a query under an explicit strategy; see
-    /// [`ShardedQueryEngine::query_with_strategy`].
+    /// [`Engine::query_with_strategy`].
     pub fn query_with_strategy(&self, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
-        ShardedQueryEngine::new().query_with_strategy(self, q, r, strategy)
+        Engine::new().query_with_strategy(self, q, r, strategy)
     }
 }
+
+/// One query across every shard: S1 probes all shards, S2 merges every
+/// probed sketch into one accumulator, the *global* costs are compared
+/// once, and the chosen arm runs on every shard. Ids are global and
+/// ascending; the id *set* equals the unsharded index's under the same
+/// strategy.
+impl<S, F, D, B> RnnrIndex for ShardedIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+
+    fn rnnr(&self, s: &mut Scratch, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
+        s.level.query_sorted(&self.view(0, 0..self.shards.len()), q, r, strategy)
+    }
+}
+
+/// The global schedule walk: every level query fans across shards and
+/// every decision is made on merged statistics.
+impl<S, F, D, B> TopKLadder for ShardedTopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+
+    fn topk(&self, s: &mut Scratch, q: &S::Point, k: usize, strategy: Strategy) -> TopKOutput {
+        let schedule = self.schedule();
+        let views: Vec<_> =
+            (0..schedule.levels()).map(|li| self.view(li, 0..self.shards.len())).collect();
+        s.walk.run(&mut s.level, &views, schedule, q, k, strategy)
+    }
+}
+
+/// The engine of a [`ShardedIndex`] (an alias of [`Engine`]).
+pub type ShardedQueryEngine = Engine;
+
+/// The engine of a [`ShardedTopKIndex`] (an alias of [`Engine`]).
+pub type ShardedTopKEngine = Engine;
 
 impl<S, F, D, B> ShardedIndex<S, F, D, B>
 where
@@ -589,7 +635,8 @@ where
     }
 
     /// Batch querying under an explicit strategy and optional thread
-    /// count (`None` = all available cores).
+    /// count (`None` = all available cores); see
+    /// [`RnnrIndex::query_batch_with_strategy`].
     pub fn query_batch_with_strategy<Q>(
         &self,
         queries: &[Q],
@@ -600,68 +647,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(queries.len(), threads, ShardedQueryEngine::new, |engine, qi| {
-            engine.query_with_strategy(self, queries[qi].as_ref(), r, strategy)
-        })
-    }
-}
-
-/// Reusable scratch for querying a [`ShardedIndex`]: per-shard dedup
-/// bitmap and candidate list plus the *global* merge accumulator.
-#[derive(Debug, Default)]
-pub struct ShardedQueryEngine(LevelEngine<SeenBitmap>);
-
-impl ShardedQueryEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine with an explicit S3 verification mode.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self(LevelEngine::with_verify_mode(verify))
-    }
-
-    /// The S3 verification mode in force.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.0.verify_mode()
-    }
-
-    /// Hybrid query with reused scratch.
-    pub fn query<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.query_with_strategy(index, q, r, Strategy::Hybrid)
-    }
-
-    /// Runs one query across every shard under `strategy`: S1 probes
-    /// all shards, S2 merges every probed sketch into one accumulator,
-    /// the *global* costs are compared once, and the chosen arm runs on
-    /// every shard. Ids are global and ascending; the id *set* equals
-    /// the unsharded index's under the same strategy.
-    pub fn query_with_strategy<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.0.query_sorted(&index.view(0, 0..index.shards.len()), q, r, strategy)
+        RnnrIndex::query_batch_with_strategy(self, queries, r, strategy, threads)
     }
 }
 
@@ -736,7 +722,7 @@ where
 
     /// Answers one top-k query with fresh scratch.
     pub fn query_topk(&self, q: &S::Point, k: usize) -> TopKOutput {
-        ShardedTopKEngine::new().query_topk(self, q, k)
+        Engine::new().query_topk(self, q, k)
     }
 }
 
@@ -758,7 +744,7 @@ where
     }
 
     /// Batch top-k under an explicit per-level strategy and optional
-    /// thread count.
+    /// thread count; see [`TopKLadder::query_topk_batch_with`].
     pub fn query_topk_batch_with<Q>(
         &self,
         queries: &[Q],
@@ -769,69 +755,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(queries.len(), threads, ShardedTopKEngine::new, |engine, qi| {
-            engine.query_topk_with(self, queries[qi].as_ref(), k, strategy)
-        })
-    }
-}
-
-/// Reusable scratch for running top-k queries over a
-/// [`ShardedTopKIndex`]: the per-shard rNNR scratch plus the global
-/// [`TopKWalk`].
-#[derive(Debug, Default)]
-pub struct ShardedTopKEngine {
-    engine: LevelEngine<SeenBitmap>,
-    walk: TopKWalk,
-}
-
-impl ShardedTopKEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine whose rNNR level queries verify in an explicit
-    /// [`VerifyMode`]; output is identical across modes.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
-    }
-
-    /// Answers one top-k query under the default per-level
-    /// [`Strategy::Hybrid`].
-    pub fn query_topk<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.query_topk_with(index, q, k, Strategy::Hybrid)
-    }
-
-    /// The global schedule walk: every level query fans across shards
-    /// and every decision is made on merged statistics.
-    pub fn query_topk_with<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-        strategy: Strategy,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let schedule = index.schedule();
-        let levels: Vec<_> =
-            (0..schedule.levels()).map(|li| index.view(li, 0..index.shards.len())).collect();
-        self.walk.run(&mut self.engine, &levels, schedule, q, k, strategy)
+        TopKLadder::query_topk_batch_with(self, queries, k, strategy, threads)
     }
 }
 
@@ -840,7 +764,7 @@ impl ShardedTopKEngine {
 // query at one rung — probe + sketch merge, arm, fallback scan — so a
 // coordinator that merges the summaries and replays the global decisions
 // reproduces the in-process answers byte for byte. All verify in the
-// default [`VerifyMode::Kernel`], as the serving engines do.
+// default [`VerifyMode::Kernel`], as the served batch path does.
 
 /// One query's compact S1/S2 summary from one shard: the summed bucket
 /// sizes and the shard-local merged HyperLogLog registers. HLL merge is
@@ -907,7 +831,8 @@ where
 
     /// One shard's exact-fallback scan: per query, **every** row the
     /// shard owns as `(global id, distance)`, ascending by local row —
-    /// the shard's slice of the [`TopKWalk`]'s exact fallback.
+    /// the shard's slice of the [`TopKWalk`](crate::TopKWalk)'s exact
+    /// fallback.
     pub fn shard_fallback_scan_batch<Q>(
         &self,
         shard: usize,

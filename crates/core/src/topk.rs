@@ -26,10 +26,11 @@
 //!    remaining points are scanned exactly, so `query_topk` always
 //!    returns exactly `min(k, n)` neighbors.
 //!
-//! [`TopKWalk`] is the one statement of this walk: [`TopKEngine`] and
-//! the sharded and segmented engines drive it one query at a time over
-//! their own `Level` sources, and the distributed coordinator drives
-//! one walk per query, level by level across a batch.
+//! [`TopKWalk`] is the one statement of this walk: the
+//! [`Engine`] drives it one query at a time over any ladder's `Level`
+//! sources (single, sharded, segmented), and the distributed
+//! coordinator drives one walk per query, level by level across a
+//! batch.
 //!
 //! Results are deterministic: distance ties break by ascending id, the
 //! heap's total order is `(distance, id)`, and
@@ -47,8 +48,7 @@ use hlsh_hll::HllConfig;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::builder::IndexBuilder;
-use crate::dedup::SeenBitmap;
-use crate::engine::{Level, LevelEngine};
+use crate::engine::{Engine, Level, LevelEngine, Scratch, TopKLadder};
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
 use crate::schedule::RadiusSchedule;
@@ -102,7 +102,7 @@ pub struct BoundedHeap {
 impl BoundedHeap {
     /// Creates a heap keeping at most `k` neighbors.
     pub fn new(k: usize) -> Self {
-        Self { k, heap: BinaryHeap::with_capacity(k.saturating_add(1).min(4096)) }
+        Self { k, heap: BinaryHeap::with_capacity(k.min(4096)) }
     }
 
     /// Offers a candidate; keeps it iff the heap is underfull or the
@@ -353,9 +353,9 @@ where
 
     /// Answers one top-k query with fresh scratch. Batch workloads
     /// should prefer [`query_topk_batch`](Self::query_topk_batch) or a
-    /// reused [`TopKEngine`].
+    /// reused [`Engine`].
     pub fn query_topk(&self, q: &S::Point, k: usize) -> TopKOutput {
-        TopKEngine::new().query_topk(self, q, k)
+        Engine::new().query_topk(self, q, k)
     }
 }
 
@@ -378,7 +378,8 @@ where
     }
 
     /// Batch top-k under an explicit per-level strategy and optional
-    /// thread count (`None` = all available cores).
+    /// thread count (`None` = all available cores); see
+    /// [`TopKLadder::query_topk_batch_with`].
     pub fn query_topk_batch_with<Q>(
         &self,
         queries: &[Q],
@@ -389,72 +390,26 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        hlsh_vec::parallel::par_map_with(queries.len(), threads, TopKEngine::new, |engine, qi| {
-            engine.query_topk_with(self, queries[qi].as_ref(), k, strategy)
-        })
+        TopKLadder::query_topk_batch_with(self, queries, k, strategy, threads)
     }
 }
 
-/// Reusable scratch for running top-k queries: the level-query scratch
-/// plus the [`TopKWalk`] state.
-///
-/// One engine serves one thread; results are identical to the
-/// allocate-per-query path.
-#[derive(Debug, Default)]
-pub struct TopKEngine {
-    engine: LevelEngine<SeenBitmap>,
-    walk: TopKWalk,
-}
+impl<S, F, D, B> TopKLadder for TopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
 
-impl TopKEngine {
-    /// Creates an engine with empty scratch and the default
-    /// [`VerifyMode::Kernel`] rNNR filter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an engine whose inner rNNR queries verify candidates in
-    /// an explicit [`VerifyMode`]. Top-k output is identical across
-    /// modes — the mode only changes how the radius filter is computed.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { engine: LevelEngine::with_verify_mode(verify), walk: TopKWalk::default() }
-    }
-
-    /// Answers one top-k query under the default per-level
-    /// [`Strategy::Hybrid`].
-    pub fn query_topk<S, F, D, B>(
-        &mut self,
-        index: &TopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.query_topk_with(index, q, k, Strategy::Hybrid)
-    }
-
-    /// Answers one top-k query, running every executed level's rNNR
-    /// query under `strategy`.
-    pub fn query_topk_with<S, F, D, B>(
-        &mut self,
-        index: &TopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-        strategy: Strategy,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.walk.run(&mut self.engine, index.levels(), index.schedule, q, k, strategy)
+    fn topk(&self, s: &mut Scratch, q: &S::Point, k: usize, strategy: Strategy) -> TopKOutput {
+        s.walk.run(&mut s.level, self.levels(), self.schedule, q, k, strategy)
     }
 }
+
+/// The engine of a [`TopKIndex`] (an alias of [`Engine`]).
+pub type TopKEngine = Engine;
 
 /// The k-NN ⇒ rNNR reduction for one query: the walk up a radius
 /// ladder, fed one level at a time.
@@ -463,7 +418,7 @@ impl TopKEngine {
 /// already offered, the largest executed radius, the deferred levels and
 /// the [`TopKReport`]; it makes the early-exit and HLL-defer decisions
 /// (see the module docs). Whoever drives it runs the level queries: the
-/// in-process engines one query at a time, the distributed coordinator
+/// in-process [`Engine`] one query at a time, the distributed coordinator
 /// level by level across a batch. A driver
 ///
 /// 1. calls [`next_level`](Self::next_level) before each level, in
@@ -644,7 +599,7 @@ impl TopKWalk {
     /// `engine` under `strategy` — the in-process drivers' loop.
     pub(crate) fn run<L: Level>(
         &mut self,
-        engine: &mut LevelEngine<L::Seen>,
+        engine: &mut LevelEngine,
         levels: &[L],
         schedule: RadiusSchedule,
         q: &L::Point,
@@ -665,7 +620,7 @@ impl TopKWalk {
             // One distance-returning kernel pass over every point
             // (r = ∞); already-offered ids are filtered out afterwards
             // (their distances are a negligible fraction of the pass).
-            self.fallback(levels[0].fallback_pairs(q, engine.verify_mode()));
+            self.fallback(levels[0].fallback_pairs(q, engine.verify));
         } else {
             for (li, arm) in take(&mut self.deferred) {
                 self.revisited(engine.run_arm(&levels[li], q, schedule.radius(li), arm));

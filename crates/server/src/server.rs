@@ -32,7 +32,7 @@
 //! instead of one parked thread each. The batcher is unchanged in
 //! spirit from the thread-per-connection design it replaced: it turns
 //! many small concurrent requests into the big batches the in-process
-//! engines are built for, one
+//! batch path is built for, one
 //! [`query_batch`](hlsh_core::ShardedIndex::query_batch) call per
 //! tick-group, fanned over scoped threads.
 //!
@@ -580,10 +580,12 @@ impl EventLoop {
     }
 
     /// Routes one decoded frame. Metadata and validation errors are
-    /// answered inline; query traffic is admitted to the batcher;
-    /// shard-extension traffic and index mutations run on detached
-    /// worker threads so a coordinator's multi-second fan-out (or a
-    /// write-locked flush/merge) never stalls the loop.
+    /// answered inline from [`QueryService::info`], which never blocks
+    /// (a living index answers it without its lock); query traffic is
+    /// admitted to the batcher; shard-extension traffic and index
+    /// mutations run on detached worker threads so a coordinator's
+    /// multi-second fan-out (or a write-locked flush/merge) never stalls
+    /// the loop.
     fn dispatch(&mut self, token: u64, kind: u8, body: Vec<u8>) {
         if protocol::kind::is_shard_request(kind) {
             let Some(state) = self.conns.get_mut(&token) else { return };
@@ -685,16 +687,8 @@ impl EventLoop {
             return self.answer_inline(token, resp);
         }
         if queries.dim != info.dim {
-            return self.answer_inline(
-                token,
-                Response::Error {
-                    code: ErrorCode::DimMismatch,
-                    message: format!(
-                        "index dimension is {}, request carries {}",
-                        info.dim, queries.dim
-                    ),
-                },
-            );
+            let e = ServiceError::dim_mismatch(info.dim, queries.dim);
+            return self.answer_inline(token, Response::Error { code: e.code, message: e.message });
         }
         self.admit(token, job_kind, queries.rows());
     }

@@ -1,12 +1,12 @@
 //! The [`QueryService`] trait and its implementations bridging the
-//! wire to the in-process batch engines.
+//! wire to the in-process batch path.
 //!
 //! The trait (and [`ServiceError`], its failure type) is what the
 //! event-loop server in [`crate::server`] executes against; three
 //! deployments implement it here:
 //!
 //! * [`ShardedLshService`] — the standalone server: answers client
-//!   frames by running the full sharded engines in-process.
+//!   frames by running the full sharded indexes in-process.
 //! * [`ShardNodeService`] — one node of a distributed deployment: the
 //!   same indexes, but *additionally* answering the shard-extension
 //!   frames (`0x10..=0x1F`) a
@@ -17,14 +17,14 @@
 //!   while queries stay byte-identical to a rebuild on the surviving
 //!   points.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
 use hlsh_core::{
-    FrozenStore, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex,
-    ShardedIndex, ShardedTopKIndex, Strategy,
+    FrozenStore, RnnrIndex, SegmentedIndex, SegmentedTopKIndex, ShardedIndex, ShardedTopKIndex,
+    Strategy, TopKLadder,
 };
 use hlsh_families::LshFamily;
-use hlsh_vec::parallel::par_map_with;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::protocol::{
@@ -111,7 +111,9 @@ impl std::error::Error for ServiceError {}
 /// [`ServiceError`]'s code, one per affected request.
 pub trait QueryService: Send + Sync + 'static {
     /// Index metadata for [`Request::Info`](crate::protocol::Request::Info)
-    /// and dimension validation.
+    /// and dimension validation. The event loop calls this for every
+    /// client frame on its own thread, so it must not block: a living
+    /// index answers it without taking its lock.
     fn info(&self) -> ServerInfo;
 
     /// Ids within `radius` of each query, ascending per query.
@@ -172,6 +174,38 @@ pub trait QueryService: Send + Sync + 'static {
         let _ = ids;
         Err(ServiceError::unsupported("this server's index is frozen; mutation needs --live"))
     }
+}
+
+/// Both services' rNNR batch: the index's one batch path under
+/// [`Strategy::Hybrid`], ids only.
+fn rnnr_ids<I>(
+    index: &I,
+    queries: &[Vec<f32>],
+    radius: f64,
+    threads: Option<usize>,
+) -> Vec<Vec<PointId>>
+where
+    I: RnnrIndex<Point = [f32]> + Sync,
+{
+    let outputs = index.query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads);
+    outputs.into_iter().map(|o| o.ids).collect()
+}
+
+/// Both services' top-k batch: the ladder's one batch path under
+/// [`Strategy::Hybrid`], as `(id, distance)` pairs.
+fn topk_pairs<I>(
+    ladder: Option<&I>,
+    queries: &[Vec<f32>],
+    k: usize,
+    threads: Option<usize>,
+) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError>
+where
+    I: TopKLadder<Point = [f32]> + Sync,
+{
+    let ladder =
+        ladder.ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
+    let outputs = ladder.query_topk_batch_with(queries, k, Strategy::Hybrid, threads);
+    Ok(outputs.into_iter().map(|o| o.neighbors.iter().map(|n| (n.id, n.dist)).collect()).collect())
 }
 
 /// The standard deployment: a frozen [`ShardedIndex`] for rNNR traffic
@@ -258,12 +292,7 @@ where
         radius: f64,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        Ok(self
-            .rnnr
-            .query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads)
-            .into_iter()
-            .map(|o| o.ids)
-            .collect())
+        Ok(rnnr_ids(&self.rnnr, queries, radius, threads))
     }
 
     fn topk_batch(
@@ -272,15 +301,7 @@ where
         k: usize,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        let topk = self
-            .topk
-            .as_ref()
-            .ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
-        Ok(topk
-            .query_topk_batch_with(queries, k, Strategy::Hybrid, threads)
-            .into_iter()
-            .map(|o| o.neighbors.iter().map(|n| (n.id, n.dist)).collect())
-            .collect())
+        topk_pairs(self.topk.as_ref(), queries, k, threads)
     }
 }
 
@@ -343,10 +364,7 @@ where
     fn check_rows(&self, queries: &QueryBlock) -> Result<Vec<Vec<f32>>, ServiceError> {
         let dim = self.inner.dim();
         if queries.count() > 0 && queries.dim != dim {
-            return Err(ServiceError {
-                code: ErrorCode::DimMismatch,
-                message: format!("index dimension is {dim}, request carries {}", queries.dim),
-            });
+            return Err(ServiceError::dim_mismatch(dim, queries.dim));
         }
         Ok(queries.rows())
     }
@@ -516,17 +534,25 @@ where
 /// The rNNR index and the top-k ladder (when present) sit under that
 /// one lock: a mutation batch is validated and applied to both under a
 /// single write guard, so every reader sees both cover the same live
-/// id set. Queries take the read lock and run the segmented engines,
-/// whose answers are byte-identical to an index rebuilt from scratch
-/// on the surviving points — the contract `tests/mutable_props.rs`
-/// pins and the CI churn smoke checks over this very service.
+/// id set. Queries take the read lock and run the one batch path, whose
+/// answers are byte-identical to an index rebuilt from scratch on the
+/// surviving points — the contract `tests/mutable_props.rs` pins and
+/// the CI churn smoke checks over this very service.
+///
+/// [`info`](QueryService::info) never takes the lock: the event loop
+/// calls it for every frame, and a flush or merge under the write guard
+/// must not stall the loop. The live count it reports is stored under
+/// the write guard after every mutation batch.
 pub struct LiveLshService<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
     indexes: RwLock<LiveIndexes<F, D>>,
-    dim: u32,
+    /// The metadata that never changes (its `points` is not read).
+    info: ServerInfo,
+    /// The live point count.
+    points: AtomicU64,
 }
 
 /// The structures a [`LiveLshService`] serves, mutated together.
@@ -547,23 +573,42 @@ where
     /// Wraps segmented indexes for serving. Both must be built over
     /// the same corpus (same live ids) and the same dimensionality.
     pub fn new(rnnr: SegmentedIndex<F, D>, topk: Option<SegmentedTopKIndex<F, D>>) -> Self {
-        let dim = rnnr.dim() as u32;
         if let Some(t) = &topk {
             assert_eq!(t.dim(), rnnr.dim(), "rNNR and top-k ladders must share dimensionality");
             assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
         }
-        Self { indexes: RwLock::new(LiveIndexes { rnnr, topk }), dim }
+        let info = ServerInfo {
+            points: rnnr.len() as u64,
+            dim: rnnr.dim() as u32,
+            shards: rnnr.assignment().shards() as u32,
+            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
+        };
+        let points = AtomicU64::new(info.points);
+        Self { indexes: RwLock::new(LiveIndexes { rnnr, topk }), info, points }
     }
 
     /// The vector dimensionality requests are validated against.
     pub fn dim(&self) -> u32 {
-        self.dim
+        self.info.dim
     }
 
     /// Runs `f` over the live rNNR index under the read lock — how the
     /// churn smoke compares served state against a rebuild oracle.
     pub fn with_rnnr<R>(&self, f: impl FnOnce(&SegmentedIndex<F, D>) -> R) -> R {
         f(&self.indexes.read().expect("live index lock poisoned").rnnr)
+    }
+
+    /// Runs one mutation batch under the write guard, then stores the
+    /// live count [`info`](QueryService::info) reports before releasing
+    /// it.
+    fn mutate(
+        &self,
+        apply: impl FnOnce(&mut LiveIndexes<F, D>) -> Result<u32, ServiceError>,
+    ) -> Result<u32, ServiceError> {
+        let mut live = self.indexes.write().map_err(poisoned)?;
+        let applied = apply(&mut live);
+        self.points.store(live.rnnr.len() as u64, Ordering::Relaxed);
+        applied
     }
 }
 
@@ -591,13 +636,7 @@ where
     D: Distance<[f32]> + Clone + Send + Sync + 'static,
 {
     fn info(&self) -> ServerInfo {
-        let live = self.indexes.read().expect("live index lock poisoned");
-        ServerInfo {
-            points: live.rnnr.len() as u64,
-            dim: self.dim,
-            shards: live.rnnr.assignment().shards() as u32,
-            topk_levels: live.topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
-        }
+        ServerInfo { points: self.points.load(Ordering::Relaxed), ..self.info }
     }
 
     fn rnnr_batch(
@@ -606,13 +645,8 @@ where
         radius: f64,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        // One engine per worker thread under the batch's thread
-        // budget; answers are byte-identical to a sequential loop.
         let live = self.indexes.read().map_err(poisoned)?;
-        let rnnr = &live.rnnr;
-        Ok(par_map_with(queries.len(), threads, SegmentedQueryEngine::new, |engine, qi| {
-            engine.query_with_strategy(rnnr, &queries[qi], radius, Strategy::Hybrid).ids
-        }))
+        Ok(rnnr_ids(&live.rnnr, queries, radius, threads))
     }
 
     fn topk_batch(
@@ -622,70 +656,59 @@ where
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
         let live = self.indexes.read().map_err(poisoned)?;
-        let topk = live
-            .topk
-            .as_ref()
-            .ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
-        Ok(par_map_with(queries.len(), threads, SegmentedTopKEngine::new, |engine, qi| {
-            engine
-                .query_topk(topk, &queries[qi], k)
-                .neighbors
-                .iter()
-                .map(|n| (n.id, n.dist))
-                .collect()
-        }))
+        topk_pairs(live.topk.as_ref(), queries, k, threads)
     }
 
     fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
-        if points.dim != self.dim && !ids.is_empty() {
-            return Err(ServiceError::dim_mismatch(self.dim, points.dim));
+        let dim = self.info.dim;
+        if points.dim != dim && !ids.is_empty() {
+            return Err(ServiceError::dim_mismatch(dim, points.dim));
         }
-        if points.data.len() != ids.len() * self.dim as usize {
+        if points.data.len() != ids.len() * dim as usize {
             return Err(ServiceError::malformed(format!(
-                "insert carries {} ids but {} floats of dimension {}",
+                "insert carries {} ids but {} floats of dimension {dim}",
                 ids.len(),
                 points.data.len(),
-                self.dim
             )));
         }
         // Validation completes against the rNNR index before either
         // structure is touched — the batch either fully applies to
         // both or to neither.
-        let mut live = self.indexes.write().map_err(poisoned)?;
-        let mut batch = std::collections::HashSet::with_capacity(ids.len());
-        for &id in ids {
-            if !batch.insert(id) || live.rnnr.contains(id) {
-                return Err(ServiceError::duplicate_id(id));
+        self.mutate(|LiveIndexes { rnnr, topk }| {
+            let mut batch = std::collections::HashSet::with_capacity(ids.len());
+            for &id in ids {
+                if !batch.insert(id) || rnnr.contains(id) {
+                    return Err(ServiceError::duplicate_id(id));
+                }
             }
-        }
-        let LiveIndexes { rnnr, topk } = &mut *live;
-        let dim = self.dim as usize;
-        for (i, &id) in ids.iter().enumerate() {
-            let row = &points.data[i * dim..(i + 1) * dim];
-            rnnr.insert(id, row).map_err(mutation_error)?;
-            if let Some(topk) = topk {
-                topk.insert(id, row).map_err(mutation_error)?;
+            let dim = dim as usize;
+            for (i, &id) in ids.iter().enumerate() {
+                let row = &points.data[i * dim..(i + 1) * dim];
+                rnnr.insert(id, row).map_err(mutation_error)?;
+                if let Some(topk) = topk {
+                    topk.insert(id, row).map_err(mutation_error)?;
+                }
             }
-        }
-        Ok(ids.len() as u32)
+            Ok(ids.len() as u32)
+        })
     }
 
     fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        let mut live = self.indexes.write().map_err(poisoned)?;
-        let mut batch = std::collections::HashSet::with_capacity(ids.len());
-        for &id in ids {
-            if !batch.insert(id) || !live.rnnr.contains(id) {
-                return Err(ServiceError::unknown_id(id));
+        self.mutate(|LiveIndexes { rnnr, topk }| {
+            let mut batch = std::collections::HashSet::with_capacity(ids.len());
+            for &id in ids {
+                if !batch.insert(id) || !rnnr.contains(id) {
+                    return Err(ServiceError::unknown_id(id));
+                }
             }
-        }
-        let LiveIndexes { rnnr, topk } = &mut *live;
-        for &id in ids {
-            rnnr.delete(id).map_err(mutation_error)?;
-            if let Some(topk) = topk {
-                topk.delete(id).map_err(mutation_error)?;
+            for &id in ids {
+                rnnr.delete(id).map_err(mutation_error)?;
+                if let Some(topk) = topk {
+                    topk.delete(id).map_err(mutation_error)?;
+                }
             }
-        }
-        Ok(ids.len() as u32)
+            Ok(ids.len() as u32)
+        })
     }
 }
 
@@ -695,7 +718,58 @@ mod tests {
     use hlsh_families::PStableL2;
     use hlsh_vec::{DenseDataset, L2};
 
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
     use super::*;
+
+    /// A small living service with a ladder, over 2-d points.
+    fn live_service() -> LiveLshService<PStableL2, L2> {
+        let data = DenseDataset::from_rows(2, (0..80).map(|i| [i as f32, (i % 5) as f32]));
+        let ids: Vec<PointId> = (0..80).collect();
+        let builder = |_: usize, r: f64| {
+            IndexBuilder::new(PStableL2::new(2, 2.0 * r), L2)
+                .tables(3)
+                .hash_len(2)
+                .cost_model(CostModel::from_ratio(2.0))
+        };
+        let assignment = ShardAssignment::new(4, 2);
+        let schedule = RadiusSchedule::doubling(1.0, 2);
+        let rnnr = SegmentedIndex::build_bulk(data.clone(), &ids, assignment, builder(0, 1.0));
+        let topk = SegmentedTopKIndex::build_bulk(data, &ids, assignment, schedule, builder);
+        LiveLshService::new(rnnr, Some(topk))
+    }
+
+    #[test]
+    fn info_answers_while_a_writer_holds_the_lock() {
+        let service = Arc::new(live_service());
+        let guard = service.indexes.write().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let reader = Arc::clone(&service);
+        let handle = std::thread::spawn(move || tx.send(reader.info()).unwrap());
+        let info = rx.recv_timeout(Duration::from_secs(10));
+        drop(guard);
+        handle.join().unwrap();
+        let info = info.expect("info() must not wait for the write lock");
+        assert_eq!((info.points, info.dim, info.shards, info.topk_levels), (80, 2, 2, 2));
+    }
+
+    #[test]
+    fn a_poisoned_lock_fails_queries_but_not_info() {
+        let service = Arc::new(live_service());
+        let writer = Arc::clone(&service);
+        let died = std::thread::spawn(move || {
+            let _guard = writer.indexes.write().unwrap();
+            panic!("a writer dies holding the guard");
+        });
+        assert!(died.join().is_err());
+        assert_eq!(service.info().points, 80);
+        let queries = vec![vec![3.0f32, 1.0]];
+        let rnnr = service.rnnr_batch(&queries, 1.0, Some(1)).unwrap_err();
+        assert_eq!(rnnr.code, ErrorCode::Internal);
+        let topk = service.topk_batch(&queries, 3, Some(1)).unwrap_err();
+        assert_eq!(topk.code, ErrorCode::Internal);
+    }
 
     #[test]
     #[should_panic(expected = "sharded under the same assignment")]

@@ -6,7 +6,12 @@
 //! * [`index`] / [`HybridLshIndex`] / [`IndexBuilder`] — the hybrid
 //!   r-near-neighbor-reporting index (per-bucket HyperLogLog sketches,
 //!   per-query cost-based choice between LSH search and a linear scan);
-//! * [`TopKIndex`] / [`TopKEngine`] — k-nearest-neighbor queries via
+//! * [`Engine`] — the one query engine: reusable scratch that answers
+//!   every rNNR index ([`RnnrIndex`]) and every top-k ladder
+//!   ([`TopKLadder`]), single, sharded or segmented (`QueryEngine`,
+//!   [`TopKEngine`] and the sharded and segmented engine names are
+//!   aliases of it);
+//! * [`TopKIndex`] — k-nearest-neighbor queries via
 //!   the classic reduction to rNNR over a geometric [`RadiusSchedule`],
 //!   with HLL-driven level skipping and an exact-scan fallback;
 //! * [`families`] — the LSH families: bit sampling (Hamming),
@@ -63,11 +68,11 @@ pub use hlsh_vec as vec;
 
 pub use hlsh_core::{
     load_snapshot, read_layout, read_manifest, save_snapshot, BucketStore, BuildMode, CostModel,
-    FrozenStore, HybridLshIndex, IndexBuilder, LoadMode, LoadPlan, LoadedSnapshot, MapStore,
-    MutationError, Neighbor, QueryEngine, QueryOutput, RadiusSchedule, SegmentedIndex,
-    SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex, ShardAssignment, ShardedIndex,
-    ShardedTopKIndex, SnapshotError, SnapshotLayout, SnapshotManifest, StorageProfile, Strategy,
-    TopKEngine, TopKIndex, TopKOutput, VerifyMode,
+    Engine, FrozenStore, HybridLshIndex, IndexBuilder, LoadMode, LoadPlan, LoadedSnapshot,
+    MapStore, MutationError, Neighbor, QueryEngine, QueryOutput, RadiusSchedule, RnnrIndex,
+    SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex, ShardAssignment,
+    ShardedIndex, ShardedTopKIndex, SnapshotError, SnapshotLayout, SnapshotManifest,
+    StorageProfile, Strategy, TopKEngine, TopKIndex, TopKLadder, TopKOutput, VerifyMode,
 };
 
 /// One-line import for applications.
