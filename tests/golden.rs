@@ -22,6 +22,8 @@
 //!   fallback and defer levels;
 //! - one batch call per deployment, and the frozen and living services'
 //!   batch entry points;
+//! - a `Coordinator` over {1, 2, 4} shard-node servers on 127.0.0.1,
+//!   answering the same batch through the shard protocol;
 //! - the bytes `save_snapshot` writes for a small `MixturePreset`.
 //!
 //! Every strategy runs, and both verify modes wherever an engine takes
@@ -42,7 +44,10 @@ use hybrid_lsh::datagen::benchmark_mixture;
 use hybrid_lsh::index::search::ExecutedArm;
 use hybrid_lsh::prelude::*;
 use hybrid_lsh::probe::{multiprobe_query, CoveringLshIndex};
-use hybrid_lsh::server::{LiveLshService, QueryService, ShardedLshService};
+use hybrid_lsh::server::{
+    spawn, Coordinator, CoordinatorConfig, LiveLshService, QueryService, ServerConfig,
+    ShardNodeService, ShardedLshService,
+};
 use hybrid_lsh::{Strategy, VerifyMode};
 
 const MODES: [VerifyMode; 2] = [VerifyMode::Kernel, VerifyMode::Scalar];
@@ -494,7 +499,8 @@ fn ladder_rows(rows: &mut Rows) {
 }
 
 /// One batch call per deployment (two threads, so the batch path's
-/// fan-out runs), plus the frozen service's entry points.
+/// fan-out runs), the frozen service's entry points, and a coordinator
+/// fleet at each shard count.
 fn batch_rows(rows: &mut Rows) {
     let (dim, r) = (16, 1.3);
     let (data, _) = benchmark_mixture(dim, 2_000, r, 41);
@@ -542,6 +548,39 @@ fn batch_rows(rows: &mut Rows) {
         fnv.pairs(pairs.into_iter());
     }
     rows.push("batch/sharded-service/topk", fnv);
+
+    // The distributed deployment over the same build: one shard-node
+    // server per shard on 127.0.0.1, and a coordinator that merges their
+    // summaries and decides every query globally.
+    for shards in [1, 2, 4] {
+        let assignment = ShardAssignment::new(3, shards);
+        let fleet: Vec<_> = (0..shards as u32)
+            .map(|sid| {
+                let rnnr = ShardedIndex::build_frozen(data.clone(), assignment, pstable(dim, r));
+                let ladder = ShardedTopKIndex::build_frozen(
+                    data.clone(),
+                    assignment,
+                    schedule,
+                    level_builder(dim),
+                );
+                let node =
+                    ShardNodeService::new(ShardedLshService::new(rnnr, Some(ladder), dim), sid);
+                spawn(std::sync::Arc::new(node), "127.0.0.1:0", ServerConfig::default()).unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = fleet.iter().map(|h| h.local_addr().to_string()).collect();
+        let coordinator = Coordinator::connect(&addrs, CoordinatorConfig::default()).unwrap();
+        let mut fnv = Fnv::new();
+        for ids in coordinator.rnnr_batch(&queries, r, Some(2)).unwrap() {
+            fnv.ids(&ids);
+        }
+        rows.push(format!("batch/coordinator/{shards}/rnnr"), fnv);
+        let mut fnv = Fnv::new();
+        for pairs in coordinator.topk_batch(&queries, 10, Some(2)).unwrap() {
+            fnv.pairs(pairs.into_iter());
+        }
+        rows.push(format!("batch/coordinator/{shards}/topk"), fnv);
+    }
 }
 
 fn snapshot_rows(rows: &mut Rows) {
