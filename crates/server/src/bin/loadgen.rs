@@ -193,6 +193,13 @@ struct PhaseResult {
     max_us: u64,
 }
 
+/// Connects to the server, retrying while it builds its index.
+fn connect(args: &Args) -> Client {
+    let deadline = Duration::from_secs(args.connect_timeout_secs);
+    Client::connect_retry(args.addr.as_str(), deadline)
+        .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr))
+}
+
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -205,16 +212,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// count (consumed so the optimizer can't elide the decode).
 fn issue(client: &mut Client, queries: &[Vec<f32>], radius: f64, k: usize) -> usize {
     if k > 0 {
-        let out = client.query_topk_batch(queries, k).unwrap_or_else(|e| panic!("topk: {e}"));
-        out.len()
+        client.query_topk_batch(queries, k).unwrap_or_else(|e| panic!("topk: {e}")).len()
     } else {
-        let out = client.query_batch(queries, radius).unwrap_or_else(|e| panic!("rnnr: {e}"));
-        out.len()
+        client.query_batch(queries, radius).unwrap_or_else(|e| panic!("rnnr: {e}")).len()
     }
 }
 
 /// Runs one phase (`k == 0` ⇒ rNNR, else top-k) and gathers latencies.
-#[allow(clippy::too_many_arguments)]
 fn run_phase(args: &Args, pool: &[Vec<f32>], k: usize) -> PhaseResult {
     // Each client gets its own connection and pre-cut request batches
     // (round-robin over the pool so every request differs).
@@ -230,13 +234,7 @@ fn run_phase(args: &Args, pool: &[Vec<f32>], k: usize) -> PhaseResult {
         })
         .collect();
 
-    let deadline = Duration::from_secs(args.connect_timeout_secs);
-    let mut clients: Vec<Client> = (0..args.clients)
-        .map(|_| {
-            Client::connect_retry(args.addr.as_str(), deadline)
-                .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr))
-        })
-        .collect();
+    let mut clients: Vec<Client> = (0..args.clients).map(|_| connect(args)).collect();
 
     // Warmup (connection setup, first-tick effects) outside the clock.
     for (client, reqs) in clients.iter_mut().zip(&batches) {
@@ -321,9 +319,7 @@ impl Churn {
 /// compare every pooled query's rNNR ids and top-k `(id, distance)`
 /// pairs (bit for bit) against the server's answers.
 fn run_churn(args: &Args, pool: &[Vec<f32>], data: &DenseDataset, info: &ServerInfo) {
-    let deadline = Duration::from_secs(args.connect_timeout_secs);
-    let mut client = Client::connect_retry(args.addr.as_str(), deadline)
-        .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr));
+    let mut client = connect(args);
 
     // Local mirror of the server's live set: the original corpus under
     // ids 0..n, extended/shrunk in lockstep with every acked frame.
@@ -341,8 +337,7 @@ fn run_churn(args: &Args, pool: &[Vec<f32>], data: &DenseDataset, info: &ServerI
         // mutations (answers are discarded; each one is linearized
         // against the index write lock at some point of the churn).
         let bg = scope.spawn(|| {
-            let mut qc = Client::connect_retry(args.addr.as_str(), deadline)
-                .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr));
+            let mut qc = connect(args);
             let mut issued = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 let q = std::slice::from_ref(&pool[issued % pool.len()]);
@@ -491,11 +486,7 @@ fn main() {
     let stride = args.n / args.queries;
     let pool: Vec<Vec<f32>> = (0..args.queries).map(|i| data.row(i * stride).to_vec()).collect();
 
-    let mut probe =
-        Client::connect_retry(args.addr.as_str(), Duration::from_secs(args.connect_timeout_secs))
-            .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr));
-    let info = probe.info().unwrap_or_else(|e| panic!("info: {e}"));
-    drop(probe);
+    let info = connect(&args).info().unwrap_or_else(|e| panic!("info: {e}"));
     assert_eq!(
         info.dim as usize, args.dim,
         "server indexes dim={} but loadgen generates dim={}",

@@ -169,8 +169,7 @@ fn parse_args() -> Args {
                     "shard" => Role::Shard,
                     "coordinator" => Role::Coordinator,
                     other => {
-                        eprintln!("--role {other:?} is not standalone|shard|coordinator");
-                        std::process::exit(2);
+                        fatal(&format!("--role {other:?} is not standalone|shard|coordinator"));
                     }
                 }
             }
@@ -208,29 +207,24 @@ fn parse_args() -> Args {
             }
             "--live" => out.live = true,
             other => {
-                eprintln!("unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
+                fatal(&format!("unknown flag {other:?}\n{USAGE}"));
             }
         }
     }
     if out.snapshot_save.is_some() && out.snapshot_load.is_some() {
-        eprintln!("--snapshot-save and --snapshot-load are mutually exclusive");
-        std::process::exit(2);
+        fatal("--snapshot-save and --snapshot-load are mutually exclusive");
     }
     if out.load_mode.is_some() && out.snapshot_load.is_none() {
-        eprintln!("--load-mode only makes sense with --snapshot-load");
-        std::process::exit(2);
+        fatal("--load-mode only makes sense with --snapshot-load");
     }
     if out.live {
         if out.role != Role::Standalone {
-            eprintln!("--live only applies to --role standalone (shard nodes and coordinators refuse mutation)");
-            std::process::exit(2);
+            fatal("--live only applies to --role standalone (shard nodes and coordinators refuse mutation)");
         }
         if out.snapshot_save.is_some() || out.snapshot_load.is_some() {
-            eprintln!(
-                "--live is incompatible with snapshots (segmented indexes have no snapshot format)"
+            fatal(
+                "--live is incompatible with snapshots (segmented indexes have no snapshot format)",
             );
-            std::process::exit(2);
         }
     }
     match out.role {
@@ -239,21 +233,18 @@ fn parse_args() -> Args {
                 out.preset.shards = raw
                     .parse::<usize>()
                     .unwrap_or_else(|_| {
-                        eprintln!(
+                        fatal(
                             "--shards must be an integer shard count for this role \
-                             (address lists are for --role coordinator)"
+                             (address lists are for --role coordinator)",
                         );
-                        std::process::exit(2);
                     })
                     .max(1);
             }
             if out.role == Role::Shard && out.shard_id.is_none() {
-                eprintln!("--role shard requires --shard-id");
-                std::process::exit(2);
+                fatal("--role shard requires --shard-id");
             }
             if out.role == Role::Standalone && out.shard_id.is_some() {
-                eprintln!("--shard-id only makes sense with --role shard");
-                std::process::exit(2);
+                fatal("--shard-id only makes sense with --role shard");
             }
         }
         Role::Coordinator => {
@@ -262,19 +253,17 @@ fn parse_args() -> Args {
                 .as_deref()
                 .is_some_and(|raw| raw.parse::<usize>().is_err() && !raw.is_empty());
             if !ok {
-                eprintln!(
+                fatal(
                     "--role coordinator requires --shards as a comma-separated address \
-                     list (e.g. --shards 10.0.0.1:7411,10.0.0.2:7411)"
+                     list (e.g. --shards 10.0.0.1:7411,10.0.0.2:7411)",
                 );
-                std::process::exit(2);
             }
             if out.shard_id.is_some() || out.snapshot_save.is_some() || out.snapshot_load.is_some()
             {
-                eprintln!(
+                fatal(
                     "--shard-id/--snapshot-save/--snapshot-load do not apply to the \
-                     coordinator role (shard nodes own the snapshots)"
+                     coordinator role (shard nodes own the snapshots)",
                 );
-                std::process::exit(2);
             }
         }
     }
@@ -341,41 +330,19 @@ fn main() {
         (rnnr, topk)
     };
 
-    let topk_levels = topk.as_ref().map(|t| t.schedule().levels()).unwrap_or(0);
     let shards = rnnr.assignment().shards();
     let inner = ShardedLshService::new(rnnr, topk, preset.dim);
-    let (service, role_tag): (Arc<dyn QueryService>, String) = match args.role {
-        Role::Standalone => (Arc::new(inner), String::new()),
+    match args.role {
+        Role::Standalone => serve_forever(&args, Arc::new(inner), ""),
         Role::Shard => {
             let sid = args.shard_id.expect("parse_args requires --shard-id for shard role");
             if sid as usize >= shards {
                 fatal(&format!("--shard-id {sid} out of range: the index has {shards} shard(s)"));
             }
-            (Arc::new(ShardNodeService::new(inner, sid)), format!(", role=shard/{sid}"))
+            let node = Arc::new(ShardNodeService::new(inner, sid));
+            serve_forever(&args, node, &format!(", role=shard/{sid}"))
         }
         Role::Coordinator => unreachable!("coordinator role handled before the build"),
-    };
-    let config = server_config(&args);
-    let server = hlsh_server::spawn(service, (args.addr.as_str(), args.port), config)
-        .unwrap_or_else(|e| panic!("cannot bind {}:{}: {e}", args.addr, args.port));
-
-    // One parseable line for scripts, flushed past any pipe buffering.
-    use std::io::Write as _;
-    println!(
-        "hlsh-server listening on {} (n={}, dim={}, shards={}, topk_levels={}, batch_window={}{})",
-        server.local_addr(),
-        preset.n,
-        preset.dim,
-        preset.shards,
-        topk_levels,
-        window_tag(&args),
-        role_tag,
-    );
-    std::io::stdout().flush().ok();
-
-    // Serve until killed.
-    loop {
-        std::thread::park();
     }
 }
 
@@ -394,26 +361,7 @@ fn run_live(args: &Args) -> ! {
         let (data, _) = benchmark_mixture(preset.dim, preset.n, preset.radius, preset.seed);
         preset.build_live_topk(data)
     });
-    let topk_levels = if topk.is_some() { preset.levels } else { 0 };
-    let service = Arc::new(LiveLshService::new(rnnr, topk));
-    let server = hlsh_server::spawn(service, (args.addr.as_str(), args.port), server_config(args))
-        .unwrap_or_else(|e| panic!("cannot bind {}:{}: {e}", args.addr, args.port));
-
-    use std::io::Write as _;
-    println!(
-        "hlsh-server listening on {} (n={}, dim={}, shards={}, topk_levels={}, batch_window={}, role=live)",
-        server.local_addr(),
-        preset.n,
-        preset.dim,
-        preset.shards,
-        topk_levels,
-        window_tag(args),
-    );
-    std::io::stdout().flush().ok();
-
-    loop {
-        std::thread::park();
-    }
+    serve_forever(args, Arc::new(LiveLshService::new(rnnr, topk)), ", role=live")
 }
 
 /// Dials the shard fleet and serves the client protocol in front of it.
@@ -446,16 +394,18 @@ fn run_coordinator(args: &Args) -> ! {
         info.dim,
         info.topk_levels,
     );
-    let server = hlsh_server::spawn(
-        Arc::new(coordinator),
-        (args.addr.as_str(), args.port),
-        server_config(args),
-    )
-    .unwrap_or_else(|e| panic!("cannot bind {}:{}: {e}", args.addr, args.port));
+    serve_forever(args, Arc::new(coordinator), ", role=coordinator")
+}
 
+/// Serves `service` until killed, after one parseable listening line
+/// for scripts (flushed past any pipe buffering).
+fn serve_forever(args: &Args, service: Arc<dyn QueryService>, role_tag: &str) -> ! {
+    let info = service.info();
+    let server = hlsh_server::spawn(service, (args.addr.as_str(), args.port), server_config(args))
+        .unwrap_or_else(|e| panic!("cannot bind {}:{}: {e}", args.addr, args.port));
     use std::io::Write as _;
     println!(
-        "hlsh-server listening on {} (n={}, dim={}, shards={}, topk_levels={}, batch_window={}, role=coordinator)",
+        "hlsh-server listening on {} (n={}, dim={}, shards={}, topk_levels={}, batch_window={}{role_tag})",
         server.local_addr(),
         info.points,
         info.dim,
@@ -464,7 +414,6 @@ fn run_coordinator(args: &Args) -> ! {
         window_tag(args),
     );
     std::io::stdout().flush().ok();
-
     loop {
         std::thread::park();
     }

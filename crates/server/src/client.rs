@@ -6,7 +6,7 @@
 //! admission batcher coalesces back into large batch calls). Results
 //! decode to exactly the types the in-process batch APIs return.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -65,7 +65,6 @@ impl From<WireError> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    max_frame_bytes: usize,
 }
 
 impl Client {
@@ -96,23 +95,13 @@ impl Client {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::new(stream);
-        Ok(Self { reader, writer, max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES })
-    }
-
-    /// Caps the response size this client will accept.
-    pub fn with_max_frame_bytes(mut self, max: usize) -> Self {
-        self.max_frame_bytes = max;
-        self
+        Ok(Self { reader, writer })
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.writer, &req.encode())?;
-        let (kind, body) = read_frame(&mut self.reader, self.max_frame_bytes)?;
-        let resp = decode_response(kind, &body)?;
-        if let Response::Error { code, message } = resp {
-            return Err(ClientError::Server { code, message });
-        }
-        Ok(resp)
+        let (kind, body) = read_reply(&mut self.reader, protocol::DEFAULT_MAX_FRAME_BYTES)?;
+        Ok(decode_response(kind, &body)?)
     }
 
     /// Asks the server what it is serving.
@@ -137,16 +126,7 @@ impl Client {
         let dim = queries.first().map_or(0, Vec::len);
         let req = Request::Rnnr { radius, queries: QueryBlock::pack(queries, dim) };
         match self.roundtrip(&req)? {
-            Response::Rnnr(out) => {
-                if out.len() != queries.len() {
-                    return Err(ClientError::Protocol(format!(
-                        "sent {} queries, got {} results",
-                        queries.len(),
-                        out.len()
-                    )));
-                }
-                Ok(out)
-            }
+            Response::Rnnr(out) => one_per_query(queries.len(), out),
             other => Err(ClientError::Protocol(format!("expected rnnr response, got {other:?}"))),
         }
     }
@@ -165,16 +145,7 @@ impl Client {
         let dim = queries.first().map_or(0, Vec::len);
         let req = Request::TopK { k: k as u32, queries: QueryBlock::pack(queries, dim) };
         match self.roundtrip(&req)? {
-            Response::TopK(out) => {
-                if out.len() != queries.len() {
-                    return Err(ClientError::Protocol(format!(
-                        "sent {} queries, got {} results",
-                        queries.len(),
-                        out.len()
-                    )));
-                }
-                Ok(out)
-            }
+            Response::TopK(out) => one_per_query(queries.len(), out),
             other => Err(ClientError::Protocol(format!("expected topk response, got {other:?}"))),
         }
     }
@@ -211,4 +182,27 @@ impl Client {
             other => Err(ClientError::Protocol(format!("expected delete ack, got {other:?}"))),
         }
     }
+}
+
+/// Reads one reply frame as `(kind, body)`; an error frame becomes
+/// [`ClientError::Server`].
+pub(crate) fn read_reply(r: &mut impl Read, max: usize) -> Result<(u8, Vec<u8>), ClientError> {
+    let (kind, body) = read_frame(r, max)?;
+    if kind == protocol::kind::ERROR {
+        if let Response::Error { code, message } = decode_response(kind, &body)? {
+            return Err(ClientError::Server { code, message });
+        }
+    }
+    Ok((kind, body))
+}
+
+/// A batch answer, checked to hold one result per sent query.
+fn one_per_query<T>(sent: usize, out: Vec<T>) -> Result<Vec<T>, ClientError> {
+    if out.len() != sent {
+        return Err(ClientError::Protocol(format!(
+            "sent {sent} queries, got {} results",
+            out.len()
+        )));
+    }
+    Ok(out)
 }

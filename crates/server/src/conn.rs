@@ -8,10 +8,10 @@
 //! over byte slices so it can be tested at every split point without a
 //! socket:
 //!
-//! * [`FrameDecoder`] — incremental frame parsing, mirroring
-//!   [`read_frame`](crate::protocol::read_frame)'s validation order
-//!   and error semantics exactly (the loopback byte-identity gate
-//!   covers both paths);
+//! * [`FrameDecoder`] — incremental frame parsing through the same
+//!   header checks as [`read_frame`](crate::protocol::read_frame), so
+//!   both paths have one validation order and error semantics (the
+//!   loopback byte-identity gate covers both);
 //! * [`SlotQueue`] — per-connection response ordering: responses
 //!   complete out of order (inline answers vs. batcher ticks vs. shard
 //!   workers), but must leave the socket in request order;
@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use crate::protocol::{WireError, MAGIC, PROTOCOL_VERSION};
+use crate::protocol::{check_header, check_len, WireError};
 
 /// One outcome of [`FrameDecoder::next_frame`]: either a complete well-framed
 /// message, or a consumed-but-invalid frame the connection survives.
@@ -112,39 +112,27 @@ impl FrameDecoder {
             return Ok(None);
         }
         let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > self.max_frame_bytes {
+        if let Err(e) = check_len(len, self.max_frame_bytes) {
             self.poisoned = true;
-            return Err(WireError::TooLarge { declared: len, limit: self.max_frame_bytes });
-        }
-        if len < 8 {
-            self.poisoned = true;
-            return Err(WireError::TooShort { declared: len });
+            return Err(e);
         }
         if avail.len() < 4 + len {
             return Ok(None);
         }
         let rest = &avail[4..4 + len];
-        let verdict = if rest[0..4] != MAGIC {
-            Err(WireError::BadMagic)
-        } else if rest[4] != PROTOCOL_VERSION {
-            Err(WireError::BadVersion(rest[4]))
-        } else if rest[6..8] != [0, 0] {
-            // The whole frame is in the buffer and gets consumed, so
-            // this stays recoverable — same as the blocking reader.
-            Ok(FrameEvent::Invalid(WireError::Malformed("nonzero reserved bytes")))
-        } else {
-            Ok(FrameEvent::Frame { kind: rest[5], body: rest[8..].to_vec() })
-        };
-        match verdict {
-            Ok(event) => {
-                self.pos += 4 + len;
-                Ok(Some(event))
-            }
+        let event = match check_header(rest) {
+            Ok(kind) => FrameEvent::Frame { kind, body: rest[8..].to_vec() },
+            // The whole frame is in the buffer and gets consumed, so a
+            // recoverable error stays recoverable — same as the
+            // blocking reader.
+            Err(e) if e.recoverable() => FrameEvent::Invalid(e),
             Err(e) => {
                 self.poisoned = true;
-                Err(e)
+                return Err(e);
             }
-        }
+        };
+        self.pos += 4 + len;
+        Ok(Some(event))
     }
 }
 

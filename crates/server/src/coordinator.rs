@@ -57,9 +57,9 @@ use hlsh_core::{CostModel, Strategy, TopKWalk};
 use hlsh_hll::{HllConfig, HyperLogLog};
 use hlsh_vec::PointId;
 
-use crate::client::ClientError;
+use crate::client::{read_reply, ClientError};
 use crate::protocol::{
-    self, read_frame, write_frame, Arm, ErrorCode, QueryBlock, Response, ServerInfo, ShardInfo,
+    self, write_frame, Arm, ErrorCode, QueryBlock, ServerInfo, ShardInfo, ShardParams,
     ShardRequest, ShardResponse, ShardSummaryEntry, ShardTarget,
 };
 use crate::server::{QueryService, ServiceError};
@@ -180,17 +180,7 @@ impl ShardClient {
         max_frame_bytes: usize,
     ) -> Result<ShardResponse, ClientError> {
         write_frame(&mut self.writer, &req.encode())?;
-        let (kind, body) = read_frame(&mut self.reader, max_frame_bytes)?;
-        if kind == protocol::kind::ERROR {
-            match protocol::decode_response(kind, &body)? {
-                Response::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!("error kind decoded to {other:?}")))
-                }
-            }
-        }
+        let (kind, body) = read_reply(&mut self.reader, max_frame_bytes)?;
         Ok(protocol::decode_shard_response(kind, &body)?)
     }
 
@@ -358,13 +348,11 @@ impl Coordinator {
         let first = &infos[0];
         // Decode validated precision (4..=16) and cost positivity, so
         // these constructors cannot panic on wire data.
-        let meta =
-            |precision: u8, seed: u64, alpha: f64, bs: f64, bc: f64, radius: f64| TargetMeta {
-                radius,
-                hll: HllConfig::new(precision, seed),
-                cost: CostModel::new_split(alpha, bs, bc),
-            };
-        let p = first.rnnr;
+        let meta = |p: ShardParams, radius: f64| TargetMeta {
+            radius,
+            hll: HllConfig::new(p.hll_precision, p.hll_seed),
+            cost: CostModel::new_split(p.alpha, p.beta_scan, p.beta_cand),
+        };
         Ok(Self {
             info: ServerInfo {
                 points: first.points,
@@ -373,22 +361,10 @@ impl Coordinator {
                 topk_levels: first.levels.len() as u32,
             },
             n: first.points as usize,
-            rnnr: meta(p.hll_precision, p.hll_seed, p.alpha, p.beta_scan, p.beta_cand, 0.0),
-            levels: first
-                .levels
-                .iter()
-                .map(|l| {
-                    let p = l.params;
-                    meta(p.hll_precision, p.hll_seed, p.alpha, p.beta_scan, p.beta_cand, l.radius)
-                })
-                .collect(),
+            rnnr: meta(first.rnnr, 0.0),
+            levels: first.levels.iter().map(|l| meta(l.params, l.radius)).collect(),
             shards: conns,
         })
-    }
-
-    /// Number of shard backends.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Runs `f(shard index)` for every shard on its own scoped thread

@@ -24,9 +24,10 @@
 //!   [`query_topk_batch`](hlsh_core::ShardedTopKIndex::query_topk_batch)
 //!   call per tick, so the existing scoped-thread sharding does the
 //!   heavy lifting (no async runtime, no external dependencies);
-//! * [`service`] — the [`QueryService`] trait plus
-//!   [`ShardedLshService`] (standalone serving) and
-//!   [`ShardNodeService`] (one node of a distributed deployment);
+//! * [`service`] — the [`QueryService`] trait and the one
+//!   [`LshService`], whose aliases [`ShardedLshService`] (frozen) and
+//!   [`LiveLshService`] (living, accepts mutations) serve standalone,
+//!   and [`ShardNodeService`], one node of a distributed deployment;
 //! * [`coordinator`] — the [`Coordinator`], a `QueryService` that fans
 //!   each batch out to remote shard nodes, merges their S1/S2
 //!   summaries, resolves the hybrid decision globally and scatters the
@@ -109,4 +110,4 @@ pub use protocol::{
 pub use server::{
     spawn, AdmissionWindow, QueryService, ServerConfig, ServerHandle, ServerStats, ServiceError,
 };
-pub use service::{LiveLshService, ShardNodeService, ShardedLshService};
+pub use service::{LiveLshService, LshService, ShardNodeService, ShardedLshService};

@@ -490,16 +490,11 @@ pub struct ShardInfo {
     pub levels: Vec<ShardLevelInfo>,
 }
 
-/// One query's S1/S2 summary from one shard: summed probed-bucket
-/// sizes plus the shard-local merged HyperLogLog registers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSummaryEntry {
-    /// Sum of probed bucket sizes on the shard.
-    pub collisions: u64,
-    /// Merged sketch registers (`m` bytes, `m` from the target's
-    /// [`ShardParams::hll_precision`]).
-    pub registers: Vec<u8>,
-}
+/// One query's S1/S2 summary from one shard — the core's
+/// [`ShardSummary`](hlsh_core::ShardSummary): summed probed-bucket sizes
+/// plus the shard-local merged HyperLogLog registers (`m` bytes, `m`
+/// from the target's [`ShardParams::hll_precision`]).
+pub use hlsh_core::ShardSummary as ShardSummaryEntry;
 
 /// A decoded shard-extension request (coordinator → shard node).
 #[derive(Clone, Debug, PartialEq)]
@@ -622,25 +617,12 @@ impl ShardResponse {
                 }
                 kind::SHARD_SUMMARY_RESP
             }
-            ShardResponse::Ids(per_query) => {
-                e.u32(per_query.len() as u32);
-                for ids in per_query {
-                    e.u32(ids.len() as u32);
-                    for &id in ids {
-                        e.u32(id);
-                    }
-                }
+            ShardResponse::Ids(lists) => {
+                encode_id_lists(&mut e, lists);
                 kind::SHARD_IDS_RESP
             }
-            ShardResponse::Pairs(per_query) => {
-                e.u32(per_query.len() as u32);
-                for pairs in per_query {
-                    e.u32(pairs.len() as u32);
-                    for &(id, dist) in pairs {
-                        e.u32(id);
-                        e.f64(dist);
-                    }
-                }
+            ShardResponse::Pairs(lists) => {
+                encode_pair_lists(&mut e, lists);
                 kind::SHARD_PAIRS_RESP
             }
         };
@@ -713,36 +695,8 @@ pub fn decode_shard_response(kind_byte: u8, body: &[u8]) -> Result<ShardResponse
             }
             ShardResponse::Summaries(entries)
         }
-        kind::SHARD_IDS_RESP => {
-            let count = d.u32("ids count")? as usize;
-            let mut per_query = Vec::with_capacity(count.min(body.len() / 4 + 1));
-            for _ in 0..count {
-                let m = d.u32("ids len")? as usize;
-                let raw =
-                    d.take(m.checked_mul(4).ok_or(WireError::Malformed("ids len"))?, "ids")?;
-                per_query.push(
-                    raw.chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                );
-            }
-            ShardResponse::Ids(per_query)
-        }
-        kind::SHARD_PAIRS_RESP => {
-            let count = d.u32("pairs count")? as usize;
-            let mut per_query = Vec::with_capacity(count.min(body.len() / 4 + 1));
-            for _ in 0..count {
-                let m = d.u32("pairs len")? as usize;
-                let mut pairs = Vec::with_capacity(m.min(body.len() / 12 + 1));
-                for _ in 0..m {
-                    let id = d.u32("pair id")?;
-                    let dist = d.f64("pair dist")?;
-                    pairs.push((id, dist));
-                }
-                per_query.push(pairs);
-            }
-            ShardResponse::Pairs(per_query)
-        }
+        kind::SHARD_IDS_RESP => ShardResponse::Ids(decode_id_lists(&mut d)?),
+        kind::SHARD_PAIRS_RESP => ShardResponse::Pairs(decode_pair_lists(&mut d)?),
         other => return Err(WireError::UnknownKind(other)),
     };
     d.finish("trailing bytes after shard response body")?;
@@ -800,6 +754,35 @@ fn encode_block(e: &mut Enc, b: &QueryBlock) {
     e.f32s(&b.data);
 }
 
+/// A flat id array: `count u32, count × u32`.
+fn encode_ids(e: &mut Enc, ids: &[u32]) {
+    e.u32(ids.len() as u32);
+    for &id in ids {
+        e.u32(id);
+    }
+}
+
+/// Per-query id lists: `count u32`, then one flat id array per query.
+fn encode_id_lists(e: &mut Enc, lists: &[Vec<u32>]) {
+    e.u32(lists.len() as u32);
+    for ids in lists {
+        encode_ids(e, ids);
+    }
+}
+
+/// Per-query `(id, distance)` lists: `count u32`, then per query
+/// `m u32, m × (u32, f64)`.
+fn encode_pair_lists(e: &mut Enc, lists: &[Vec<(u32, f64)>]) {
+    e.u32(lists.len() as u32);
+    for pairs in lists {
+        e.u32(pairs.len() as u32);
+        for &(id, dist) in pairs {
+            e.u32(id);
+            e.f64(dist);
+        }
+    }
+}
+
 impl Request {
     /// Encodes the request as one complete frame.
     ///
@@ -823,18 +806,12 @@ impl Request {
             Request::Insert { ids, points } => {
                 assert_eq!(ids.len(), points.count(), "one id per inserted row");
                 e.u32(points.dim);
-                e.u32(ids.len() as u32);
-                for &id in ids {
-                    e.u32(id);
-                }
+                encode_ids(&mut e, ids);
                 e.f32s(&points.data);
                 kind::INSERT
             }
             Request::Delete { ids } => {
-                e.u32(ids.len() as u32);
-                for &id in ids {
-                    e.u32(id);
-                }
+                encode_ids(&mut e, ids);
                 kind::DELETE
             }
         };
@@ -851,25 +828,12 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc(Vec::new());
         let kind = match self {
-            Response::Rnnr(per_query) => {
-                e.u32(per_query.len() as u32);
-                for ids in per_query {
-                    e.u32(ids.len() as u32);
-                    for &id in ids {
-                        e.u32(id);
-                    }
-                }
+            Response::Rnnr(lists) => {
+                encode_id_lists(&mut e, lists);
                 kind::RNNR_RESP
             }
-            Response::TopK(per_query) => {
-                e.u32(per_query.len() as u32);
-                for pairs in per_query {
-                    e.u32(pairs.len() as u32);
-                    for &(id, dist) in pairs {
-                        e.u32(id);
-                        e.f64(dist);
-                    }
-                }
+            Response::TopK(lists) => {
+                encode_pair_lists(&mut e, lists);
                 kind::TOPK_RESP
             }
             Response::Info(info) => {
@@ -953,11 +917,22 @@ fn decode_block(d: &mut Dec<'_>) -> Result<QueryBlock, WireError> {
         // request-count guarantee.
         return Err(WireError::Malformed("zero-dim query block with nonzero count"));
     }
+    decode_rows(d, dim, count, "query block data")
+}
+
+/// Reads `count` rows of `dim` little-endian f32s with overflow-checked
+/// sizing.
+fn decode_rows(
+    d: &mut Dec<'_>,
+    dim: u32,
+    count: u32,
+    what: &'static str,
+) -> Result<QueryBlock, WireError> {
     let bytes = (dim as usize)
         .checked_mul(count as usize)
         .and_then(|floats| floats.checked_mul(4))
-        .ok_or(WireError::Malformed("block size"))?;
-    let raw = d.take(bytes, "query block data")?;
+        .ok_or(WireError::Malformed(what))?;
+    let raw = d.take(bytes, what)?;
     let data = raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
     Ok(QueryBlock { dim, data })
 }
@@ -982,14 +957,7 @@ pub fn decode_request(kind: u8, body: &[u8]) -> Result<Request, WireError> {
                 return Err(WireError::Malformed("zero-dim insert with nonzero count"));
             }
             let ids = decode_ids(&mut d, count, "insert ids")?;
-            let bytes = (dim as usize)
-                .checked_mul(count as usize)
-                .and_then(|floats| floats.checked_mul(4))
-                .ok_or(WireError::Malformed("insert block size"))?;
-            let raw = d.take(bytes, "insert points")?;
-            let data =
-                raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-            Request::Insert { ids, points: QueryBlock { dim, data } }
+            Request::Insert { ids, points: decode_rows(&mut d, dim, count, "insert points")? }
         }
         kind::DELETE => {
             let count = d.u32("delete count")?;
@@ -1008,39 +976,38 @@ fn decode_ids(d: &mut Dec<'_>, count: u32, what: &'static str) -> Result<Vec<u32
     Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
+/// Reads what [`encode_id_lists`] writes.
+fn decode_id_lists(d: &mut Dec<'_>) -> Result<Vec<Vec<u32>>, WireError> {
+    let count = d.u32("id lists count")? as usize;
+    let mut lists = Vec::with_capacity(count.min(d.buf.len() / 4 + 1));
+    for _ in 0..count {
+        let m = d.u32("id list len")?;
+        lists.push(decode_ids(d, m, "id list")?);
+    }
+    Ok(lists)
+}
+
+/// Reads what [`encode_pair_lists`] writes.
+fn decode_pair_lists(d: &mut Dec<'_>) -> Result<Vec<Vec<(u32, f64)>>, WireError> {
+    let count = d.u32("pair lists count")? as usize;
+    let mut lists = Vec::with_capacity(count.min(d.buf.len() / 4 + 1));
+    for _ in 0..count {
+        let m = d.u32("pair list len")? as usize;
+        let mut pairs = Vec::with_capacity(m.min(d.buf.len() / 12 + 1));
+        for _ in 0..m {
+            pairs.push((d.u32("pair id")?, d.f64("pair dist")?));
+        }
+        lists.push(pairs);
+    }
+    Ok(lists)
+}
+
 /// Decodes a response frame body; `kind` is the header's kind byte.
 pub fn decode_response(kind: u8, body: &[u8]) -> Result<Response, WireError> {
     let mut d = Dec { buf: body, at: 0 };
     let resp = match kind {
-        kind::RNNR_RESP => {
-            let count = d.u32("rnnr count")? as usize;
-            let mut per_query = Vec::with_capacity(count.min(body.len() / 4 + 1));
-            for _ in 0..count {
-                let m = d.u32("rnnr result len")? as usize;
-                let raw = d.take(m * 4, "rnnr ids")?;
-                per_query.push(
-                    raw.chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                );
-            }
-            Response::Rnnr(per_query)
-        }
-        kind::TOPK_RESP => {
-            let count = d.u32("topk count")? as usize;
-            let mut per_query = Vec::with_capacity(count.min(body.len() / 4 + 1));
-            for _ in 0..count {
-                let m = d.u32("topk result len")? as usize;
-                let mut pairs = Vec::with_capacity(m.min(body.len() / 12 + 1));
-                for _ in 0..m {
-                    let id = d.u32("topk id")?;
-                    let dist = d.f64("topk dist")?;
-                    pairs.push((id, dist));
-                }
-                per_query.push(pairs);
-            }
-            Response::TopK(per_query)
-        }
+        kind::RNNR_RESP => Response::Rnnr(decode_id_lists(&mut d)?),
+        kind::TOPK_RESP => Response::TopK(decode_pair_lists(&mut d)?),
         kind::INFO_RESP => Response::Info(ServerInfo {
             points: d.u64("info points")?,
             dim: d.u32("info dim")?,
@@ -1079,17 +1046,30 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame_bytes: usize) -> Result<(u8, Vec
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let len = u32::from_le_bytes(len4) as usize;
+    check_len(len, max_frame_bytes)?;
+    let mut rest = vec![0u8; len];
+    r.read_exact(&mut rest)?;
+    let kind = check_header(&rest)?;
+    rest.drain(..8);
+    Ok((kind, rest))
+}
+
+/// Checks a frame's declared `len` against the local limit. Either
+/// failure leaves the declared bytes unread: the stream position is
+/// unknowable, so the connection must close.
+pub(crate) fn check_len(len: usize, max_frame_bytes: usize) -> Result<(), WireError> {
     if len > max_frame_bytes {
         return Err(WireError::TooLarge { declared: len, limit: max_frame_bytes });
     }
     if len < 8 {
-        // Not Malformed: the `len` declared bytes were never read, so
-        // the stream position is unknowable and the connection must
-        // close (recoverable() = false).
         return Err(WireError::TooShort { declared: len });
     }
-    let mut rest = vec![0u8; len];
-    r.read_exact(&mut rest)?;
+    Ok(())
+}
+
+/// Validates the magic, version and reserved bytes of a frame's `len`
+/// bytes after the length prefix; returns the kind byte.
+pub(crate) fn check_header(rest: &[u8]) -> Result<u8, WireError> {
     if rest[0..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1099,9 +1079,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame_bytes: usize) -> Result<(u8, Vec
     if rest[6..8] != [0, 0] {
         return Err(WireError::Malformed("nonzero reserved bytes"));
     }
-    let kind = rest[5];
-    rest.drain(..8);
-    Ok((kind, rest))
+    Ok(rest[5])
 }
 
 /// Writes one already-encoded frame and flushes.
@@ -1438,6 +1416,27 @@ mod tests {
             decode_shard_request(kind::SHARD_INFO, &padded),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn list_lengths_are_checked_in_every_list_decoder() {
+        // A per-query list claiming u32::MAX entries must fail as
+        // Malformed before any allocation, in client and shard frames.
+        let mut evil = Vec::new();
+        evil.extend_from_slice(&1u32.to_le_bytes());
+        evil.extend_from_slice(&u32::MAX.to_le_bytes());
+        for kind in [kind::RNNR_RESP, kind::TOPK_RESP] {
+            assert!(matches!(decode_response(kind, &evil), Err(WireError::Malformed(_))));
+        }
+        for kind in [kind::SHARD_IDS_RESP, kind::SHARD_PAIRS_RESP] {
+            assert!(matches!(decode_shard_response(kind, &evil), Err(WireError::Malformed(_))));
+        }
+        // Client and shard id lists share one wire shape.
+        let lists = vec![vec![3u32, 1, 4], vec![], vec![9]];
+        assert_eq!(
+            Response::Rnnr(lists.clone()).encode()[12..],
+            ShardResponse::Ids(lists).encode()[12..]
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!         │              read ──► FrameDecoder ──► dispatch:
 //!         │                         info/errors answered inline,
 //!         │                         rNNR/top-k admitted as Jobs,
-//!         │                         shard frames to worker threads
+//!         │                         shard frames and mutations to
+//!         │                         detached worker threads
 //!         │              write ──► WriteBuf flush (backpressure via
 //!         │                         write-interest re-registration)
 //!         │              timer wheel ──► idle (slow-loris) eviction
@@ -61,6 +62,7 @@ use std::time::{Duration, Instant};
 use crate::conn::{Conn, FrameEvent};
 use crate::protocol::{self, decode_request, ErrorCode, Request, Response};
 use crate::reactor::{default_reactor, Event, Interest, Reactor};
+use crate::service::{check_dim, check_radius};
 use crate::timer::TimerWheel;
 
 // The trait and error type predate the reactor and used to live here;
@@ -273,13 +275,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// `(batch ticks, admitted requests)` since startup. A tick count
-    /// well below the request count means the admission batcher is
-    /// coalescing concurrent requests as intended.
-    pub fn batch_stats(&self) -> (u64, u64) {
-        (self.shared.ticks.load(Ordering::Relaxed), self.shared.admitted.load(Ordering::Relaxed))
-    }
-
     /// Governance and batching counters since startup.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
@@ -404,11 +399,8 @@ impl EventLoop {
         reactor: Box<dyn Reactor>,
         shared: Arc<Shared>,
     ) -> Self {
-        let busy_frame = Response::Error {
-            code: ErrorCode::Busy,
-            message: "server is at its connection limit".into(),
-        }
-        .encode();
+        let message = "server is at its connection limit".into();
+        let busy_frame = Response::Error { code: ErrorCode::Busy, message }.encode();
         let wheel = shared
             .config
             .idle_timeout
@@ -553,10 +545,7 @@ impl EventLoop {
                         self.dispatch(token, kind, body);
                     }
                     Ok(Some(FrameEvent::Invalid(e))) => {
-                        self.answer_inline(
-                            token,
-                            Response::Error { code: e.to_code(), message: e.to_string() },
-                        );
+                        self.answer_inline(token, ServiceError::from(e));
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -564,10 +553,7 @@ impl EventLoop {
                         // the answer (and everything before it) is
                         // flushed. The poisoned decoder discards any
                         // trailing bytes.
-                        self.answer_inline(
-                            token,
-                            Response::Error { code: e.to_code(), message: e.to_string() },
-                        );
+                        self.answer_inline(token, ServiceError::from(e));
                         if let Some(s) = self.conns.get_mut(&token) {
                             s.conn.read_closed = true;
                         }
@@ -583,114 +569,81 @@ impl EventLoop {
     /// answered inline from [`QueryService::info`], which never blocks
     /// (a living index answers it without its lock); query traffic is
     /// admitted to the batcher; shard-extension traffic and index
-    /// mutations run on detached worker threads so a coordinator's
+    /// mutations run [`off_loop`](Self::off_loop) so a coordinator's
     /// multi-second fan-out (or a write-locked flush/merge) never stalls
     /// the loop.
     fn dispatch(&mut self, token: u64, kind: u8, body: Vec<u8>) {
         if protocol::kind::is_shard_request(kind) {
-            let Some(state) = self.conns.get_mut(&token) else { return };
-            let seq = state.conn.slots.alloc();
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let frame = match protocol::decode_shard_request(kind, &body) {
-                    Ok(req) => {
-                        match shared.service.shard_batch(&req, shared.config.batch_threads) {
-                            Ok(resp) => resp.encode(),
-                            Err(e) => Response::Error { code: e.code, message: e.message }.encode(),
-                        }
-                    }
-                    Err(e) => {
-                        Response::Error { code: e.to_code(), message: e.to_string() }.encode()
-                    }
-                };
-                shared.complete(vec![Completion { conn: token, seq, frame }]);
+            return self.off_loop(token, move |service, threads| {
+                let request = protocol::decode_shard_request(kind, &body)?;
+                Ok(service.shard_batch(&request, threads)?.encode())
             });
-            return;
         }
         let info = self.shared.service.info();
-        let (job_kind, queries) = match decode_request(kind, &body) {
-            Err(e) => {
-                // Request-level decode errors consumed the whole body,
-                // so the connection stays usable.
-                return self.answer_inline(
-                    token,
-                    Response::Error { code: e.to_code(), message: e.to_string() },
-                );
-            }
+        // Request-level decode errors consumed the whole body, so the
+        // connection stays usable.
+        let admitted = match decode_request(kind, &body) {
+            Err(e) => Err(e.into()),
             Ok(Request::Info) => return self.answer_inline(token, Response::Info(info)),
-            Ok(Request::Rnnr { radius, queries }) => {
-                if !radius.is_finite() || radius < 0.0 {
-                    return self.answer_inline(
-                        token,
-                        Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: format!(
-                                "radius must be finite and non-negative, got {radius}"
-                            ),
-                        },
-                    );
-                }
-                (JobKind::Rnnr { radius_bits: radius.to_bits() }, queries)
+            Ok(Request::Rnnr { radius, queries }) => check_radius(radius)
+                .map(|()| (JobKind::Rnnr { radius_bits: radius.to_bits() }, queries)),
+            Ok(Request::TopK { k, queries }) if info.topk_levels > 0 => {
+                Ok((JobKind::TopK { k }, queries))
             }
-            Ok(Request::TopK { k, queries }) => {
-                if info.topk_levels == 0 {
-                    return self.answer_inline(
-                        token,
-                        Response::Error {
-                            code: ErrorCode::Unsupported,
-                            message: "this server has no top-k ladder".into(),
-                        },
-                    );
-                }
-                (JobKind::TopK { k }, queries)
-            }
+            Ok(Request::TopK { .. }) => Err(ServiceError::no_ladder()),
             // Mutations bypass the admission batcher: they take the
             // index's write lock, so holding them on the loop thread
             // would stall connection I/O for the whole flush/merge.
-            // Like shard fan-outs, they run detached and complete
-            // through the response slot reserved here — so pipelined
-            // responses still come back in request order.
             Ok(Request::Insert { ids, points }) => {
-                let Some(state) = self.conns.get_mut(&token) else { return };
-                let seq = state.conn.slots.alloc();
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || {
-                    let frame = match shared.service.insert_batch(&ids, &points) {
-                        Ok(count) => Response::Inserted(count).encode(),
-                        Err(e) => Response::Error { code: e.code, message: e.message }.encode(),
-                    };
-                    shared.complete(vec![Completion { conn: token, seq, frame }]);
+                return self.off_loop(token, move |service, _| {
+                    Ok(Response::Inserted(service.insert_batch(&ids, &points)?).encode())
                 });
-                return;
             }
             Ok(Request::Delete { ids }) => {
-                let Some(state) = self.conns.get_mut(&token) else { return };
-                let seq = state.conn.slots.alloc();
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || {
-                    let frame = match shared.service.delete_batch(&ids) {
-                        Ok(count) => Response::Deleted(count).encode(),
-                        Err(e) => Response::Error { code: e.code, message: e.message }.encode(),
-                    };
-                    shared.complete(vec![Completion { conn: token, seq, frame }]);
+                return self.off_loop(token, move |service, _| {
+                    Ok(Response::Deleted(service.delete_batch(&ids)?).encode())
                 });
-                return;
             }
         };
-        if queries.count() == 0 {
-            // Nothing to batch (and no dimension to check); answer the
-            // degenerate request inline.
-            let resp = match job_kind {
-                JobKind::Rnnr { .. } => Response::Rnnr(Vec::new()),
-                JobKind::TopK { .. } => Response::TopK(Vec::new()),
-            };
-            return self.answer_inline(token, resp);
+        let checked = admitted.and_then(|(job_kind, queries)| {
+            check_dim(info.dim, queries.dim, queries.count()).map(|()| (job_kind, queries))
+        });
+        match checked {
+            Err(e) => self.answer_inline(token, e),
+            // Nothing to batch; answer the degenerate request inline.
+            Ok((JobKind::Rnnr { .. }, queries)) if queries.count() == 0 => {
+                self.answer_inline(token, Response::Rnnr(Vec::new()))
+            }
+            Ok((JobKind::TopK { .. }, queries)) if queries.count() == 0 => {
+                self.answer_inline(token, Response::TopK(Vec::new()))
+            }
+            Ok((job_kind, queries)) => self.admit(token, job_kind, queries.rows()),
         }
-        if queries.dim != info.dim {
-            let e = ServiceError::dim_mismatch(info.dim, queries.dim);
-            return self.answer_inline(token, Response::Error { code: e.code, message: e.message });
+    }
+
+    /// Reserves a response slot and fills it from `job`, run on a
+    /// detached worker thread; the slot keeps pipelined responses in
+    /// request order. A failed job answers with its error frame. If the
+    /// OS refuses the thread, the slot gets an [`ErrorCode::Internal`]
+    /// frame and the connection — and the loop — live on.
+    fn off_loop<J>(&mut self, token: u64, job: J)
+    where
+        J: FnOnce(&dyn QueryService, Option<usize>) -> Result<Vec<u8>, ServiceError>
+            + Send
+            + 'static,
+    {
+        let Some(state) = self.conns.get_mut(&token) else { return };
+        let seq = state.conn.slots.alloc();
+        let shared = Arc::clone(&self.shared);
+        let worker = std::thread::Builder::new().spawn(move || {
+            let result = job(&*shared.service, shared.config.batch_threads);
+            let frame = result.unwrap_or_else(|e| Response::from(e).encode());
+            shared.complete(vec![Completion { conn: token, seq, frame }]);
+        });
+        if let Err(e) = worker {
+            let e = ServiceError::internal(format!("no worker thread for this request: {e}"));
+            state.conn.slots.fill(seq, Response::from(e).encode());
         }
-        self.admit(token, job_kind, queries.rows());
     }
 
     /// Admits one validated request to the batcher queue.
@@ -712,10 +665,10 @@ impl EventLoop {
     }
 
     /// Reserves a slot and fills it immediately with `resp`.
-    fn answer_inline(&mut self, token: u64, resp: Response) {
+    fn answer_inline(&mut self, token: u64, resp: impl Into<Response>) {
         let Some(state) = self.conns.get_mut(&token) else { return };
         let seq = state.conn.slots.alloc();
-        state.conn.slots.fill(seq, resp.encode());
+        state.conn.slots.fill(seq, resp.into().encode());
     }
 
     /// Moves finished off-loop responses into their response slots.
@@ -831,17 +784,11 @@ fn batch_loop(shared: Arc<Shared>) {
         let now = Instant::now();
         let (live, dead): (Vec<Job>, Vec<Job>) =
             jobs.into_iter().partition(|j| j.deadline.is_none_or(|d| now < d));
-        for job in dead {
-            shared.expired_deadlines.fetch_add(1, Ordering::Relaxed);
-            completions.push(Completion {
-                conn: job.conn,
-                seq: job.seq,
-                frame: Response::Error {
-                    code: ErrorCode::Deadline,
-                    message: "request deadline expired before execution".into(),
-                }
-                .encode(),
-            });
+        if !dead.is_empty() {
+            shared.expired_deadlines.fetch_add(dead.len() as u64, Ordering::Relaxed);
+            let message = "request deadline expired before execution".into();
+            let frame = Response::Error { code: ErrorCode::Deadline, message }.encode();
+            answer_all(dead, &frame, &mut completions);
         }
         run_tick(live, &shared, &mut completions);
         shared.complete(completions);
@@ -869,41 +816,39 @@ fn run_tick(mut jobs: Vec<Job>, shared: &Shared, completions: &mut Vec<Completio
         let threads = shared.config.batch_threads;
         match key {
             JobKind::Rnnr { radius_bits } => {
-                match shared.service.rnnr_batch(&combined, f64::from_bits(radius_bits), threads) {
-                    Ok(all) => scatter(group, counts, all, Response::Rnnr, completions),
-                    Err(e) => fail_group(group, &e, completions),
-                }
+                let all =
+                    shared.service.rnnr_batch(&combined, f64::from_bits(radius_bits), threads);
+                scatter(group, counts, all, Response::Rnnr, completions);
             }
             JobKind::TopK { k } => {
-                match shared.service.topk_batch(&combined, k as usize, threads) {
-                    Ok(all) => scatter(group, counts, all, Response::TopK, completions),
-                    Err(e) => fail_group(group, &e, completions),
-                }
+                let all = shared.service.topk_batch(&combined, k as usize, threads);
+                scatter(group, counts, all, Response::TopK, completions);
             }
         }
     }
 }
 
-/// Answers every job in a failed group with the same typed error frame
-/// (e.g. a coordinator whose shard backend went down mid-batch).
-fn fail_group(group: Vec<Job>, e: &ServiceError, completions: &mut Vec<Completion>) {
-    for job in group {
-        completions.push(Completion {
-            conn: job.conn,
-            seq: job.seq,
-            frame: Response::Error { code: e.code, message: e.message.clone() }.encode(),
-        });
-    }
+/// Answers every job with the same frame.
+fn answer_all(jobs: Vec<Job>, frame: &[u8], completions: &mut Vec<Completion>) {
+    let answers =
+        jobs.into_iter().map(|j| Completion { conn: j.conn, seq: j.seq, frame: frame.into() });
+    completions.extend(answers);
 }
 
-/// Splits one combined batch result back into per-job completions.
+/// Splits one combined batch result back into per-job completions. A
+/// failed batch answers every job with its typed error frame (e.g. a
+/// coordinator whose shard backend went down mid-batch).
 fn scatter<T>(
     group: Vec<Job>,
     counts: Vec<usize>,
-    mut all: Vec<T>,
+    all: Result<Vec<T>, ServiceError>,
     wrap: impl Fn(Vec<T>) -> Response,
     completions: &mut Vec<Completion>,
 ) {
+    let mut all = match all {
+        Ok(all) => all,
+        Err(e) => return answer_all(group, &Response::from(e).encode(), completions),
+    };
     debug_assert_eq!(all.len(), counts.iter().sum::<usize>());
     for (job, count) in group.into_iter().zip(counts).rev() {
         let part = all.split_off(all.len().saturating_sub(count));

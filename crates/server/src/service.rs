@@ -1,44 +1,46 @@
-//! The [`QueryService`] trait and its implementations bridging the
-//! wire to the in-process batch path.
+//! The [`QueryService`] trait and the one service over an index.
 //!
 //! The trait (and [`ServiceError`], its failure type) is what the
-//! event-loop server in [`crate::server`] executes against; three
-//! deployments implement it here:
+//! event-loop server in [`crate::server`] executes against. Three
+//! deployments serve through it, all built on one [`LshService`]:
 //!
-//! * [`ShardedLshService`] — the standalone server: answers client
-//!   frames by running the full sharded indexes in-process.
-//! * [`ShardNodeService`] — one node of a distributed deployment: the
-//!   same indexes, but *additionally* answering the shard-extension
+//! * [`ShardedLshService`] — the standalone server: a frozen sharded
+//!   rNNR index and optional ladder. Mutation frames are refused.
+//! * [`LiveLshService`] — the living index: LSM-segmented indexes that
+//!   accept `Insert`/`Delete` frames while queries stay byte-identical
+//!   to a rebuild on the surviving points.
+//! * [`ShardNodeService`] — one node of a distributed deployment: a
+//!   frozen service that *additionally* answers the shard-extension
 //!   frames (`0x10..=0x1F`) a
 //!   [`Coordinator`](crate::coordinator::Coordinator) uses to fan one
 //!   logical query across machines.
-//! * [`LiveLshService`] — the living index: LSM-segmented indexes
-//!   behind a reader-writer lock, accepting `Insert`/`Delete` frames
-//!   while queries stay byte-identical to a rebuild on the surviving
-//!   points.
+//!
+//! The first two are aliases of [`LshService`], so a served answer has
+//! one code path: the read guard, then the index's one batch path. The
+//! only difference between them is how the rNNR index takes a mutation
+//! batch, one crate-private trait implemented by both index shapes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use hlsh_core::{
-    FrozenStore, RnnrIndex, SegmentedIndex, SegmentedTopKIndex, ShardedIndex, ShardedTopKIndex,
-    Strategy, TopKLadder,
+    FrozenStore, RnnrIndex, SegmentedIndex, SegmentedTopKIndex, Sharded, ShardedIndex,
+    ShardedTopKIndex, Strategy, TopKLadder,
 };
 use hlsh_families::LshFamily;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::protocol::{
-    ErrorCode, QueryBlock, ServerInfo, ShardInfo, ShardLevelInfo, ShardParams, ShardRequest,
-    ShardResponse, ShardSummaryEntry, ShardTarget,
+    ErrorCode, QueryBlock, Response, ServerInfo, ShardInfo, ShardLevelInfo, ShardParams,
+    ShardRequest, ShardResponse, ShardTarget, WireError,
 };
 
 /// A service-level failure: what the server encodes into a
 /// [`kind::ERROR`](crate::protocol::kind::ERROR) frame when a batch
-/// cannot be answered. Distinct from
-/// [`WireError`](crate::protocol::WireError), which covers byte-level
-/// decode problems — a `ServiceError` means the
-/// request parsed fine but could not be executed (no top-k ladder, a
-/// shard backend down, an internal failure).
+/// cannot be answered. Distinct from [`WireError`], which covers
+/// byte-level decode problems — a `ServiceError` means the request
+/// parsed fine but could not be executed (no top-k ladder, a shard
+/// backend down, an internal failure).
 #[derive(Clone, Debug)]
 pub struct ServiceError {
     /// The wire code clients see.
@@ -90,6 +92,16 @@ impl ServiceError {
             message: format!("id {id} is already live in the index"),
         }
     }
+
+    /// A top-k request to a server without a ladder.
+    pub(crate) fn no_ladder() -> Self {
+        Self::unsupported("this server has no top-k ladder")
+    }
+
+    /// A mutation sent to a frozen index.
+    fn frozen() -> Self {
+        Self::unsupported("this server's index is frozen; mutation needs --live")
+    }
 }
 
 impl std::fmt::Display for ServiceError {
@@ -100,13 +112,43 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+impl From<WireError> for ServiceError {
+    fn from(e: WireError) -> Self {
+        Self { code: e.to_code(), message: e.to_string() }
+    }
+}
+
+/// The one way a failure becomes an error frame.
+impl From<ServiceError> for Response {
+    fn from(e: ServiceError) -> Self {
+        Response::Error { code: e.code, message: e.message }
+    }
+}
+
+/// Checks a request's radius: finite and non-negative.
+pub(crate) fn check_radius(radius: f64) -> Result<(), ServiceError> {
+    if radius.is_finite() && radius >= 0.0 {
+        return Ok(());
+    }
+    Err(ServiceError::malformed(format!("radius must be finite and non-negative, got {radius}")))
+}
+
+/// Checks the dimensionality of a request's `rows` vectors against the
+/// index's; a request without rows carries none.
+pub(crate) fn check_dim(expected: u32, got: u32, rows: usize) -> Result<(), ServiceError> {
+    if rows > 0 && got != expected {
+        return Err(ServiceError::dim_mismatch(expected, got));
+    }
+    Ok(())
+}
+
 /// What a server serves: batch entry points over some index.
 ///
 /// The two required methods mirror the in-process batch APIs —
-/// [`ShardedIndex::query_batch`](hlsh_core::ShardedIndex::query_batch)
-/// and [`ShardedTopKIndex::query_topk_batch`](hlsh_core::ShardedTopKIndex::query_topk_batch)
-/// — and the byte-identity contract is inherited from them: whatever a
-/// service returns here is exactly what clients decode. Errors become
+/// [`RnnrIndex::query_batch_with_strategy`] and
+/// [`TopKLadder::query_topk_batch_with`] — and the byte-identity
+/// contract is inherited from them: whatever a service returns here is
+/// exactly what clients decode. Errors become
 /// [`kind::ERROR`](crate::protocol::kind::ERROR) frames carrying the
 /// [`ServiceError`]'s code, one per affected request.
 pub trait QueryService: Send + Sync + 'static {
@@ -142,16 +184,13 @@ pub trait QueryService: Send + Sync + 'static {
     /// a plain standalone server gets a typed error instead of silence.
     ///
     /// Shard frames bypass the admission batcher — the caller *is* a
-    /// coordinator that already batched an entire client request, so
-    /// lingering for more concurrency would only add latency. The
-    /// event loop runs them on detached worker threads so a
-    /// multi-second fan-out never stalls connection I/O.
+    /// coordinator that already batched an entire client request — and
+    /// run off the event loop, so a long fan-out never stalls it.
     fn shard_batch(
         &self,
-        request: &ShardRequest,
-        threads: Option<usize>,
+        _request: &ShardRequest,
+        _threads: Option<usize>,
     ) -> Result<ShardResponse, ServiceError> {
-        let _ = (request, threads);
         Err(ServiceError::unsupported("this server is not a shard node"))
     }
 
@@ -161,73 +200,90 @@ pub trait QueryService: Send + Sync + 'static {
     /// default refuses: deployments serving a frozen corpus are not
     /// mutable — only a living index ([`LiveLshService`]) accepts
     /// mutations.
-    fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
-        let _ = (ids, points);
-        Err(ServiceError::unsupported("this server's index is frozen; mutation needs --live"))
+    fn insert_batch(&self, _ids: &[PointId], _points: &QueryBlock) -> Result<u32, ServiceError> {
+        Err(ServiceError::frozen())
     }
 
     /// Deletes the points with these ids, all-or-nothing: on any
     /// [`ErrorCode::UnknownId`] (not live, or repeated in the batch)
     /// nothing is applied. Returns the number deleted. Default refuses
     /// like [`insert_batch`](QueryService::insert_batch).
-    fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        let _ = ids;
-        Err(ServiceError::unsupported("this server's index is frozen; mutation needs --live"))
+    fn delete_batch(&self, _ids: &[PointId]) -> Result<u32, ServiceError> {
+        Err(ServiceError::frozen())
     }
 }
 
-/// Both services' rNNR batch: the index's one batch path under
-/// [`Strategy::Hybrid`], ids only.
-fn rnnr_ids<I>(
-    index: &I,
-    queries: &[Vec<f32>],
-    radius: f64,
-    threads: Option<usize>,
-) -> Vec<Vec<PointId>>
-where
-    I: RnnrIndex<Point = [f32]> + Sync,
-{
-    let outputs = index.query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads);
-    outputs.into_iter().map(|o| o.ids).collect()
+/// The one service over an rNNR index `R` and an optional top-k ladder
+/// `T` over the same data: [`ShardedLshService`] and
+/// [`LiveLshService`] are its aliases.
+///
+/// Both sit under one reader-writer lock. Queries take the read side
+/// and run the index's one batch path under [`Strategy::Hybrid`] —
+/// exactly the in-process execution stack, which is why socket
+/// responses are byte-identical to calling the batch path directly. A
+/// living index applies a mutation batch to both under one write guard,
+/// so every reader sees both cover the same live id set; a frozen index
+/// refuses mutation before the lock is taken.
+///
+/// [`info`](QueryService::info) never takes the lock: the event loop
+/// calls it for every frame, so a flush or merge under the write guard
+/// must not stall it. The live count it reports is stored under the
+/// write guard after every mutation batch.
+pub struct LshService<R, T> {
+    indexes: RwLock<Indexes<R, T>>,
+    /// The metadata fixed at construction (its `points` is not read).
+    info: ServerInfo,
+    /// The live point count.
+    points: AtomicU64,
 }
 
-/// Both services' top-k batch: the ladder's one batch path under
-/// [`Strategy::Hybrid`], as `(id, distance)` pairs.
-fn topk_pairs<I>(
-    ladder: Option<&I>,
-    queries: &[Vec<f32>],
-    k: usize,
-    threads: Option<usize>,
-) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError>
-where
-    I: TopKLadder<Point = [f32]> + Sync,
-{
-    let ladder =
-        ladder.ok_or_else(|| ServiceError::unsupported("this server has no top-k ladder"))?;
-    let outputs = ladder.query_topk_batch_with(queries, k, Strategy::Hybrid, threads);
-    Ok(outputs.into_iter().map(|o| o.neighbors.iter().map(|n| (n.id, n.dist)).collect()).collect())
+/// The structures an [`LshService`] serves, read and mutated together.
+struct Indexes<R, T> {
+    rnnr: R,
+    topk: Option<T>,
 }
 
 /// The standard deployment: a frozen [`ShardedIndex`] for rNNR traffic
 /// plus (optionally) a frozen [`ShardedTopKIndex`] ladder for top-k
 /// traffic, both over the same data and dimensionality.
-///
-/// Requests route through the sharded batch entry points, so one
-/// admission-batcher tick fans its combined queries over scoped
-/// threads *and* every query over the index shards — exactly the
-/// in-process execution stack, which is why socket responses are
-/// byte-identical to calling
-/// [`query_batch`](ShardedIndex::query_batch) /
-/// [`query_topk_batch`](ShardedTopKIndex::query_topk_batch) directly.
-pub struct ShardedLshService<S, F, D>
-where
-    S: PointSet<Point = [f32]>,
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    rnnr: ShardedIndex<S, F, D, FrozenStore>,
-    topk: Option<ShardedTopKIndex<S, F, D, FrozenStore>>,
-    dim: u32,
+pub type ShardedLshService<S, F, D> =
+    LshService<ShardedIndex<S, F, D, FrozenStore>, ShardedTopKIndex<S, F, D, FrozenStore>>;
+
+/// The living-index deployment: LSM-segmented indexes that accept
+/// `Insert`/`Delete` frames, with answers byte-identical to an index
+/// rebuilt from scratch on the surviving points — the contract
+/// `tests/mutable_props.rs` pins and the CI churn smoke checks.
+pub type LiveLshService<F, D> = LshService<SegmentedIndex<F, D>, SegmentedTopKIndex<F, D>>;
+
+impl<R, T> LshService<R, T> {
+    fn serve(rnnr: R, topk: Option<T>, info: ServerInfo) -> Self {
+        let points = AtomicU64::new(info.points);
+        Self { indexes: RwLock::new(Indexes { rnnr, topk }), info, points }
+    }
+
+    /// Runs `f` over the served rNNR index and ladder under the read
+    /// lock — how tests compare socket answers against in-process batch
+    /// calls on the very structures being served.
+    pub fn with_indexes<X>(&self, f: impl FnOnce(&R, Option<&T>) -> X) -> X {
+        let indexes = self.indexes.read().expect("index lock poisoned");
+        f(&indexes.rnnr, indexes.topk.as_ref())
+    }
+
+    /// Runs `f` over the served rNNR index under the read lock (e.g. to
+    /// read a living index's segment counts).
+    pub fn with_rnnr<X>(&self, f: impl FnOnce(&R) -> X) -> X {
+        self.with_indexes(|rnnr, _| f(rnnr))
+    }
+
+    /// The read guard, or the typed error once a panicking writer
+    /// poisoned the lock.
+    fn read(&self) -> Result<RwLockReadGuard<'_, Indexes<R, T>>, ServiceError> {
+        self.indexes.read().map_err(poisoned)
+    }
+}
+
+fn poisoned<G>(_: PoisonError<G>) -> ServiceError {
+    ServiceError::internal("index lock poisoned")
 }
 
 impl<S, F, D> ShardedLshService<S, F, D>
@@ -251,39 +307,159 @@ where
                 "rNNR and top-k indexes must be sharded under the same assignment"
             );
         }
-        Self { rnnr, topk, dim: dim as u32 }
-    }
-
-    /// The rNNR index being served.
-    pub fn rnnr_index(&self) -> &ShardedIndex<S, F, D, FrozenStore> {
-        &self.rnnr
-    }
-
-    /// The top-k ladder being served, if any.
-    pub fn topk_index(&self) -> Option<&ShardedTopKIndex<S, F, D, FrozenStore>> {
-        self.topk.as_ref()
-    }
-
-    /// The vector dimensionality requests are validated against.
-    pub fn dim(&self) -> u32 {
-        self.dim
+        let info = ServerInfo {
+            points: rnnr.len() as u64,
+            dim: dim as u32,
+            shards: rnnr.assignment().shards() as u32,
+            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
+        };
+        Self::serve(rnnr, topk, info)
     }
 }
 
-impl<S, F, D> QueryService for ShardedLshService<S, F, D>
+impl<F, D> LiveLshService<F, D>
 where
-    S: PointSet<Point = [f32]> + Send + Sync + 'static,
-    F: LshFamily<[f32]> + Sync + 'static,
-    F::GFn: Send + Sync,
-    D: Distance<[f32]> + Send + Sync + 'static,
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// Wraps segmented indexes for serving. Both must be built over
+    /// the same corpus (same live ids) and the same dimensionality.
+    pub fn new(rnnr: SegmentedIndex<F, D>, topk: Option<SegmentedTopKIndex<F, D>>) -> Self {
+        if let Some(t) = &topk {
+            assert_eq!(t.dim(), rnnr.dim(), "rNNR and top-k ladders must share dimensionality");
+            assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
+        }
+        let info = ServerInfo {
+            points: rnnr.len() as u64,
+            dim: rnnr.dim() as u32,
+            shards: rnnr.assignment().shards() as u32,
+            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
+        };
+        Self::serve(rnnr, topk, info)
+    }
+
+    /// Runs one mutation batch under the write guard, then stores the
+    /// live count [`info`](QueryService::info) reports before releasing
+    /// it.
+    fn mutate(
+        &self,
+        apply: impl FnOnce(
+            &mut Indexes<SegmentedIndex<F, D>, SegmentedTopKIndex<F, D>>,
+        ) -> Result<u32, ServiceError>,
+    ) -> Result<u32, ServiceError> {
+        let mut indexes = self.indexes.write().map_err(poisoned)?;
+        let applied = apply(&mut indexes);
+        self.points.store(indexes.rnnr.len() as u64, Ordering::Relaxed);
+        applied
+    }
+}
+
+/// How a served rNNR index takes mutation frames. Sealed to the two
+/// index shapes a service serves: the living [`SegmentedIndex`] applies
+/// the batch to itself and its ladder, the frozen [`Sharded`] refuses
+/// at once.
+pub(crate) trait Mutation<T>: Sized {
+    /// See [`QueryService::insert_batch`].
+    fn insert(
+        service: &LshService<Self, T>,
+        ids: &[PointId],
+        points: &QueryBlock,
+    ) -> Result<u32, ServiceError>;
+
+    /// See [`QueryService::delete_batch`].
+    fn delete(service: &LshService<Self, T>, ids: &[PointId]) -> Result<u32, ServiceError>;
+}
+
+impl<X, T> Mutation<T> for Sharded<X> {
+    fn insert(_: &LshService<Self, T>, _: &[PointId], _: &QueryBlock) -> Result<u32, ServiceError> {
+        Err(ServiceError::frozen())
+    }
+
+    fn delete(_: &LshService<Self, T>, _: &[PointId]) -> Result<u32, ServiceError> {
+        Err(ServiceError::frozen())
+    }
+}
+
+/// Maps a core [`hlsh_core::MutationError`] onto the wire's error
+/// vocabulary.
+fn mutation_error(e: hlsh_core::MutationError) -> ServiceError {
+    match e {
+        hlsh_core::MutationError::DuplicateId { id } => ServiceError::duplicate_id(id),
+        hlsh_core::MutationError::UnknownId { id } => ServiceError::unknown_id(id),
+        hlsh_core::MutationError::DimMismatch { expected, got } => {
+            ServiceError::dim_mismatch(expected as u32, got as u32)
+        }
+    }
+}
+
+impl<F, D> Mutation<SegmentedTopKIndex<F, D>> for SegmentedIndex<F, D>
+where
+    F: LshFamily<[f32]> + Clone,
+    F::GFn: Send,
+    D: Distance<[f32]> + Clone,
+{
+    fn insert(
+        service: &LiveLshService<F, D>,
+        ids: &[PointId],
+        points: &QueryBlock,
+    ) -> Result<u32, ServiceError> {
+        let dim = service.info.dim;
+        check_dim(dim, points.dim, ids.len())?;
+        if points.data.len() != ids.len() * dim as usize {
+            return Err(ServiceError::malformed(format!(
+                "insert carries {} ids but {} floats of dimension {dim}",
+                ids.len(),
+                points.data.len(),
+            )));
+        }
+        // Validation completes against the rNNR index before either
+        // structure is touched — the batch either fully applies to
+        // both or to neither.
+        service.mutate(|Indexes { rnnr, topk }| {
+            let mut batch = std::collections::HashSet::with_capacity(ids.len());
+            for &id in ids {
+                if !batch.insert(id) || rnnr.contains(id) {
+                    return Err(ServiceError::duplicate_id(id));
+                }
+            }
+            let dim = dim as usize;
+            for (i, &id) in ids.iter().enumerate() {
+                let row = &points.data[i * dim..(i + 1) * dim];
+                rnnr.insert(id, row).map_err(mutation_error)?;
+                if let Some(topk) = topk {
+                    topk.insert(id, row).map_err(mutation_error)?;
+                }
+            }
+            Ok(ids.len() as u32)
+        })
+    }
+
+    fn delete(service: &LiveLshService<F, D>, ids: &[PointId]) -> Result<u32, ServiceError> {
+        service.mutate(|Indexes { rnnr, topk }| {
+            let mut batch = std::collections::HashSet::with_capacity(ids.len());
+            for &id in ids {
+                if !batch.insert(id) || !rnnr.contains(id) {
+                    return Err(ServiceError::unknown_id(id));
+                }
+            }
+            for &id in ids {
+                rnnr.delete(id).map_err(mutation_error)?;
+                if let Some(topk) = topk {
+                    topk.delete(id).map_err(mutation_error)?;
+                }
+            }
+            Ok(ids.len() as u32)
+        })
+    }
+}
+
+impl<R, T> QueryService for LshService<R, T>
+where
+    R: RnnrIndex<Point = [f32]> + Mutation<T> + Send + Sync + 'static,
+    T: TopKLadder<Point = [f32]> + Send + Sync + 'static,
 {
     fn info(&self) -> ServerInfo {
-        ServerInfo {
-            points: self.rnnr.len() as u64,
-            dim: self.dim,
-            shards: self.rnnr.assignment().shards() as u32,
-            topk_levels: self.topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
-        }
+        ServerInfo { points: self.points.load(Ordering::Relaxed), ..self.info }
     }
 
     fn rnnr_batch(
@@ -292,7 +468,10 @@ where
         radius: f64,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        Ok(rnnr_ids(&self.rnnr, queries, radius, threads))
+        let indexes = self.read()?;
+        let outputs =
+            indexes.rnnr.query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads);
+        Ok(outputs.into_iter().map(|o| o.ids).collect())
     }
 
     fn topk_batch(
@@ -301,7 +480,21 @@ where
         k: usize,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        topk_pairs(self.topk.as_ref(), queries, k, threads)
+        let indexes = self.read()?;
+        let ladder = indexes.topk.as_ref().ok_or_else(ServiceError::no_ladder)?;
+        let outputs = ladder.query_topk_batch_with(queries, k, Strategy::Hybrid, threads);
+        Ok(outputs
+            .into_iter()
+            .map(|o| o.neighbors.iter().map(|n| (n.id, n.dist)).collect())
+            .collect())
+    }
+
+    fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
+        R::insert(self, ids, points)
+    }
+
+    fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
+        R::delete(self, ids)
     }
 }
 
@@ -342,50 +535,12 @@ where
     /// # Panics
     /// Panics if `shard_id` is out of range for the assignment.
     pub fn new(inner: ShardedLshService<S, F, D>, shard_id: u32) -> Self {
-        let shards = inner.rnnr_index().assignment().shards();
+        let shards = inner.info.shards;
         assert!(
-            (shard_id as usize) < shards,
+            shard_id < shards,
             "shard id {shard_id} out of range for a {shards}-shard assignment"
         );
         Self { inner, shard_id }
-    }
-
-    /// The shard this node answers for.
-    pub fn shard_id(&self) -> u32 {
-        self.shard_id
-    }
-
-    /// The wrapped standalone service.
-    pub fn inner(&self) -> &ShardedLshService<S, F, D> {
-        &self.inner
-    }
-
-    /// Validates a query block's dimensionality and unpacks its rows.
-    fn check_rows(&self, queries: &QueryBlock) -> Result<Vec<Vec<f32>>, ServiceError> {
-        let dim = self.inner.dim();
-        if queries.count() > 0 && queries.dim != dim {
-            return Err(ServiceError::dim_mismatch(dim, queries.dim));
-        }
-        Ok(queries.rows())
-    }
-
-    /// The served ladder, or the typed error for a frame that needs one.
-    fn ladder(&self) -> Result<&ShardedTopKIndex<S, F, D, FrozenStore>, ServiceError> {
-        let ladder = self.inner.topk_index();
-        ladder.ok_or_else(|| ServiceError::unsupported("this shard node has no top-k ladder"))
-    }
-
-    /// Resolves a wire target to a validated ladder rung — `None` for
-    /// the rNNR index.
-    fn check_target(&self, target: ShardTarget) -> Result<Option<usize>, ServiceError> {
-        let ShardTarget::TopKLevel(li) = target else { return Ok(None) };
-        let levels = self.ladder()?.schedule().levels();
-        if li as usize >= levels {
-            return Err(ServiceError::malformed(format!(
-                "ladder level {li} out of range ({levels} levels)"
-            )));
-        }
-        Ok(Some(li as usize))
     }
 }
 
@@ -397,6 +552,16 @@ fn params_of(hll: hlsh_hll::HllConfig, cost: hlsh_core::CostModel) -> ShardParam
         beta_scan: cost.beta(),
         beta_cand: cost.beta_cand(),
     }
+}
+
+/// A shard node refuses mutation: every node would need the same
+/// mutation in the same order to keep the coordinator's global merge
+/// byte-identical, and this protocol has no such replication.
+fn shard_refuses_mutation() -> ServiceError {
+    ServiceError::unsupported(
+        "shard nodes refuse mutation (it would desync the coordinator); \
+         mutate a standalone --live server instead",
+    )
 }
 
 impl<S, F, D> QueryService for ShardNodeService<S, F, D>
@@ -433,11 +598,34 @@ where
         request: &ShardRequest,
         threads: Option<usize>,
     ) -> Result<ShardResponse, ServiceError> {
-        let rnnr = self.inner.rnnr_index();
+        let indexes = self.inner.read()?;
+        let rnnr = &indexes.rnnr;
         let shard = self.shard_id as usize;
+        let ladder = || {
+            let ladder = indexes.topk.as_ref();
+            ladder.ok_or_else(|| ServiceError::unsupported("this shard node has no top-k ladder"))
+        };
+        // A wire target as a validated ladder rung — `None` for the
+        // rNNR index.
+        let rung = |target: ShardTarget| match target {
+            ShardTarget::Rnnr => Ok(None),
+            ShardTarget::TopKLevel(li) => {
+                let levels = ladder()?.schedule().levels();
+                if li as usize >= levels {
+                    return Err(ServiceError::malformed(format!(
+                        "ladder level {li} out of range ({levels} levels)"
+                    )));
+                }
+                Ok(Some(li as usize))
+            }
+        };
+        let rows = |queries: &QueryBlock| {
+            check_dim(self.inner.info.dim, queries.dim, queries.count())?;
+            Ok::<_, ServiceError>(queries.rows())
+        };
         match request {
             ShardRequest::Info => {
-                let levels = match self.inner.topk_index() {
+                let levels = match indexes.topk.as_ref() {
                     Some(t) => (0..t.schedule().levels())
                         .map(|li| ShardLevelInfo {
                             radius: t.schedule().radius(li),
@@ -448,38 +636,26 @@ where
                 };
                 Ok(ShardResponse::Info(ShardInfo {
                     shard_id: self.shard_id,
-                    shards: rnnr.assignment().shards() as u32,
+                    shards: self.inner.info.shards,
                     points: rnnr.len() as u64,
-                    dim: self.inner.dim(),
+                    dim: self.inner.info.dim,
                     rnnr: params_of(rnnr.hll_config(0), rnnr.cost_model(0)),
                     levels,
                 }))
             }
             ShardRequest::Summarize { target, queries } => {
-                let rows = self.check_rows(queries)?;
-                let summaries = match self.check_target(*target)? {
+                let rows = rows(queries)?;
+                let summaries = match rung(*target)? {
                     None => rnnr.shard_summaries(shard, 0, &rows, threads),
-                    Some(li) => self.ladder()?.shard_summaries(shard, li, &rows, threads),
+                    Some(li) => ladder()?.shard_summaries(shard, li, &rows, threads),
                 };
-                Ok(ShardResponse::Summaries(
-                    summaries
-                        .into_iter()
-                        .map(|s| ShardSummaryEntry {
-                            collisions: s.collisions,
-                            registers: s.registers,
-                        })
-                        .collect(),
-                ))
+                Ok(ShardResponse::Summaries(summaries))
             }
             ShardRequest::Execute { target, arm, radius, queries } => {
-                if !radius.is_finite() || *radius < 0.0 {
-                    return Err(ServiceError::malformed(format!(
-                        "radius must be finite and non-negative, got {radius}"
-                    )));
-                }
-                let rows = self.check_rows(queries)?;
+                check_radius(*radius)?;
+                let rows = rows(queries)?;
                 let lsh = matches!(arm, crate::protocol::Arm::Lsh);
-                Ok(match self.check_target(*target)? {
+                Ok(match rung(*target)? {
                     // An ids frame lists each query's ids ascending.
                     None => ShardResponse::Ids(
                         rnnr.shard_arm_batch(shard, 0, &rows, *radius, lsh, threads)
@@ -491,224 +667,23 @@ where
                             .collect(),
                     ),
                     Some(li) => ShardResponse::Pairs(
-                        self.ladder()?.shard_arm_batch(shard, li, &rows, *radius, lsh, threads),
+                        ladder()?.shard_arm_batch(shard, li, &rows, *radius, lsh, threads),
                     ),
                 })
             }
             ShardRequest::Scan { queries } => {
-                let rows = self.check_rows(queries)?;
-                Ok(ShardResponse::Pairs(
-                    self.ladder()?.shard_fallback_scan_batch(shard, &rows, threads),
-                ))
+                let rows = rows(queries)?;
+                Ok(ShardResponse::Pairs(ladder()?.shard_fallback_scan_batch(shard, &rows, threads)))
             }
         }
     }
 
-    // A shard node must never mutate its slice of the corpus out from
-    // under the coordinator — every node would need the same mutation
-    // in the same order to keep the global merge byte-identical, and
-    // this protocol has no such replication. Reject with a typed error
-    // naming the right place to mutate.
-    fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
-        let _ = (ids, points);
-        Err(ServiceError::unsupported(
-            "shard nodes refuse mutation (it would desync the coordinator); \
-             mutate a standalone --live server instead",
-        ))
+    fn insert_batch(&self, _: &[PointId], _: &QueryBlock) -> Result<u32, ServiceError> {
+        Err(shard_refuses_mutation())
     }
 
-    fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        let _ = ids;
-        Err(ServiceError::unsupported(
-            "shard nodes refuse mutation (it would desync the coordinator); \
-             mutate a standalone --live server instead",
-        ))
-    }
-}
-
-/// The living-index deployment: LSM-segmented indexes behind one
-/// reader-writer lock, so the server keeps answering queries while the
-/// corpus churns under [`Request::Insert`](crate::protocol::Request::Insert)
-/// and [`Request::Delete`](crate::protocol::Request::Delete) frames.
-///
-/// The rNNR index and the top-k ladder (when present) sit under that
-/// one lock: a mutation batch is validated and applied to both under a
-/// single write guard, so every reader sees both cover the same live
-/// id set. Queries take the read lock and run the one batch path, whose
-/// answers are byte-identical to an index rebuilt from scratch on the
-/// surviving points — the contract `tests/mutable_props.rs` pins and
-/// the CI churn smoke checks over this very service.
-///
-/// [`info`](QueryService::info) never takes the lock: the event loop
-/// calls it for every frame, and a flush or merge under the write guard
-/// must not stall the loop. The live count it reports is stored under
-/// the write guard after every mutation batch.
-pub struct LiveLshService<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    indexes: RwLock<LiveIndexes<F, D>>,
-    /// The metadata that never changes (its `points` is not read).
-    info: ServerInfo,
-    /// The live point count.
-    points: AtomicU64,
-}
-
-/// The structures a [`LiveLshService`] serves, mutated together.
-struct LiveIndexes<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    rnnr: SegmentedIndex<F, D>,
-    topk: Option<SegmentedTopKIndex<F, D>>,
-}
-
-impl<F, D> LiveLshService<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    /// Wraps segmented indexes for serving. Both must be built over
-    /// the same corpus (same live ids) and the same dimensionality.
-    pub fn new(rnnr: SegmentedIndex<F, D>, topk: Option<SegmentedTopKIndex<F, D>>) -> Self {
-        if let Some(t) = &topk {
-            assert_eq!(t.dim(), rnnr.dim(), "rNNR and top-k ladders must share dimensionality");
-            assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
-        }
-        let info = ServerInfo {
-            points: rnnr.len() as u64,
-            dim: rnnr.dim() as u32,
-            shards: rnnr.assignment().shards() as u32,
-            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
-        };
-        let points = AtomicU64::new(info.points);
-        Self { indexes: RwLock::new(LiveIndexes { rnnr, topk }), info, points }
-    }
-
-    /// The vector dimensionality requests are validated against.
-    pub fn dim(&self) -> u32 {
-        self.info.dim
-    }
-
-    /// Runs `f` over the live rNNR index under the read lock — how the
-    /// churn smoke compares served state against a rebuild oracle.
-    pub fn with_rnnr<R>(&self, f: impl FnOnce(&SegmentedIndex<F, D>) -> R) -> R {
-        f(&self.indexes.read().expect("live index lock poisoned").rnnr)
-    }
-
-    /// Runs one mutation batch under the write guard, then stores the
-    /// live count [`info`](QueryService::info) reports before releasing
-    /// it.
-    fn mutate(
-        &self,
-        apply: impl FnOnce(&mut LiveIndexes<F, D>) -> Result<u32, ServiceError>,
-    ) -> Result<u32, ServiceError> {
-        let mut live = self.indexes.write().map_err(poisoned)?;
-        let applied = apply(&mut live);
-        self.points.store(live.rnnr.len() as u64, Ordering::Relaxed);
-        applied
-    }
-}
-
-/// The error a request gets once a panicking writer poisoned the lock.
-fn poisoned<G>(_: PoisonError<G>) -> ServiceError {
-    ServiceError::internal("live index lock poisoned")
-}
-
-/// Maps a core [`hlsh_core::MutationError`] onto the wire's error
-/// vocabulary.
-fn mutation_error(e: hlsh_core::MutationError) -> ServiceError {
-    match e {
-        hlsh_core::MutationError::DuplicateId { id } => ServiceError::duplicate_id(id),
-        hlsh_core::MutationError::UnknownId { id } => ServiceError::unknown_id(id),
-        hlsh_core::MutationError::DimMismatch { expected, got } => {
-            ServiceError::dim_mismatch(expected as u32, got as u32)
-        }
-    }
-}
-
-impl<F, D> QueryService for LiveLshService<F, D>
-where
-    F: LshFamily<[f32]> + Clone + Send + Sync + 'static,
-    F::GFn: Send + Sync,
-    D: Distance<[f32]> + Clone + Send + Sync + 'static,
-{
-    fn info(&self) -> ServerInfo {
-        ServerInfo { points: self.points.load(Ordering::Relaxed), ..self.info }
-    }
-
-    fn rnnr_batch(
-        &self,
-        queries: &[Vec<f32>],
-        radius: f64,
-        threads: Option<usize>,
-    ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        let live = self.indexes.read().map_err(poisoned)?;
-        Ok(rnnr_ids(&live.rnnr, queries, radius, threads))
-    }
-
-    fn topk_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: Option<usize>,
-    ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        let live = self.indexes.read().map_err(poisoned)?;
-        topk_pairs(live.topk.as_ref(), queries, k, threads)
-    }
-
-    fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
-        let dim = self.info.dim;
-        if points.dim != dim && !ids.is_empty() {
-            return Err(ServiceError::dim_mismatch(dim, points.dim));
-        }
-        if points.data.len() != ids.len() * dim as usize {
-            return Err(ServiceError::malformed(format!(
-                "insert carries {} ids but {} floats of dimension {dim}",
-                ids.len(),
-                points.data.len(),
-            )));
-        }
-        // Validation completes against the rNNR index before either
-        // structure is touched — the batch either fully applies to
-        // both or to neither.
-        self.mutate(|LiveIndexes { rnnr, topk }| {
-            let mut batch = std::collections::HashSet::with_capacity(ids.len());
-            for &id in ids {
-                if !batch.insert(id) || rnnr.contains(id) {
-                    return Err(ServiceError::duplicate_id(id));
-                }
-            }
-            let dim = dim as usize;
-            for (i, &id) in ids.iter().enumerate() {
-                let row = &points.data[i * dim..(i + 1) * dim];
-                rnnr.insert(id, row).map_err(mutation_error)?;
-                if let Some(topk) = topk {
-                    topk.insert(id, row).map_err(mutation_error)?;
-                }
-            }
-            Ok(ids.len() as u32)
-        })
-    }
-
-    fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        self.mutate(|LiveIndexes { rnnr, topk }| {
-            let mut batch = std::collections::HashSet::with_capacity(ids.len());
-            for &id in ids {
-                if !batch.insert(id) || !rnnr.contains(id) {
-                    return Err(ServiceError::unknown_id(id));
-                }
-            }
-            for &id in ids {
-                rnnr.delete(id).map_err(mutation_error)?;
-                if let Some(topk) = topk {
-                    topk.delete(id).map_err(mutation_error)?;
-                }
-            }
-            Ok(ids.len() as u32)
-        })
+    fn delete_batch(&self, _: &[PointId]) -> Result<u32, ServiceError> {
+        Err(shard_refuses_mutation())
     }
 }
 
@@ -787,5 +762,59 @@ mod tests {
         let topk =
             ShardedTopKIndex::build_frozen(data, ShardAssignment::new(4, 3), schedule, builder);
         ShardedLshService::new(rnnr, Some(topk), 2);
+    }
+
+    #[test]
+    fn a_frozen_service_refuses_mutation_without_the_lock() {
+        let data = DenseDataset::from_rows(2, (0..40).map(|i| [i as f32, 0.0]));
+        let builder = IndexBuilder::new(PStableL2::new(2, 2.0), L2)
+            .tables(3)
+            .hash_len(2)
+            .cost_model(CostModel::from_ratio(2.0));
+        let rnnr = ShardedIndex::build_frozen(data, ShardAssignment::new(4, 2), builder);
+        let service = Arc::new(ShardedLshService::new(rnnr, None, 2));
+        let guard = service.indexes.write().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let writer = Arc::clone(&service);
+        let handle = std::thread::spawn(move || {
+            let points = QueryBlock::pack(&[vec![0.5f32, 0.5]], 2);
+            tx.send((writer.insert_batch(&[99], &points), writer.delete_batch(&[0]))).unwrap();
+        });
+        let refused = rx.recv_timeout(Duration::from_secs(10));
+        drop(guard);
+        handle.join().unwrap();
+        let (insert, delete) = refused.expect("a frozen index must refuse before the lock");
+        let (insert, delete) = (insert.unwrap_err(), delete.unwrap_err());
+        assert_eq!((insert.code, delete.code), (ErrorCode::Unsupported, ErrorCode::Unsupported));
+        assert!(insert.message.contains("--live"), "{}", insert.message);
+    }
+
+    #[test]
+    fn request_fields_are_checked_once_with_their_messages() {
+        assert!(check_radius(0.0).is_ok());
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let e = check_radius(bad).unwrap_err();
+            assert_eq!(e.code, ErrorCode::Malformed);
+            assert_eq!(e.message, format!("radius must be finite and non-negative, got {bad}"));
+        }
+        // A request without rows carries no dimension to check.
+        assert!(check_dim(2, 3, 0).is_ok());
+        let e = check_dim(2, 3, 1).unwrap_err();
+        assert_eq!(e.code, ErrorCode::DimMismatch);
+        assert_eq!(e.message, "index dimension is 2, request carries 3");
+    }
+
+    #[test]
+    fn failures_become_error_frames_with_their_code_and_message() {
+        let wire = ServiceError::from(WireError::UnknownKind(0x42));
+        assert_eq!(wire.code, ErrorCode::UnknownKind);
+        assert_eq!(wire.message, "unknown frame kind 0x42");
+        assert_eq!(
+            Response::from(ServiceError::unknown_id(7)),
+            Response::Error {
+                code: ErrorCode::UnknownId,
+                message: "id 7 is not live in the index".into()
+            }
+        );
     }
 }

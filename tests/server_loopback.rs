@@ -66,8 +66,7 @@ fn rnnr_responses_byte_identical_to_in_process_batch() {
     let mut fx = fixture(ServerConfig::default());
     let expect: Vec<Vec<u32>> = fx
         .service
-        .rnnr_index()
-        .query_batch(&fx.queries, RADIUS)
+        .with_rnnr(|rnnr| rnnr.query_batch(&fx.queries, RADIUS))
         .into_iter()
         .map(|o| o.ids)
         .collect();
@@ -88,7 +87,7 @@ fn rnnr_responses_byte_identical_to_in_process_batch() {
 fn topk_responses_byte_identical_including_distance_bits() {
     let mut fx = fixture(ServerConfig::default());
     let k = 7;
-    let expect = fx.service.topk_index().unwrap().query_topk_batch(&fx.queries, k);
+    let expect = fx.service.with_indexes(|_, topk| topk.unwrap().query_topk_batch(&fx.queries, k));
 
     let mut client = connect(&fx.server);
     let got = client.query_topk_batch(&fx.queries, k).unwrap();
@@ -113,13 +112,13 @@ fn concurrent_clients_are_coalesced_without_changing_answers() {
     });
     let expect: Vec<Vec<u32>> = fx
         .service
-        .rnnr_index()
-        .query_batch(&fx.queries, RADIUS)
+        .with_rnnr(|rnnr| rnnr.query_batch(&fx.queries, RADIUS))
         .into_iter()
         .map(|o| o.ids)
         .collect();
     let k = 5;
-    let expect_topk = fx.service.topk_index().unwrap().query_topk_batch(&fx.queries, k);
+    let expect_topk =
+        fx.service.with_indexes(|_, topk| topk.unwrap().query_topk_batch(&fx.queries, k));
 
     std::thread::scope(|scope| {
         for (qi, q) in fx.queries.iter().enumerate() {
@@ -140,7 +139,7 @@ fn concurrent_clients_are_coalesced_without_changing_answers() {
         }
     });
 
-    let (ticks, admitted) = fx.server.batch_stats();
+    let hybrid_lsh::server::ServerStats { ticks, admitted, .. } = fx.server.stats();
     assert_eq!(admitted, 2 * fx.queries.len() as u64);
     assert!(ticks >= 2, "at least one tick per request kind");
     assert!(
