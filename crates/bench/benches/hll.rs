@@ -1,6 +1,6 @@
 //! Criterion micro benches of the HyperLogLog primitives that gate the
 //! hybrid overhead: insert, merge (the `O(mL)` query-time cost), and
-//! estimation — across the register counts of the `ablate_m` sweep.
+//! estimation — across a sweep of register counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlsh_hll::{HllConfig, HyperLogLog, MergeAccumulator};

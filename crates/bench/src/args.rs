@@ -43,6 +43,9 @@ impl CommonArgs {
                 "--queries" => {
                     let v = it.next().ok_or("--queries needs a value")?;
                     out.queries = v.parse().map_err(|_| format!("bad --queries {v:?}"))?;
+                    if out.queries == 0 {
+                        return Err("--queries must be positive".into());
+                    }
                 }
                 "--runs" => {
                     let v = it.next().ok_or("--runs needs a value")?;
@@ -148,6 +151,7 @@ mod tests {
         let a = parse(&["--queries", "10", "--runs", "2", "--seed", "7"]).unwrap();
         assert_eq!((a.queries, a.runs, a.seed), (10, 2, 7));
         assert!(parse(&["--runs", "0"]).is_err());
+        assert!(parse(&["--queries", "0"]).is_err());
         assert!(parse(&["--seed", "x"]).is_err());
     }
 

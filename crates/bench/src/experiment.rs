@@ -10,9 +10,8 @@
 
 use std::time::Instant;
 
-use hlsh_core::probe::{multiprobe_query, ProbeSequence};
 use hlsh_core::search::ExecutedArm;
-use hlsh_core::{CostModel, HybridLshIndex, IndexBuilder, QueryOutput, Strategy};
+use hlsh_core::{CostModel, IndexBuilder, QueryOutput, Strategy};
 use hlsh_datagen::{ground_truth, BinaryWorkload, DenseWorkload};
 use hlsh_families::{k_paper, BitSampling, LshFamily, PStableL1, PStableL2, PaperDataset, SimHash};
 use hlsh_vec::stats::Welford;
@@ -35,19 +34,6 @@ pub struct ExperimentConfig {
     pub l: usize,
     /// Failure probability δ (paper: 0.1).
     pub delta: f64,
-    /// HLL precision (paper: 7 → m = 128).
-    pub hll_precision: u8,
-    /// Probes per table (1 = classic; >1 = multi-probe ablation).
-    pub probes_per_table: usize,
-    /// Lazy small-bucket sketches (paper §3.2 trick) on/off.
-    pub lazy: bool,
-    /// Force a fixed `β/α` ratio. `None` (default) calibrates α and β
-    /// on the indexed data exactly as the paper does (§4.2 calibrates
-    /// on a random sample of queries and data points). The published
-    /// per-dataset constants (10, 10, 6, 1) belong to the authors'
-    /// Python implementation and are exposed through
-    /// [`PaperDataset::beta_over_alpha`] for the `ablate_ratio` sweep.
-    pub ratio_override: Option<f64>,
 }
 
 impl ExperimentConfig {
@@ -60,10 +46,6 @@ impl ExperimentConfig {
             seed: args.seed,
             l: 50,
             delta: 0.1,
-            hll_precision: 7,
-            probes_per_table: 1,
-            lazy: true,
-            ratio_override: None,
         }
     }
 }
@@ -208,19 +190,15 @@ fn run_mnist(cfg: &ExperimentConfig) -> Vec<RadiusRow> {
         .collect()
 }
 
-/// Resolves the cost model for a workload: a forced ratio if the
-/// config carries one, otherwise a single calibration on the data that
-/// is reused across the whole radius sweep (the paper's procedure —
-/// one β/α per data set).
-pub fn resolve_cost<S, D>(cfg: &ExperimentConfig, data: &S, distance: &D) -> CostModel
+/// Calibrates the cost model once on a workload's data and reuses it
+/// across the whole radius sweep (the paper's procedure — one β/α per
+/// data set, §4.2).
+fn resolve_cost<S, D>(cfg: &ExperimentConfig, data: &S, distance: &D) -> CostModel
 where
     S: PointSet,
     D: Distance<S::Point>,
 {
-    let cost = match cfg.ratio_override {
-        Some(ratio) => CostModel::from_ratio(ratio),
-        None => CostModel::calibrate(data, distance, 10_000.min(100 * data.len().max(1)), cfg.seed),
-    };
+    let cost = CostModel::calibrate(data, distance, 10_000.min(100 * data.len().max(1)), cfg.seed);
     eprintln!(
         "[calibration] α = {:.1} ns, β_scan = {:.1} ns, β_cand = {:.1} ns (β/α = {:.1})",
         cost.alpha(),
@@ -231,12 +209,10 @@ where
     cost
 }
 
-/// Builds the index for one radius and measures everything. Public so
-/// the ablation binaries can sweep a single radius with custom
-/// family/parameter combinations.
+/// Builds the index for one radius and measures everything.
 // Queries and truth are parallel arrays; the indexed loop is intentional.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-pub fn measure_radius<S, Q, F, D>(
+fn measure_radius<S, Q, F, D>(
     data: S,
     queries: &Q,
     family: F,
@@ -251,15 +227,14 @@ where
     S: PointSet + Sync,
     Q: PointSet<Point = S::Point> + Sync,
     F: LshFamily<S::Point> + Sync,
-    F::GFn: ProbeSequence<S::Point> + Send + Sync,
+    F::GFn: Send + Sync,
     D: Distance<S::Point> + Sync,
 {
-    let m = 1usize << cfg.hll_precision;
+    // The builder's defaults are the paper's HLL settings: m = 128 and
+    // sketches only on buckets of at least m members (§3.2).
     let index = IndexBuilder::new(family, distance.clone())
         .tables(cfg.l)
         .hash_len(k)
-        .hll_precision(cfg.hll_precision)
-        .lazy_threshold(if cfg.lazy { m } else { 1 })
         .seed(cfg.seed)
         .build_with_cost(data, Some(cost));
 
@@ -273,23 +248,14 @@ where
     }
     let nq = queries.len().max(1);
 
-    // Timed passes. Single-probe sweeps go through the batch engine
-    // (sharded across cores, per-thread scratch reuse); multi-probe
-    // still walks the per-query path.
+    // Timed passes through the batch engine (sharded across cores,
+    // per-thread scratch reuse).
     let timed = |strategy: Strategy| -> f64 {
         let mut total = 0.0;
         for _ in 0..cfg.runs {
             let t0 = Instant::now();
-            if cfg.probes_per_table <= 1 {
-                let outs = index.query_batch_set(queries, r, strategy, None);
-                std::hint::black_box(outs.iter().map(|o| o.ids.len()).sum::<usize>());
-            } else {
-                for qi in 0..queries.len() {
-                    let out =
-                        run_query(&index, queries.point(qi), r, strategy, cfg.probes_per_table);
-                    std::hint::black_box(out.ids.len());
-                }
-            }
+            let outs = index.query_batch_set(queries, r, strategy, None);
+            std::hint::black_box(outs.iter().map(|o| o.ids.len()).sum::<usize>());
             total += t0.elapsed().as_secs_f64();
         }
         total / cfg.runs as f64
@@ -307,7 +273,7 @@ where
     let mut lsh_recall = Welford::new();
     for qi in 0..queries.len() {
         let q = queries.point(qi);
-        let hybrid = run_query(&index, q, r, Strategy::Hybrid, cfg.probes_per_table);
+        let hybrid = index.query_with_strategy(q, r, Strategy::Hybrid);
         if hybrid.report.executed == ExecutedArm::Linear {
             ls_calls += 1;
         }
@@ -322,7 +288,7 @@ where
             hll_err.push((hybrid.report.cand_size_estimate - exact as f64).abs() / exact as f64);
         }
         hybrid_recall.push(recall_of(&hybrid, &truth[qi]));
-        let lsh = run_query(&index, q, r, Strategy::LshOnly, cfg.probes_per_table);
+        let lsh = index.query_with_strategy(q, r, Strategy::LshOnly);
         lsh_recall.push(recall_of(&lsh, &truth[qi]));
     }
 
@@ -342,26 +308,6 @@ where
         hll_cost_frac: hll_cost.mean(),
         hll_err_mean: hll_err.mean(),
         hll_err_std: hll_err.std_dev(),
-    }
-}
-
-fn run_query<S, F, D>(
-    index: &HybridLshIndex<S, F, D>,
-    q: &S::Point,
-    r: f64,
-    strategy: Strategy,
-    probes: usize,
-) -> QueryOutput
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    F::GFn: ProbeSequence<S::Point>,
-    D: Distance<S::Point>,
-{
-    if probes <= 1 {
-        index.query_with_strategy(q, r, strategy)
-    } else {
-        multiprobe_query(index, q, r, probes, strategy)
     }
 }
 
@@ -495,18 +441,7 @@ mod tests {
     use super::*;
 
     fn tiny_cfg(n: usize) -> ExperimentConfig {
-        ExperimentConfig {
-            n,
-            queries: 8,
-            runs: 1,
-            seed: 9,
-            l: 8,
-            delta: 0.1,
-            hll_precision: 7,
-            probes_per_table: 1,
-            lazy: true,
-            ratio_override: None,
-        }
+        ExperimentConfig { n, queries: 8, runs: 1, seed: 9, l: 8, delta: 0.1 }
     }
 
     #[test]
@@ -588,14 +523,5 @@ mod tests {
         }
         assert_eq!(rows[0].shards, 1);
         assert_eq!(rows[2].shards, 4);
-    }
-
-    #[test]
-    fn multiprobe_config_runs() {
-        let mut cfg = tiny_cfg(500);
-        cfg.probes_per_table = 4;
-        cfg.l = 4;
-        let rows = run_dataset(PaperDataset::Mnist, &cfg);
-        assert_eq!(rows.len(), 6);
     }
 }

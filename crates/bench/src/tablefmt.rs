@@ -116,11 +116,6 @@ pub fn secs(x: f64) -> String {
     format!("{x:.4}")
 }
 
-/// Formats a percentage with 2 decimals.
-pub fn pct(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +152,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(secs(0.123456), "0.1235");
-        assert_eq!(pct(0.1754), "17.54%");
         assert_eq!(fmt_radius(12.0), "12");
         assert_eq!(fmt_radius(0.05), "0.05");
         assert_eq!(fmt_radius(0.35 + 0.05), "0.40");

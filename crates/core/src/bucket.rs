@@ -24,12 +24,6 @@ impl Bucket {
         Self { members: Vec::new(), sketch: None }
     }
 
-    /// Rebuilds a bucket from its parts (used when thawing a frozen
-    /// store back into hashmap form).
-    pub fn from_parts(members: Vec<PointId>, sketch: Option<HyperLogLog>) -> Self {
-        Self { members, sketch }
-    }
-
     /// Decomposes the bucket into its member list and optional sketch
     /// (used when freezing a hashmap store into the CSR arena).
     pub fn into_parts(self) -> (Vec<PointId>, Option<HyperLogLog>) {

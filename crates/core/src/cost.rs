@@ -26,7 +26,7 @@
 //! this model carries both: `β_scan` prices Eq. 2 and `β_cand` prices
 //! the candidate term of Eq. 1. [`CostModel::from_ratio`] collapses
 //! them (`β_scan = β_cand`), which reproduces the paper's original
-//! model exactly — the `ablate_ratio` bench compares both.
+//! model exactly.
 
 use std::time::Instant;
 

@@ -177,7 +177,7 @@ where
     /// Runs the Algorithm 1 inner loop for the new point: one bucket
     /// insert and one HLL update per table. Available when the data
     /// set type supports appends and the store is the mutable
-    /// [`MapStore`] (a frozen index must [`thaw`](Self::thaw) first).
+    /// [`MapStore`].
     /// Deletion is intentionally absent here — a HyperLogLog sketch
     /// cannot retract an element. For a corpus that shrinks as well as
     /// grows, use the LSM-style
@@ -246,21 +246,6 @@ where
             blocked_tables(gfns, &data, id_map, pipeline, hll_config, lazy_threshold, parallel);
         Self { data, family, distance, tables, hll_config, lazy_threshold, cost, k }
     }
-
-    /// Converts back to the mutable [`MapStore`] backend so streaming
-    /// [`insert`](HybridLshIndex::insert) works again.
-    pub fn thaw(self) -> HybridLshIndex<S, F, D, MapStore> {
-        HybridLshIndex {
-            data: self.data,
-            family: self.family,
-            distance: self.distance,
-            tables: self.tables.into_iter().map(HashTable::thaw).collect(),
-            hll_config: self.hll_config,
-            lazy_threshold: self.lazy_threshold,
-            cost: self.cost,
-            k: self.k,
-        }
-    }
 }
 
 impl<S, F, D, B> HybridLshIndex<S, F, D, B>
@@ -323,8 +308,8 @@ where
 
     /// The lazy-sketch threshold in force (buckets at or above this
     /// size carry a materialised HLL). Persisted by the snapshot format
-    /// so a loaded index makes identical sketch decisions on thaw +
-    /// re-insert.
+    /// so a loaded index carries the same sketch rule as the one that
+    /// was saved.
     pub fn lazy_threshold(&self) -> usize {
         self.lazy_threshold
     }

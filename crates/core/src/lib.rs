@@ -29,11 +29,11 @@
 //! trait: indexes build on the hashmap-backed [`MapStore`] and can be
 //! [`frozen`](HybridLshIndex::freeze) into the CSR-arena
 //! [`FrozenStore`] for read-mostly serving (binary-search lookups over
-//! contiguous arrays, zero per-bucket allocation; `thaw` converts
-//! back). Query execution lives in one [`Engine`], which reuses
-//! per-thread scratch across queries and answers every rNNR index
-//! ([`RnnrIndex`]: single, sharded, segmented) and every top-k ladder
-//! ([`TopKLadder`]); the six engine names of earlier releases
+//! contiguous arrays, zero per-bucket allocation). Query execution
+//! lives in one [`Engine`], which reuses per-thread scratch across
+//! queries and answers every rNNR index ([`RnnrIndex`]: single,
+//! sharded, segmented) and every top-k ladder ([`TopKLadder`]); the
+//! six engine names of earlier releases
 //! (`QueryEngine`, `TopKEngine` and their sharded and segmented twins)
 //! are aliases of it. Every batch entry point —
 //! [`query_batch`](HybridLshIndex::query_batch) and its sharded,

@@ -3,8 +3,8 @@
 //! §4.2 of the paper notes ("due to the limit of space") that hybrid
 //! search achieves *higher* recall than LSH-based search because the
 //! linear arm is exact on hard queries. This module provides the
-//! measurement machinery, and the `recall_table` bench regenerates the
-//! unreported comparison.
+//! measurement machinery; the benchmark's paper workloads check mean
+//! Hybrid recall per radius.
 
 use hlsh_vec::PointId;
 

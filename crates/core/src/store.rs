@@ -15,8 +15,7 @@
 //!   sweeps.
 //!
 //! Both backends hand out [`BucketRef`] views, so every query path is
-//! backend-agnostic; [`thaw`](FrozenStore::thaw) converts back when an
-//! index must resume streaming ingestion.
+//! backend-agnostic.
 
 use hlsh_hll::{HllConfig, SketchRef};
 use hlsh_vec::{PointId, Section};
@@ -49,8 +48,7 @@ pub trait BucketStore {
     /// 3–4: append the member and update the bucket's lazy HLL).
     ///
     /// # Panics
-    /// Immutable backends ([`FrozenStore`]) panic; convert with
-    /// [`FrozenStore::thaw`] first.
+    /// Immutable backends ([`FrozenStore`]) panic.
     fn insert(&mut self, key: u64, id: PointId, config: HllConfig, lazy_threshold: usize);
 
     /// Inserts a whole run of members into the bucket for `key` — the
@@ -316,21 +314,6 @@ impl FrozenStore {
         )
     }
 
-    /// Converts back to the mutable hashmap store (resuming streaming
-    /// ingestion after a freeze). Sketch registers are copied back out
-    /// of the slab, so a freeze/thaw round trip is lossless.
-    pub fn thaw(self) -> MapStore {
-        let mut buckets = FxHashMap::default();
-        buckets.reserve(self.keys.len());
-        for (i, &key) in self.keys.iter().enumerate() {
-            let members =
-                self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize].to_vec();
-            let sketch = self.sketch_at(i).map(|s| s.to_owned());
-            buckets.insert(key, Bucket::from_parts(members, sketch));
-        }
-        MapStore { buckets }
-    }
-
     /// Total members across all buckets (the slab length).
     pub fn member_slots(&self) -> usize {
         self.members.len()
@@ -459,7 +442,7 @@ impl BucketStore for FrozenStore {
     }
 
     fn insert(&mut self, _key: u64, _id: PointId, _config: HllConfig, _lazy_threshold: usize) {
-        panic!("FrozenStore is immutable; thaw() the table back to a MapStore before inserting");
+        panic!("FrozenStore is immutable; insert into a MapStore before freezing");
     }
 
     /// Lays the CSR arena out directly from the key-grouped runs — the
@@ -589,22 +572,6 @@ mod tests {
         let keys: Vec<u64> = frozen.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![3, 17, u64::MAX]);
         assert_eq!(frozen.member_slots(), 206);
-    }
-
-    #[test]
-    fn thaw_round_trips() {
-        let map = populated_map();
-        let thawed = map.clone().freeze().thaw();
-        assert_eq!(map.bucket_count(), thawed.bucket_count());
-        for (key, bucket) in map.iter() {
-            let t = thawed.get(key).expect("key lost in round trip");
-            assert_eq!(bucket.members(), t.members());
-            assert_eq!(bucket.has_sketch(), t.has_sketch());
-        }
-        // A thawed store accepts inserts again.
-        let mut thawed = thawed;
-        thawed.insert(3, 1000, cfg(), 128);
-        assert_eq!(thawed.get(3).unwrap().len(), 6);
     }
 
     #[test]

@@ -89,17 +89,9 @@ impl<G, B: BucketStore> HashTable<G, B> {
 
 impl<G> HashTable<G, MapStore> {
     /// Converts to the read-optimised frozen backend. Lookups keep
-    /// returning byte-identical buckets; inserts panic until
-    /// [`thaw`](HashTable::thaw).
+    /// returning byte-identical buckets; inserts panic.
     pub fn freeze(self) -> HashTable<G, FrozenStore> {
         HashTable { g: self.g, store: self.store.freeze() }
-    }
-}
-
-impl<G> HashTable<G, FrozenStore> {
-    /// Converts back to the mutable hashmap backend.
-    pub fn thaw(self) -> HashTable<G, MapStore> {
-        HashTable { g: self.g, store: self.store.thaw() }
     }
 }
 
@@ -159,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_lookups_and_thaw_restores_inserts() {
+    fn freeze_preserves_lookups() {
         let family = BitSampling::new(64);
         let g = family.sample(10, &mut rng_stream(6, 0));
         let mut t: HashTable<_> = HashTable::new(g);
@@ -178,10 +170,5 @@ mod tests {
             assert_eq!(a.members(), b.members());
             assert_eq!(a.has_sketch(), b.has_sketch());
         }
-
-        let mut thawed = frozen.thaw();
-        let extra = BinaryVec::from_u64(0xABCD);
-        thawed.insert(300, extra.words(), cfg(), 16);
-        assert!(thawed.bucket(extra.words()).expect("bucket after thaw").members().contains(&300));
     }
 }

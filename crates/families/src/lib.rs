@@ -32,8 +32,6 @@ pub mod simhash;
 pub use bitsampling::BitSampling;
 pub use family::{GFunction, LshFamily};
 pub use minhash::MinHash;
-pub use params::{
-    k_paper, k_safe, optimize_k_l, recall_lower_bound, PaperDataset, PaperParams, TunedParams,
-};
+pub use params::{k_paper, k_safe, recall_lower_bound, PaperDataset, PaperParams};
 pub use pstable::{PStableL1, PStableL2};
 pub use simhash::{simhash_fingerprints, SimHash};

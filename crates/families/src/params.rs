@@ -14,8 +14,7 @@
 //! `p₁^k ≥ 1 − δ^{1/L}`. Note the *ceiling* makes `k` one step too
 //! aggressive when the bound is not integral (larger `k` reduces
 //! per-table collision probability), so we also provide the
-//! guarantee-preserving *floor* variant [`k_safe`]; the `ablate_k`
-//! bench quantifies the difference.
+//! guarantee-preserving *floor* variant [`k_safe`].
 
 use hlsh_vec::MetricKind;
 
@@ -50,60 +49,6 @@ fn k_bound(delta: f64, l: usize, p1: f64) -> f64 {
 pub fn recall_lower_bound(p: f64, k: usize, l: usize) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     1.0 - (1.0 - p.powi(k as i32)).powi(l as i32)
-}
-
-/// A cost-optimal `(k, L)` pair chosen by [`optimize_k_l`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TunedParams {
-    /// Concatenation width.
-    pub k: usize,
-    /// Table count (the smallest `L` meeting the recall target at this
-    /// `k`).
-    pub l: usize,
-    /// The model's estimated per-query cost, in `α` units (for
-    /// comparing candidates, not for wall-clock prediction).
-    pub estimated_cost: f64,
-}
-
-/// Chooses `(k, L)` minimising the modelled query cost subject to the
-/// recall constraint `1 − (1 − p₁^k)^L ≥ 1 − δ`.
-///
-/// The cost model mirrors the paper's Eq. 1 in expectation: per table a
-/// query pays one `k`-atom hash (`k·hash_cost` in `α` units) plus
-/// `n·p₂^k` expected collisions with *far* points (each `α`) — near
-/// points are output and must be paid by any correct algorithm, so they
-/// don't differentiate candidates. Raising `k` empties the buckets but
-/// forces more tables; this function walks `k = 1..=max_k` and returns
-/// the sweet spot, the standard E2LSH-style auto-tuning the paper's
-/// footnote alludes to (there with `L` fixed).
-///
-/// # Panics
-/// Panics unless `0 < p₂ ≤ p₁ < 1`, `0 < δ < 1` and `max_k ≥ 1`.
-pub fn optimize_k_l(
-    p1: f64,
-    p2: f64,
-    n: usize,
-    delta: f64,
-    max_k: usize,
-    hash_cost_alpha_units: f64,
-) -> TunedParams {
-    assert!(p1 > 0.0 && p1 < 1.0, "p1 must be in (0,1), got {p1}");
-    assert!(p2 > 0.0 && p2 <= p1, "need 0 < p2 <= p1, got p2 = {p2}");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    assert!(max_k >= 1, "max_k must be positive");
-
-    let mut best: Option<TunedParams> = None;
-    for k in 1..=max_k {
-        // Smallest L with (1 − p1^k)^L ≤ δ.
-        let miss = 1.0 - p1.powi(k as i32);
-        let l = if miss <= 0.0 { 1 } else { (delta.ln() / miss.ln()).ceil().max(1.0) as usize };
-        let per_table = k as f64 * hash_cost_alpha_units + n as f64 * p2.powi(k as i32);
-        let cost = l as f64 * per_table;
-        if best.is_none_or(|b| cost < b.estimated_cost) {
-            best = Some(TunedParams { k, l, estimated_cost: cost });
-        }
-    }
-    best.expect("max_k >= 1 guarantees a candidate")
 }
 
 /// The four evaluation data sets of the paper (§4), with their published
@@ -323,48 +268,5 @@ mod tests {
     #[should_panic(expected = "only defined for L1/L2")]
     fn pstable_k_w_rejects_other_metrics() {
         let _ = PaperParams::default().pstable_k_w(MetricKind::Cosine, 1.0);
-    }
-
-    #[test]
-    fn optimizer_meets_recall_target() {
-        let t = optimize_k_l(0.9, 0.5, 100_000, 0.1, 40, 2.0);
-        let recall = recall_lower_bound(0.9, t.k, t.l);
-        assert!(recall >= 0.9 - 1e-9, "k={} L={} recall={recall}", t.k, t.l);
-        assert!(t.k >= 1 && t.l >= 1);
-        assert!(t.estimated_cost.is_finite());
-    }
-
-    #[test]
-    fn optimizer_scales_k_with_n() {
-        // More points → longer keys pay off (bucket emptying beats the
-        // extra tables).
-        let small = optimize_k_l(0.9, 0.5, 1_000, 0.1, 40, 2.0);
-        let large = optimize_k_l(0.9, 0.5, 10_000_000, 0.1, 40, 2.0);
-        assert!(large.k >= small.k, "small {:?} large {:?}", small, large);
-    }
-
-    #[test]
-    fn optimizer_beats_naive_k1() {
-        // At n = 1e6, k = 1 costs ~n·p2 per table; the optimum must be
-        // far cheaper.
-        let t = optimize_k_l(0.9, 0.6, 1_000_000, 0.1, 40, 2.0);
-        let k1_l = (0.1f64.ln() / (1.0 - 0.9f64).ln()).ceil() as usize;
-        let k1_cost = k1_l as f64 * (2.0 + 1_000_000.0 * 0.6);
-        assert!(t.estimated_cost < k1_cost / 10.0);
-    }
-
-    #[test]
-    fn optimizer_with_tight_gap_prefers_moderate_k() {
-        // p1 ≈ p2 (hard regime): longer keys barely separate, so the
-        // optimizer should not explode k beyond max_k anyway.
-        let t = optimize_k_l(0.9, 0.88, 10_000, 0.1, 24, 2.0);
-        assert!(t.k <= 24);
-        assert!(recall_lower_bound(0.9, t.k, t.l) >= 0.9 - 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "p2 <= p1")]
-    fn optimizer_rejects_inverted_gap() {
-        let _ = optimize_k_l(0.5, 0.9, 100, 0.1, 8, 1.0);
     }
 }

@@ -75,8 +75,8 @@ impl HyperLogLog {
         Self { config, registers: vec![0; config.registers()] }
     }
 
-    /// Rebuilds a sketch from a raw register array (e.g. a row of a
-    /// frozen store's register slab being thawed back to owned form).
+    /// Rebuilds a sketch from a raw register array (e.g. the merged
+    /// registers a shard ships to the coordinator).
     ///
     /// # Panics
     /// Panics if `registers.len() != config.registers()`.
@@ -220,11 +220,6 @@ impl<'a> SketchRef<'a> {
     /// to [`HyperLogLog::estimate`] over the same registers.
     pub fn estimate(&self) -> f64 {
         estimator::estimate(self.registers)
-    }
-
-    /// Copies into an owned sketch.
-    pub fn to_owned(&self) -> HyperLogLog {
-        HyperLogLog { config: self.config, registers: self.registers.to_vec() }
     }
 }
 

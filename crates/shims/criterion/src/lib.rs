@@ -77,16 +77,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Runs one benchmark inside the group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.name, id.into().0);
-        run_one(self.criterion, &full, &mut f);
-        self
-    }
-
     /// Runs one benchmark parameterised by an input value.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
@@ -119,18 +109,6 @@ impl BenchmarkId {
     /// Identifier carrying only a parameter value.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         Self(parameter.to_string())
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        Self(s)
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        Self(s.to_string())
     }
 }
 
@@ -261,7 +239,6 @@ mod tests {
         let mut group = c.benchmark_group("g");
         group
             .bench_with_input(BenchmarkId::from_parameter(42u32), &42u32, |b, &x| b.iter(|| x * 2));
-        group.bench_function("plain", |b| b.iter(|| 1 + 1));
         group.finish();
     }
 
