@@ -14,8 +14,8 @@
 //! processes give honest numbers: load time, time to the first answered
 //! batch, and resident set (`VmRSS`) are measured in a process that
 //! never built anything. Probes cover all four load modes — `read`,
-//! `mmap`, `mmap-verify` and the planner-driven `auto` — so the
-//! planner's pick can be compared against every hand-picked mode. The
+//! `mmap`, `mmap-verify` and `auto`, which picks from the file length —
+//! so `auto`'s pick can be compared against every hand-picked mode. The
 //! headline numbers — rebuild time over snapshot cold-start, v2 bytes
 //! over v1 bytes, bytes per indexed point, the five largest sections —
 //! land in `BENCH_snapshot.json` for CI to track.
@@ -28,10 +28,7 @@ use std::io::Read as _;
 use std::time::Instant;
 
 use hlsh_core::snapshot::save_snapshot_v1;
-use hlsh_core::{
-    load_snapshot, read_layout, save_snapshot, LoadMode, MixturePreset, ShardedIndex,
-    StorageProfile,
-};
+use hlsh_core::{load_snapshot, read_layout, save_snapshot, LoadMode, MixturePreset, ShardedIndex};
 use hlsh_datagen::benchmark_mixture;
 use hlsh_families::PStableL2;
 use hlsh_vec::L2;
@@ -286,9 +283,7 @@ fn main() {
         );
     }
 
-    // Fresh child process per run: cold allocator, honest RSS. The
-    // first auto probe pays the storage probe and writes the profile
-    // sidecar; later runs read it back, like a restarting server.
+    // Fresh child process per run: cold allocator, honest RSS.
     let mut best: Vec<(&str, ProbeResult)> = Vec::new();
     for (name, _) in MODES {
         let mut runs: Vec<ProbeResult> = (0..args.runs)
@@ -384,5 +379,4 @@ fn main() {
     }
 
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(StorageProfile::cache_path(&path)).ok();
 }

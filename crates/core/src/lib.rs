@@ -121,7 +121,7 @@ pub use sharded::{
 };
 pub use snapshot::{
     load_snapshot, read_layout, read_manifest, save_snapshot, LoadMode, LoadPlan, LoadedSnapshot,
-    SnapshotError, SnapshotLayout, SnapshotManifest, StorageProfile,
+    SnapshotError, SnapshotLayout, SnapshotManifest,
 };
 pub use store::{BucketStore, FrozenStore, MapStore};
 pub use topk::{BoundedHeap, Neighbor, TopKEngine, TopKIndex, TopKOutput, TopKReport, TopKWalk};

@@ -19,9 +19,8 @@
 //! files (per-section encodings, one shared g-function area) both load
 //! through the same section schema, and queries against either are
 //! byte-identical. [`LoadMode::Auto`] resolves to a concrete backend
-//! here: a cheap preamble pass collects [`LayoutStats`], the storage
-//! profile is loaded or probed, and [`plan_load`] picks the backend and
-//! prefetch policy.
+//! here, from what the loader can see without touching the medium:
+//! whether this host can map files, and the file's length.
 
 use std::fs::File;
 use std::path::Path;
@@ -36,8 +35,6 @@ use super::format::{
 };
 use super::mmap::mmap_supported;
 use super::params::RawParams;
-use super::plan::{plan_load, LayoutStats, LoadPlan, PlannedBackend};
-use super::profile::StorageProfile;
 use super::source::SnapshotSource;
 use super::{LoadMode, SnapshotError, SnapshotManifest, TopKManifest};
 use crate::index::HybridLshIndex;
@@ -170,20 +167,6 @@ pub struct SnapshotLayout {
     pub sections: Vec<SectionInfo>,
 }
 
-impl SnapshotLayout {
-    /// Aggregates the per-section byte counts into the planner's input.
-    pub fn stats(&self) -> LayoutStats {
-        let mut stats = LayoutStats { total_bytes: self.file_len, ..Default::default() };
-        for s in &self.sections {
-            match s.encoding {
-                SectionEncoding::Raw => stats.raw_section_bytes += s.enc_len,
-                _ => stats.encoded_section_bytes += s.enc_len,
-            }
-        }
-        stats
-    }
-}
-
 /// The seven per-store array names, in schema order.
 const STORE_ARRAYS: [&str; 7] = ["keys", "prefix", "offsets", "members", "bits", "rank", "regs"];
 
@@ -236,22 +219,45 @@ pub fn read_layout(path: &Path) -> Result<SnapshotLayout, SnapshotError> {
     Ok(SnapshotLayout { version: header.version, manifest: manifest_of(&raw), file_len, sections })
 }
 
-/// Resolves [`LoadMode::Auto`] against this file and host: one cheap
-/// preamble pass for the layout statistics, then the cached-or-probed
-/// storage profile, then the pure planner.
-fn resolve_auto(path: &Path, file: &File, file_len: u64) -> Result<LoadPlan, SnapshotError> {
-    let mut probe_src = SnapshotSource::read(file.try_clone()?);
-    let (header, _, dir) = read_preamble(&mut probe_src, file_len)?;
-    let entries = decode_entries(&header, &dir)?;
-    let mut stats = LayoutStats { total_bytes: file_len, ..Default::default() };
-    for e in &entries {
-        match e.encoding {
-            SectionEncoding::Raw => stats.raw_section_bytes += e.enc_len,
-            _ => stats.encoded_section_bytes += e.enc_len,
-        }
-    }
-    let profile = StorageProfile::load_or_probe(path);
-    Ok(plan_load(profile.as_ref(), mmap_supported(), &stats))
+/// Which byte supplier [`LoadMode::Auto`] resolved to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlannedBackend {
+    /// Buffered reads in one forward pass over the file.
+    Read,
+    /// Zero-copy mapping.
+    Mmap,
+}
+
+/// How a [`LoadMode::Auto`] load was carried out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LoadPlan {
+    /// The byte supplier the load used.
+    pub backend: PlannedBackend,
+    /// Whether `madvise(SEQUENTIAL + WILLNEED)` was issued over the
+    /// mapping before section assembly (mmap backend only).
+    pub prefetch: bool,
+    /// One-line human-readable justification, for logs.
+    pub reason: &'static str,
+}
+
+/// Largest file [`LoadMode::Auto`] maps with whole-file prefetch;
+/// larger files are mapped lazily so a cold start never waits on
+/// gigabytes the first queries may not touch.
+const PREFETCH_MAX_BYTES: u64 = 2 << 30;
+
+/// The rule behind [`LoadMode::Auto`], over what the loader knows
+/// without touching the medium: buffered reads when this host cannot
+/// map files, otherwise a mapping, prefetched whole unless the file is
+/// larger than [`PREFETCH_MAX_BYTES`].
+fn auto_plan(mmap_available: bool, file_len: u64) -> LoadPlan {
+    let (backend, prefetch, reason) = if !mmap_available {
+        (PlannedBackend::Read, false, "zero-copy mapping unavailable on this host")
+    } else if file_len <= PREFETCH_MAX_BYTES {
+        (PlannedBackend::Mmap, true, "mapped with prefetch: file within the 2 GiB prefetch limit")
+    } else {
+        (PlannedBackend::Mmap, false, "mapped lazily: file beyond the 2 GiB prefetch limit")
+    };
+    LoadPlan { backend, prefetch, reason }
 }
 
 /// A cursor over the directory that also yields each entry's position
@@ -324,15 +330,18 @@ where
         LoadMode::Mmap => (SnapshotSource::mmap(&file, file_len, false)?, None),
         LoadMode::MmapVerify => (SnapshotSource::mmap(&file, file_len, true)?, None),
         LoadMode::Auto => {
-            let plan = resolve_auto(path, &file, file_len)?;
+            let mut plan = auto_plan(mmap_supported(), file_len);
             let src = match plan.backend {
                 PlannedBackend::Read => SnapshotSource::read(file),
                 PlannedBackend::Mmap => match SnapshotSource::mmap(&file, file_len, false) {
                     Ok(src) => src,
-                    // The planner consults `mmap_supported()`, but the
-                    // map call itself can still fail (e.g. exotic file
-                    // length); degrade rather than error.
-                    Err(SnapshotError::MmapUnavailable(_)) => SnapshotSource::read(file),
+                    // `mmap_supported()` said yes, but the map call itself
+                    // can still refuse; degrade to buffered reads and
+                    // report the plan that actually ran.
+                    Err(SnapshotError::MmapUnavailable(_)) => {
+                        plan = auto_plan(false, file_len);
+                        SnapshotSource::read(file)
+                    }
                     Err(e) => return Err(e),
                 },
             };
@@ -518,4 +527,32 @@ where
     }
     let rnnr = ShardedIndex::assemble(rnnr_shards, owners_all, assignment, raw.n);
     Ok(LoadedSnapshot { rnnr, topk: topk_index, manifest: manifest_of(&raw), plan })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_mapping_means_read() {
+        for len in [0, PREFETCH_MAX_BYTES, u64::MAX] {
+            let plan = auto_plan(false, len);
+            assert_eq!(plan.backend, PlannedBackend::Read);
+            assert!(!plan.prefetch);
+        }
+    }
+
+    #[test]
+    fn file_at_the_limit_is_prefetched() {
+        let plan = auto_plan(true, PREFETCH_MAX_BYTES);
+        assert_eq!(plan.backend, PlannedBackend::Mmap);
+        assert!(plan.prefetch);
+    }
+
+    #[test]
+    fn one_byte_past_the_limit_maps_lazily() {
+        let plan = auto_plan(true, PREFETCH_MAX_BYTES + 1);
+        assert_eq!(plan.backend, PlannedBackend::Mmap);
+        assert!(!plan.prefetch);
+    }
 }

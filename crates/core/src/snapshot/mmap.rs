@@ -61,7 +61,7 @@ mod sys {
 }
 
 /// Whether [`Mmap::map`] can succeed on this host (64-bit unix,
-/// little-endian). The load planner falls back to the buffered read
+/// little-endian). `LoadMode::Auto` falls back to the buffered read
 /// path when it cannot.
 pub fn mmap_supported() -> bool {
     cfg!(all(unix, target_pointer_width = "64", target_endian = "little"))

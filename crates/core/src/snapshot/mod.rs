@@ -27,10 +27,10 @@
 //! `mmap` where raw sections are borrowed straight from the mapping
 //! ([`LoadMode::Mmap`]) so the OS pages data in lazily and cold start
 //! is bounded by metadata parsing plus encoded-section decode, not
-//! index size. [`LoadMode::Auto`] picks between them per file and host:
-//! a cached-or-probed [`StorageProfile`] feeds the pure [`plan_load`]
-//! planner, which weighs one buffered forward pass against demand
-//! paging (optionally warmed by `madvise` readahead — see [`mod@plan`]).
+//! index size. [`LoadMode::Auto`] picks between them from what the
+//! loader can see: buffered reads on a host that cannot map files, a
+//! mapping warmed whole by `madvise` readahead for files up to 2 GiB,
+//! and a lazy mapping for anything larger.
 //!
 //! **Determinism contract:** queries against a loaded snapshot are
 //! byte-identical to queries against the index that wrote it — both
@@ -65,17 +65,14 @@ pub mod format;
 mod load;
 pub mod mmap;
 mod params;
-pub mod plan;
-pub mod profile;
 mod save;
 pub mod source;
 
 pub use codec::{SnapshotDistance, SnapshotFamily};
 pub use load::{
-    load_snapshot, read_layout, read_manifest, LoadedSnapshot, SectionInfo, SnapshotLayout,
+    load_snapshot, read_layout, read_manifest, LoadPlan, LoadedSnapshot, PlannedBackend,
+    SectionInfo, SnapshotLayout,
 };
-pub use plan::{plan_load, LayoutStats, LoadPlan, PlannedBackend};
-pub use profile::StorageProfile;
 pub use save::{save_snapshot, save_snapshot_v1, SaveStats};
 
 /// Sanity caps on decoded parameters, so a corrupt or adversarial file
@@ -106,12 +103,11 @@ pub enum LoadMode {
     /// `mmap` with per-section CRC verification — pays a full read of
     /// the file at load, keeps the shared-memory residency benefits.
     MmapVerify,
-    /// Let the load planner choose: a cheap preamble pass collects the
-    /// file's layout statistics, the storage medium's profile is read
-    /// from its sidecar (or probed and cached), and
-    /// [`plan_load`] picks buffered reads, a lazy mapping, or a mapping
-    /// warmed with `madvise` readahead. The resolved plan is reported
-    /// in [`LoadedSnapshot::plan`].
+    /// Choose from the host and the file length alone: buffered reads
+    /// when this host cannot map files, a mapping warmed with `madvise`
+    /// readahead for files up to 2 GiB, a lazy mapping beyond that.
+    /// Nothing is probed and nothing is written next to the file. The
+    /// resolved plan is reported in [`LoadedSnapshot::plan`].
     Auto,
 }
 

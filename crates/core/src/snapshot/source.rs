@@ -166,13 +166,8 @@ impl SnapshotSource {
         Ok(SnapshotSource::Mmap { map: Arc::new(Mmap::map(file, total_len)?), verify })
     }
 
-    /// Whether sections come back borrowing a shared mapping.
-    pub fn is_mmap(&self) -> bool {
-        matches!(self, SnapshotSource::Mmap { .. })
-    }
-
     /// Issues readahead advice over the whole mapping (no-op for the
-    /// read source) — the planner's prefetch pass.
+    /// read source) — `LoadMode::Auto`'s prefetch pass.
     pub fn advise_prefetch(&self) {
         if let SnapshotSource::Mmap { map, .. } = self {
             map.advise_prefetch();

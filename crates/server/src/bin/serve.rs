@@ -49,12 +49,12 @@
 //! before serving. `--snapshot-load PATH` skips the build entirely and
 //! cold-starts from the file — milliseconds instead of a full rebuild.
 //! `--load-mode read|mmap|mmap-verify|auto` picks how sections are
-//! materialised (default `read`); `auto` lets the storage-aware load
-//! planner choose from the file's layout and the medium's cached or
-//! probed profile, and the resolved plan is logged. The manifest is
-//! checked against the CLI parameters *before* any section is read, so
-//! a stale or mismatched file fails fast with a parameter-by-parameter
-//! message instead of silently serving the wrong index.
+//! materialised (default `read`); `auto` maps the file when the host
+//! can, prefetching it whole up to 2 GiB and lazily beyond, and the
+//! resolved plan is logged. The manifest is checked against the CLI
+//! parameters *before* any section is read, so a stale or mismatched
+//! file fails fast with a parameter-by-parameter message instead of
+//! silently serving the wrong index.
 //!
 //! # Living index
 //!
@@ -174,12 +174,12 @@ fn parse_args() -> Args {
                 }
             }
             "--addr" => out.addr = grab_str("--addr"),
-            "--port" => out.port = grab("--port") as u16,
+            "--port" => out.port = narrow("--port", grab("--port")),
             "--n" => out.preset.n = grab("--n"),
             "--dim" => out.preset.dim = grab("--dim").max(1),
             "--seed" => out.preset.seed = grab("--seed") as u64,
             "--shards" => out.shards_raw = Some(grab_str("--shards")),
-            "--shard-id" => out.shard_id = Some(grab("--shard-id") as u32),
+            "--shard-id" => out.shard_id = Some(narrow("--shard-id", grab("--shard-id"))),
             "--levels" => out.preset.levels = grab("--levels").max(1),
             "--no-topk" => out.topk = false,
             "--radius" => {
@@ -443,6 +443,12 @@ fn window_tag(args: &Args) -> String {
         Some(us) => format!("{us}us"),
         None => format!("adaptive(max={}us)", args.max_window_us),
     }
+}
+
+/// Narrows a parsed flag value to its field's width; a value that does
+/// not fit is fatal instead of silently wrapping.
+fn narrow<T: TryFrom<usize>>(name: &str, value: usize) -> T {
+    T::try_from(value).unwrap_or_else(|_| fatal(&format!("{name} {value} is out of range")))
 }
 
 fn fatal(msg: &str) -> ! {

@@ -266,3 +266,39 @@ fn sigkilled_shard_is_typed_unavailable_then_rejoins_on_its_port() {
     drop((fleet, coordinator, revived));
     let _ = std::fs::remove_file(&snap);
 }
+
+/// A flag value too wide for its field is a usage error (exit 2) that
+/// names the flag — never a silently wrapped port or shard id. Each
+/// bad value would otherwise bind (`--port 70000` as 4464) or pass the
+/// shard range check (`--shard-id 4294967297` as shard 1 of 2).
+#[test]
+fn out_of_range_port_and_shard_id_exit_with_a_usage_error() {
+    let cases = [
+        ("--port", "--n 200 --port 70000"),
+        ("--shard-id", "--n 200 --shards 2 --port 0 --role shard --shard-id 4294967297"),
+    ];
+    for (flag, args) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args.split_whitespace())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll serve") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("serve {args} was still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let _ = child.stderr.take().expect("piped stderr").read_to_string(&mut stderr);
+        assert_eq!(status.code(), Some(2), "serve {args} exit; stderr:\n{stderr}");
+        assert!(stderr.contains(flag), "the error must name {flag}: {stderr}");
+    }
+}

@@ -71,8 +71,8 @@ pub use hlsh_core::{
     Engine, FrozenStore, HybridLshIndex, IndexBuilder, LoadMode, LoadPlan, LoadedSnapshot,
     MapStore, MutationError, Neighbor, QueryEngine, QueryOutput, RadiusSchedule, RnnrIndex,
     SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex, ShardAssignment,
-    ShardedIndex, ShardedTopKIndex, SnapshotError, SnapshotLayout, SnapshotManifest,
-    StorageProfile, Strategy, TopKEngine, TopKIndex, TopKLadder, TopKOutput, VerifyMode,
+    ShardedIndex, ShardedTopKIndex, SnapshotError, SnapshotLayout, SnapshotManifest, Strategy,
+    TopKEngine, TopKIndex, TopKLadder, TopKOutput, VerifyMode,
 };
 
 /// One-line import for applications.
@@ -83,8 +83,8 @@ pub mod prelude {
         MutationError, Neighbor, QueryEngine, QueryOutput, QueryReport, RadiusSchedule,
         SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex,
         ShardAssignment, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine, ShardedTopKIndex,
-        SnapshotError, SnapshotManifest, StorageProfile, Strategy, TopKEngine, TopKIndex,
-        TopKOutput, TopKReport, VerifyMode,
+        SnapshotError, SnapshotManifest, Strategy, TopKEngine, TopKIndex, TopKOutput, TopKReport,
+        VerifyMode,
     };
     pub use hlsh_families::{
         k_paper, k_safe, BitSampling, LshFamily, MinHash, PStableL1, PStableL2, PaperParams,

@@ -14,17 +14,12 @@ use hybrid_lsh::index::snapshot::format::{
     crc32, DirEntry, Header, SectionEncoding, DIR_ENTRY_LEN, HEADER_LEN,
 };
 use hybrid_lsh::prelude::*;
-use hybrid_lsh::{LoadMode, SnapshotError, StorageProfile};
+use hybrid_lsh::{LoadMode, SnapshotError};
 
 fn temp_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("hlsh-snapshot-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir.join(format!("corrupt-{}-{}.hlsh", tag, std::process::id()))
-}
-
-fn cleanup(path: &PathBuf) {
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(StorageProfile::cache_path(path)).ok();
 }
 
 fn builder(dim: usize, tables: usize, seed: u64) -> IndexBuilder<PStableL2, L2> {
@@ -283,8 +278,8 @@ fn encoded_payload_corruption_is_caught_in_every_mode_including_plain_mmap() {
     }
     assert!(tested > 0, "fixture must contain encoded sections");
 
-    cleanup(&fixture);
-    cleanup(&path);
+    std::fs::remove_file(&fixture).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -324,8 +319,8 @@ fn truncation_mid_varint_is_a_typed_error() {
     }
     assert!(tested > 0, "fixture must contain multi-byte varint sections");
 
-    cleanup(&fixture);
-    cleanup(&path);
+    std::fs::remove_file(&fixture).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -381,8 +376,8 @@ fn encoding_tag_and_length_tampering_is_rejected() {
         }
     }
 
-    cleanup(&fixture);
-    cleanup(&path);
+    std::fs::remove_file(&fixture).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

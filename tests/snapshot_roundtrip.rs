@@ -1,9 +1,10 @@
 //! Snapshot determinism contract: queries against a loaded snapshot
 //! are byte-identical to queries against the index that wrote it —
-//! every load mode (`Read`, zero-copy `Mmap`, `MmapVerify`, and the
-//! planner-driven `Auto`), across shard counts {1, 2, 4}, for both
-//! `query_batch` and `query_topk_batch`. The v2 writer picks per-section
-//! encodings, so this suite also pins both varint codecs' decode paths.
+//! every load mode (`Read`, zero-copy `Mmap`, `MmapVerify`, and `Auto`,
+//! which picks from the file length), across shard counts {1, 2, 4},
+//! for both `query_batch` and `query_topk_batch`. The v2 writer picks
+//! per-section encodings, so this suite also pins both varint codecs'
+//! decode paths.
 //!
 //! Nothing may be re-sampled or re-derived at load time, so every
 //! g-function, sketch slab, cost coefficient and owner list must
@@ -34,13 +35,6 @@ fn rnnr_builder(dim: usize, seed: u64) -> IndexBuilder<PStableL2, L2> {
 }
 
 const MODES: [LoadMode; 4] = [LoadMode::Read, LoadMode::Mmap, LoadMode::MmapVerify, LoadMode::Auto];
-
-/// Removes a snapshot and the profile sidecar `LoadMode::Auto` caches
-/// next to it.
-fn cleanup(path: &std::path::Path) {
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(hybrid_lsh::StorageProfile::cache_path(path)).ok();
-}
 
 fn assert_rnnr_identical(
     expect: &[hybrid_lsh::QueryOutput],
@@ -127,7 +121,7 @@ fn rnnr_and_topk_round_trip_byte_identical_across_shards_and_modes() {
             let got_topk = ladder.query_topk_batch(&queries, k);
             assert_eq!(expect_topk, got_topk, "{ctx}: topk batch");
         }
-        cleanup(&path);
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -151,7 +145,41 @@ fn rnnr_only_snapshot_round_trips_without_a_ladder() {
         assert!(loaded.topk.is_none());
         assert_rnnr_identical(&expect, &loaded.rnnr.query_batch(&queries, r), &format!("{mode:?}"));
     }
-    cleanup(&path);
+    std::fs::remove_file(&path).ok();
+}
+
+/// `LoadMode::Auto` decides from the host and the file length alone:
+/// it writes nothing next to the snapshot, and on a host that can map
+/// files a small snapshot comes back mapped and prefetched.
+#[test]
+fn auto_load_leaves_the_directory_as_it_was() {
+    let (n, dim, seed) = (200usize, 6usize, 5u64);
+    let (data, _) = benchmark_mixture(dim, n, 1.2, seed);
+    let rnnr =
+        ShardedIndex::build_frozen(data, ShardAssignment::new(seed, 2), rnnr_builder(dim, seed));
+    // A directory of this test's own, so no sibling's files come and go.
+    let dir = std::env::temp_dir().join(format!("hlsh-auto-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("auto.hlsh");
+    save_snapshot(&path, &rnnr, None).expect("save");
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+
+    let loaded = load_snapshot::<PStableL2, L2>(&path, LoadMode::Auto).expect("load");
+    assert_eq!(listing(), before, "an Auto load must not write next to the snapshot");
+    let plan = loaded.plan.expect("Auto reports its plan");
+    if hybrid_lsh::index::snapshot::mmap::mmap_supported() {
+        assert_eq!(plan.backend, hybrid_lsh::index::snapshot::PlannedBackend::Mmap);
+        assert!(plan.prefetch, "a small file is prefetched whole");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A second family/metric pair (SimHash under cosine) exercises the
@@ -181,7 +209,7 @@ fn simhash_cosine_snapshot_round_trips() {
         let loaded = load_snapshot::<SimHash, Cosine>(&path, mode).expect("load");
         assert_rnnr_identical(&expect, &loaded.rnnr.query_batch(&queries, r), &format!("{mode:?}"));
     }
-    cleanup(&path);
+    std::fs::remove_file(&path).ok();
 }
 
 /// An mmap-loaded index must stay valid after the loader and its local
