@@ -1,5 +1,7 @@
 //! Fluent construction of a [`HybridLshIndex`].
 
+use std::sync::Arc;
+
 use hlsh_families::sampling::rng_stream;
 use hlsh_families::LshFamily;
 use hlsh_hll::HllConfig;
@@ -173,24 +175,20 @@ impl<F, D> IndexBuilder<F, D> {
         HllConfig::new(self.hll_precision, self.seed ^ 0x48_4C_4C)
     }
 
-    /// Samples the `L` g-functions and fixes the HLL configuration —
-    /// the deterministic part of every build path (depends only on the
-    /// builder's seed and knobs, never on the data).
-    fn prepare<P: ?Sized>(&self) -> (Vec<F::GFn>, HllConfig, usize)
+    /// Samples the `L` g-functions — the deterministic part of every
+    /// build (it depends only on the builder's seed and knobs, never on
+    /// the data). Every index built for one rung from this one set
+    /// shares it: the sharded and segmented builds call this once per
+    /// rung and hand the set to [`build_mapped`](Self::build_mapped).
+    pub(crate) fn prepare<P: ?Sized>(&self) -> Vec<Arc<F::GFn>>
     where
         F: LshFamily<P>,
     {
         assert!(self.l > 0, "need at least one hash table");
         assert!(self.k > 0, "need at least one atom per g-function");
-        let hll_config = self.hll_config();
-        let lazy_threshold = self.lazy_threshold.unwrap_or_else(|| hll_config.registers());
-        let gfns: Vec<F::GFn> = (0..self.l)
-            .map(|j| {
-                let mut rng = rng_stream(self.seed, j as u64);
-                self.family.sample(self.k, &mut rng)
-            })
-            .collect();
-        (gfns, hll_config, lazy_threshold)
+        (0..self.l)
+            .map(|j| Arc::new(self.family.sample(self.k, &mut rng_stream(self.seed, j as u64))))
+            .collect()
     }
 
     /// Like [`build`](Self::build) but decides the cost model at the
@@ -200,7 +198,6 @@ impl<F, D> IndexBuilder<F, D> {
     where
         S: PointSet + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
         self.cost = cost;
@@ -215,28 +212,31 @@ impl<F, D> IndexBuilder<F, D> {
     where
         S: PointSet + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
-        self.build_mapped(data, None)
+        let gfns = self.prepare();
+        self.build_mapped(data, gfns, None)
     }
 
-    /// [`build`](Self::build) with an optional id renaming: row `i` is
-    /// indexed under id `id_map[i]`. This is the sharded build's
-    /// global-id hook (`pub(crate)`: a renamed index is only coherent
-    /// behind a sharded engine that translates members back to rows).
+    /// [`build`](Self::build) over an already-sampled g-function set
+    /// (from [`prepare`](Self::prepare) on this builder), with an
+    /// optional id renaming: row `i` is indexed under id `id_map[i]`.
+    /// The renaming is the sharded build's global-id hook
+    /// (`pub(crate)`: a renamed index is only coherent behind a sharded
+    /// engine that translates members back to rows).
     pub(crate) fn build_mapped<S>(
         self,
         data: S,
+        gfns: Vec<Arc<F::GFn>>,
         id_map: Option<&[PointId]>,
     ) -> HybridLshIndex<S, F, D>
     where
         S: PointSet + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
-        let (gfns, hll_config, lazy_threshold) = self.prepare();
+        let hll_config = self.hll_config();
+        let lazy_threshold = self.lazy_threshold.unwrap_or(hll_config.registers());
         let cost = self.resolve_cost(&data);
         HybridLshIndex::construct(
             data,
@@ -264,29 +264,31 @@ impl<F, D> IndexBuilder<F, D> {
     where
         S: PointSet + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
-        self.build_frozen_mapped(data, None)
+        let gfns = self.prepare();
+        self.build_frozen_mapped(data, gfns, None)
     }
 
-    /// [`build_frozen`](Self::build_frozen) with the sharded build's id
-    /// renaming; see [`build_mapped`](Self::build_mapped).
+    /// [`build_frozen`](Self::build_frozen) over an already-sampled set
+    /// with the sharded build's id renaming; see
+    /// [`build_mapped`](Self::build_mapped).
     pub(crate) fn build_frozen_mapped<S>(
         self,
         data: S,
+        gfns: Vec<Arc<F::GFn>>,
         id_map: Option<&[PointId]>,
     ) -> HybridLshIndex<S, F, D, FrozenStore>
     where
         S: PointSet + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
         match self.mode {
-            BuildMode::PerPoint => self.build_mapped(data, id_map).freeze(),
+            BuildMode::PerPoint => self.build_mapped(data, gfns, id_map).freeze(),
             BuildMode::Blocked { block } => {
-                let (gfns, hll_config, lazy_threshold) = self.prepare();
+                let hll_config = self.hll_config();
+                let lazy_threshold = self.lazy_threshold.unwrap_or(hll_config.registers());
                 let cost = self.resolve_cost(&data);
                 HybridLshIndex::construct_frozen(
                     data,

@@ -26,6 +26,8 @@
 //! Every bucket carries the same lazy HLL sketch as the core index, so
 //! Algorithm 2's cost decision applies unchanged.
 
+use std::sync::Arc;
+
 use hlsh_families::sampling::{rng_stream, uniform_below};
 use hlsh_families::GFunction;
 use hlsh_hll::{HllConfig, MergeAccumulator};
@@ -126,7 +128,7 @@ where
                 // Exact-match chunk: strictly more selective than a
                 // random projection and equally correct (an empty
                 // difference set is avoided by any mask).
-                tables.push(HashTable::new(CoveringGFn { mask: chunk_mask }));
+                tables.push(HashTable::new(Arc::new(CoveringGFn { mask: chunk_mask })));
                 continue;
             }
             // Random map a : chunk bits → F₂^m.
@@ -138,7 +140,7 @@ where
                         mask |= 1u64 << (lo + offset);
                     }
                 }
-                tables.push(HashTable::new(CoveringGFn { mask }));
+                tables.push(HashTable::new(Arc::new(CoveringGFn { mask })));
             }
         }
 

@@ -576,7 +576,6 @@ impl<S, F, D, B> HybridLshIndex<S, F, D, B>
 where
     S: PointSet + Sync,
     F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {

@@ -1,6 +1,8 @@
 //! The hybrid-LSH index: Algorithm 1 (construction) and Algorithm 2
 //! (hybrid query), generic over the bucket-storage backend.
 
+use std::sync::Arc;
+
 use hlsh_families::{GFunction, LshFamily};
 use hlsh_hll::{HllConfig, MergeAccumulator};
 use hlsh_vec::{Distance, PointId, PointSet};
@@ -20,7 +22,7 @@ use crate::table::HashTable;
 /// work item of the shared parallel scaffold (results in g-function
 /// order, so the table set is deterministic on any thread count).
 fn blocked_tables<G, S, B>(
-    gfns: Vec<G>,
+    gfns: Vec<Arc<G>>,
     data: &S,
     id_map: Option<&[PointId]>,
     pipeline: BuildPipeline,
@@ -39,7 +41,7 @@ where
         gfns.len(),
         threads,
         || (),
-        |_, j| pipeline.build_store_mapped(&gfns_ref[j], data, id_map, config, lazy_threshold),
+        |_, j| pipeline.build_store_mapped(&*gfns_ref[j], data, id_map, config, lazy_threshold),
     );
     gfns.into_iter().zip(stores).map(|(g, store)| HashTable::from_parts(g, store)).collect()
 }
@@ -96,7 +98,7 @@ where
         data: S,
         family: F,
         distance: D,
-        gfns: Vec<F::GFn>,
+        gfns: Vec<Arc<F::GFn>>,
         hll_config: HllConfig,
         lazy_threshold: usize,
         cost: CostModel,
@@ -107,7 +109,6 @@ where
     ) -> Self
     where
         S: Sync,
-        F::GFn: Send,
     {
         let tables: Vec<HashTable<F::GFn>> = match mode {
             BuildMode::Blocked { block } => blocked_tables(
@@ -229,7 +230,7 @@ where
         data: S,
         family: F,
         distance: D,
-        gfns: Vec<F::GFn>,
+        gfns: Vec<Arc<F::GFn>>,
         hll_config: HllConfig,
         lazy_threshold: usize,
         cost: CostModel,
@@ -240,7 +241,6 @@ where
     ) -> Self
     where
         S: Sync,
-        F::GFn: Send,
     {
         let tables =
             blocked_tables(gfns, &data, id_map, pipeline, hll_config, lazy_threshold, parallel);
@@ -409,12 +409,21 @@ where
     }
 
     /// Step S1 + bucket lookup: the `L` buckets matching `q` and the
-    /// total collision count.
+    /// total collision count, hashing each table's key inline.
     pub(crate) fn probe(&self, q: &S::Point) -> (Vec<BucketRef<'_>>, usize) {
+        self.lookup(self.tables.iter().map(|table| table.g().bucket_key(q)))
+    }
+
+    /// S1's bucket lookup of one query's keys (`keys[j]` for table `j`):
+    /// a multi-part source hashes once and looks up in every part.
+    pub(crate) fn lookup(
+        &self,
+        keys: impl IntoIterator<Item = u64>,
+    ) -> (Vec<BucketRef<'_>>, usize) {
         let mut buckets = Vec::with_capacity(self.tables.len());
         let mut collisions = 0usize;
-        for table in &self.tables {
-            if let Some(b) = table.bucket(q) {
+        for (table, key) in self.tables.iter().zip(keys) {
+            if let Some(b) = table.bucket_for_key(key) {
                 collisions += b.len();
                 buckets.push(b);
             }

@@ -39,10 +39,13 @@
 //! rebuilt from scratch on the surviving points**
 //! ([`SegmentedIndex::build_bulk`] is that rebuild). The ingredients:
 //!
-//! 1. **Shared randomness** — every memtable and segment samples a
-//!    rung's g-functions and HLL hash from the same builder seed
-//!    (data-independent), so a point collides with a query in a
-//!    segment iff it would collide in the rebuilt index.
+//! 1. **Shared randomness** — a rung samples its g-functions once, at
+//!    creation, and every memtable and segment of every shard shares
+//!    that one set (and the rung's HLL hash); it is data-independent,
+//!    and the rebuild samples the same set from the same seed. So a
+//!    point collides with a query in a segment iff it would collide in
+//!    the rebuilt index, and a query is hashed once per rung and its
+//!    keys looked up in every part.
 //! 2. **Global ids in the registers** — clean segments contribute
 //!    their materialised sketches (hashed over global ids); dirty
 //!    segments and the memtable contribute **raw global ids** with
@@ -73,7 +76,7 @@
 
 use std::sync::Arc;
 
-use hlsh_families::LshFamily;
+use hlsh_families::{GFunction, LshFamily};
 use hlsh_hll::{HllConfig, MergeAccumulator};
 use hlsh_vec::{DenseDataset, Distance, Hit, PointId, SubsetPointSet};
 
@@ -131,10 +134,15 @@ impl std::fmt::Display for MutationError {
 impl std::error::Error for MutationError {}
 
 /// One LSH index configuration: the builder every memtable and segment
-/// of this rung is built from, plus the cost model and HLL
-/// configuration pinned at creation.
-struct Rung<F, D> {
+/// of this rung is built from, with the cost model pinned at creation,
+/// and the rung's g-functions, sampled once here and shared by every
+/// memtable and segment of every shard.
+struct Rung<F, D>
+where
+    F: LshFamily<[f32]>,
+{
     builder: IndexBuilder<F, D>,
+    gfns: Vec<Arc<F::GFn>>,
     cost: CostModel,
     hll: HllConfig,
 }
@@ -142,23 +150,23 @@ struct Rung<F, D> {
 impl<F, D> Rung<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
-    /// Pins the builder's cost model (its explicit model if set,
-    /// otherwise the empty-data default).
+    /// Samples the rung's g-functions and pins the builder's cost model
+    /// (its explicit model if set, otherwise the empty-data default).
     fn new(builder: IndexBuilder<F, D>, dim: usize) -> Self {
+        let gfns = builder.prepare();
         let cost = builder.resolve_cost(&DenseDataset::new(dim));
         let hll = builder.hll_config();
-        Self { builder, cost, hll }
+        Self { builder: builder.cost_model(cost).sequential(), gfns, cost, hll }
     }
 
     /// An empty memtable index: buckets hold memtable-local rows and are
     /// never sketched (local rows must not leak into merged registers;
     /// the level query contributes live global ids raw).
     fn memtable(&self, dim: usize) -> HybridLshIndex<DenseDataset, F, D, MapStore> {
-        let builder = self.builder.clone().cost_model(self.cost);
-        builder.lazy_threshold(usize::MAX).sequential().build(DenseDataset::new(dim))
+        let builder = self.builder.clone().lazy_threshold(usize::MAX);
+        builder.build_mapped(DenseDataset::new(dim), self.gfns.clone(), None)
     }
 
     /// A frozen index over a segment slab whose row `i` carries global
@@ -169,8 +177,7 @@ where
         data: &Arc<DenseDataset>,
         ids: &[PointId],
     ) -> HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore> {
-        let builder = self.builder.clone().cost_model(self.cost).sequential();
-        builder.build_frozen_mapped(Arc::clone(data), Some(ids))
+        self.builder.clone().build_frozen_mapped(Arc::clone(data), self.gfns.clone(), Some(ids))
     }
 }
 
@@ -258,7 +265,6 @@ where
 impl<F, D> Memtable<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     fn new(rungs: &[Rung<F, D>], dim: usize) -> Self {
@@ -303,7 +309,6 @@ where
 impl<F, D> Segment<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     /// Builds one clean segment over `data` whose row `i` carries
@@ -351,7 +356,6 @@ where
 impl<F, D> LsmShard<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     /// Compacts the two smallest segments (by live size) into one.
@@ -413,7 +417,6 @@ pub const DEFAULT_MAX_SEGMENTS: usize = 8;
 impl<F, D, L> Segmented<F, D, L>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     /// An empty index with one rung per builder.
@@ -560,8 +563,8 @@ where
             let segs = shard.segments.iter().map(move |s| Part::Seg(&s.rungs[rung], &s.meta));
             mem.into_iter().chain(segs)
         });
-        let Rung { cost, hll, .. } = self.rungs[rung];
-        SegmentedLevel { parts: parts.collect(), hll, cost, n: self.live }
+        let Rung { ref gfns, cost, hll, .. } = self.rungs[rung];
+        SegmentedLevel { parts: parts.collect(), gfns, hll, cost, n: self.live }
     }
 
     /// Number of live points.
@@ -616,7 +619,6 @@ where
 impl<F, D> SegmentedIndex<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     /// An empty segmented index for `dim`-dimensional points with the
@@ -699,7 +701,6 @@ where
 impl<F, D> SegmentedTopKIndex<F, D>
 where
     F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
     /// An empty segmented ladder with the default LSM knobs.
@@ -879,18 +880,19 @@ where
         }
     }
 
-    /// S1 on this part: the probed buckets and their **live** member
-    /// count (dead memtable rows and tombstoned segment rows excluded).
-    fn probe(&self, q: &[f32]) -> (Vec<BucketRef<'a>>, usize) {
+    /// S1 on this part for the rung's keys of one query: the probed
+    /// buckets and their **live** member count (dead memtable rows and
+    /// tombstoned segment rows excluded).
+    fn probe(&self, keys: &[u64]) -> (Vec<BucketRef<'a>>, usize) {
         match *self {
             Part::Mem(index, rows) => {
-                let (buckets, _) = index.probe(q);
+                let (buckets, _) = index.lookup(keys.iter().copied());
                 let members = buckets.iter().flat_map(|b| b.members());
                 let collisions = members.filter(|&&row| rows.live[row as usize]).count();
                 (buckets, collisions)
             }
             Part::Seg(index, meta) => {
-                let (buckets, collisions) = index.probe(q);
+                let (buckets, collisions) = index.lookup(keys.iter().copied());
                 if !meta.is_dirty() {
                     return (buckets, collisions);
                 }
@@ -921,6 +923,8 @@ where
     D: Distance<[f32]>,
 {
     parts: Vec<Part<'a, F, D>>,
+    /// The rung's shared g-functions: a query is hashed once with them.
+    gfns: &'a [Arc<F::GFn>],
     hll: HllConfig,
     cost: CostModel,
     /// The live point count.
@@ -950,13 +954,15 @@ where
         self.cost
     }
 
+    /// Hashes `q` once and looks the `L` keys up in every part.
     fn probe(&self, q: &[f32]) -> (Vec<Vec<BucketRef<'_>>>, usize) {
+        let keys: Vec<u64> = self.gfns.iter().map(|g| g.bucket_key(q)).collect();
         let mut collisions = 0;
         let probe = self
             .parts
             .iter()
             .map(|part| {
-                let (buckets, c) = part.probe(q);
+                let (buckets, c) = part.probe(&keys);
                 collisions += c;
                 buckets
             })
@@ -1089,8 +1095,11 @@ fn collect_seg_cands(
 mod tests {
     use super::*;
     use crate::sharded::{ShardedIndex, ShardedTopKIndex};
+    use hlsh_families::pstable::PStableGFn;
     use hlsh_families::PStableL2;
     use hlsh_vec::L2;
+    use rand::rngs::StdRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const DIM: usize = 2;
 
@@ -1476,5 +1485,116 @@ mod tests {
             index.delete(id).unwrap();
         }
         assert!(index.query_topk(&point(0), 5).neighbors.is_empty());
+    }
+
+    // -- one g-function set per rung ---------------------------------
+
+    /// Asserts every memtable and segment of every shard holds, table by
+    /// table, the very g-function allocation its rung sampled.
+    fn assert_shared<L>(index: &Segmented<PStableL2, L2, L>, context: &str) {
+        for (li, rung) in index.rungs.iter().enumerate() {
+            for shard in &index.shards {
+                let mem: Vec<_> = shard.mem.rungs[li].raw_tables().iter().map(|t| t.g()).collect();
+                let segs = shard.segments.iter().map(|seg| {
+                    seg.rungs[li].raw_tables().iter().map(|t| t.g()).collect::<Vec<_>>()
+                });
+                for gfns in std::iter::once(mem).chain(segs) {
+                    assert_eq!(gfns.len(), rung.gfns.len(), "{context}: rung {li}");
+                    for (g, sampled) in gfns.into_iter().zip(&rung.gfns) {
+                        assert!(Arc::ptr_eq(g, sampled), "{context}: rung {li}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_part_of_a_rung_shares_its_g_functions() {
+        fn history<L: Face>() {
+            let ids: Vec<PointId> = (0..60).collect();
+            let empty = L::empty(ShardAssignment::new(4, 2), 16, 2);
+            let mut index = empty.bulk(dataset(&ids), &ids);
+            assert_shared(&index, "bulk build");
+            for id in 60..160 {
+                index.insert(id, &point(id)).unwrap();
+            }
+            assert!(index.segment_counts().iter().all(|&c| c == 2), "budget merges ran");
+            assert_shared(&index, "inserts, flushes and budget merges");
+            for id in (0..160).step_by(3) {
+                index.delete(id).unwrap();
+            }
+            index.flush();
+            assert_shared(&index, "flush");
+            index.compact();
+            assert_eq!(index.segment_counts(), vec![1, 1]);
+            assert_shared(&index, "compact");
+        }
+        history::<()>();
+        history::<RadiusSchedule>();
+    }
+
+    /// A p-stable family whose g-functions count their `bucket_key`
+    /// calls in one shared counter.
+    #[derive(Clone)]
+    struct Counting {
+        inner: PStableL2,
+        calls: Arc<AtomicUsize>,
+    }
+
+    struct CountingGFn {
+        inner: PStableGFn,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl GFunction<[f32]> for CountingGFn {
+        fn bucket_key(&self, p: &[f32]) -> u64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.bucket_key(p)
+        }
+
+        fn k(&self) -> usize {
+            GFunction::<[f32]>::k(&self.inner)
+        }
+    }
+
+    impl LshFamily<[f32]> for Counting {
+        type GFn = CountingGFn;
+
+        fn sample(&self, k: usize, rng: &mut StdRng) -> CountingGFn {
+            CountingGFn { inner: self.inner.sample(k, rng), calls: Arc::clone(&self.calls) }
+        }
+
+        fn collision_prob(&self, r: f64) -> f64 {
+            LshFamily::<[f32]>::collision_prob(&self.inner, r)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn a_multi_part_query_hashes_once() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let family = Counting { inner: PStableL2::new(DIM, 2.0), calls: Arc::clone(&calls) };
+        let builder = IndexBuilder::new(family, L2)
+            .tables(8)
+            .hash_len(4)
+            .seed(11)
+            .cost_model(CostModel::from_ratio(4.0));
+        let mut index =
+            SegmentedIndex::with_limits(DIM, ShardAssignment::new(6, 2), builder, 20, 8);
+        for id in 0..110 {
+            index.insert(id, &point(id)).unwrap();
+        }
+        assert!(index.segment_counts().iter().all(|&c| c >= 2), "{:?}", index.segment_counts());
+        assert!(index.shards.iter().all(|shard| shard.mem.rows.live_rows > 0));
+        let parts = index.rung_level(0).parts.len();
+        for qi in [0, 33, 97] {
+            calls.store(0, Ordering::Relaxed);
+            let out = index.query_with_strategy(&point(qi), 1.0, Strategy::LshOnly);
+            assert!(out.ids.contains(&qi));
+            assert_eq!(calls.load(Ordering::Relaxed), 8, "L hashes for {parts} parts");
+        }
     }
 }

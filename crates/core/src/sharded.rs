@@ -15,8 +15,11 @@
 //! are element-wise maxima). Two properties make the merge
 //! *byte-identical* to an unsharded index over the same data:
 //!
-//! 1. **Shared randomness, global ids** — every shard samples a rung's
-//!    g-functions and HLL hash from the same builder seed, and shard
+//! 1. **Shared randomness, global ids** — a rung's g-functions are
+//!    sampled once (decoded once by the snapshot loader) and held once:
+//!    every shard's table `j` shares the one `Arc` of g-function `j`,
+//!    so a query is hashed once per rung and its keys looked up in
+//!    every shard. Every shard uses the same HLL hash, and shard
 //!    tables store the points' **global** ids (the build pipeline's
 //!    id-mapping hook), so bucket members *and sketch element hashes*
 //!    are exactly the unsharded bucket restricted to the shard's
@@ -46,7 +49,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use hlsh_families::LshFamily;
+use hlsh_families::{GFunction, LshFamily};
 use hlsh_hll::hash::splitmix64;
 use hlsh_hll::{HllConfig, MergeAccumulator};
 use hlsh_vec::parallel::par_map_with;
@@ -202,7 +205,6 @@ mod rungs {
     where
         S: PointSet + Send + Sync,
         F: LshFamily<S::Point>,
-        F::GFn: Send,
         D: Distance<S::Point>,
     {
         type Frozen = TopKIndex<S, F, D, FrozenStore>;
@@ -323,13 +325,17 @@ where
         self.shards[0].cost_model()
     }
 
+    /// Hashes `q` once with the rung's shared g-functions and looks the
+    /// `L` keys up in every viewed shard.
     fn probe(&self, q: &T::Point) -> (Vec<Vec<BucketRef<'_>>>, usize) {
+        let keys: Vec<u64> =
+            self.shards[0].raw_tables().iter().map(|t| t.g().bucket_key(q)).collect();
         let mut collisions = 0;
         let probe = self
             .shards
             .iter()
             .map(|shard| {
-                let (buckets, c) = shard.probe(q);
+                let (buckets, c) = shard.lookup(keys.iter().copied());
                 collisions += c;
                 buckets
             })
@@ -387,15 +393,17 @@ where
 }
 
 impl<X> Sharded<X> {
-    /// The build scaffold: partitions `data`, pins on each rung builder
-    /// its cost model resolved **once on the full data**, then builds
-    /// every shard in its own worker as `build_shard(rows, global_ids,
-    /// rung_builders)`. `data` is dropped once the shards are cut.
+    /// The build scaffold: partitions `data`, samples each rung's
+    /// g-functions **once** and pins on its builder its cost model
+    /// resolved **once on the full data**, then builds every shard in
+    /// its own worker as `build_shard(rows, global_ids, rungs)`, where
+    /// `rungs[li]` is rung `li`'s builder and its shared set. `data` is
+    /// dropped once the shards are cut.
     fn build_each<S, F, D>(
         data: S,
         assignment: ShardAssignment,
         builders: impl IntoIterator<Item = IndexBuilder<F, D>>,
-        build_shard: impl Fn(S, &[PointId], &[IndexBuilder<F, D>]) -> X + Sync,
+        build_shard: impl Fn(S, &[PointId], &[(IndexBuilder<F, D>, Vec<Arc<F::GFn>>)]) -> X + Sync,
     ) -> Self
     where
         S: SubsetPointSet + Sync,
@@ -411,15 +419,16 @@ impl<X> Sharded<X> {
         // whenever more than one shard exists.
         let sequential = owners.len() > 1;
         let pin = |b: IndexBuilder<F, D>| {
+            let gfns = b.prepare();
             let cost = b.resolve_cost(&data);
-            (if sequential { b.sequential() } else { b }).cost_model(cost)
+            ((if sequential { b.sequential() } else { b }).cost_model(cost), gfns)
         };
-        let builders: Vec<_> = builders.into_iter().map(pin).collect();
+        let rungs: Vec<_> = builders.into_iter().map(pin).collect();
         let shards = par_map_with(
             owners.len(),
             None,
             || (),
-            |_, si| build_shard(data.subset(&owners[si]), &owners[si], &builders),
+            |_, si| build_shard(data.subset(&owners[si]), &owners[si], &rungs),
         );
         drop(data);
         Self { shards, owners, local_of, assignment, n }
@@ -523,15 +532,15 @@ impl<S, F, D> ShardedIndex<S, F, D, MapStore>
 where
     S: SubsetPointSet + Send + Sync,
     F: LshFamily<S::Point>,
-    F::GFn: Send,
     D: Distance<S::Point>,
 {
     /// Partitions `data` per `assignment` and builds one index per
     /// shard in parallel, with one cost model (the builder's, or one
-    /// calibration on the full data) and one seed for every shard.
+    /// calibration on the full data) and one g-function set for every
+    /// shard.
     pub fn build(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, [builder], |rows, ids, b| {
-            b[0].clone().build_mapped(rows, Some(ids))
+        Self::build_each(data, assignment, [builder], |rows, ids, r| {
+            r[0].0.clone().build_mapped(rows, r[0].1.clone(), Some(ids))
         })
     }
 }
@@ -540,14 +549,13 @@ impl<S, F, D> ShardedIndex<S, F, D, FrozenStore>
 where
     S: SubsetPointSet + Send + Sync,
     F: LshFamily<S::Point>,
-    F::GFn: Send,
     D: Distance<S::Point>,
 {
     /// Like [`ShardedIndex::build`] but every shard's tables are laid
     /// out directly as frozen CSR arenas (no intermediate hashmaps).
     pub fn build_frozen(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, [builder], |rows, ids, b| {
-            b[0].clone().build_frozen_mapped(rows, Some(ids))
+        Self::build_each(data, assignment, [builder], |rows, ids, r| {
+            r[0].0.clone().build_frozen_mapped(rows, r[0].1.clone(), Some(ids))
         })
     }
 }
@@ -620,7 +628,6 @@ impl<S, F, D, B> ShardedIndex<S, F, D, B>
 where
     S: PointSet + Sync,
     F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {
@@ -655,13 +662,13 @@ impl<S, F, D> ShardedTopKIndex<S, F, D, MapStore>
 where
     S: SubsetPointSet + Send + Sync,
     F: LshFamily<S::Point>,
-    F::GFn: Send,
     D: Distance<S::Point>,
 {
     /// Partitions `data` and builds one schedule ladder per shard in
     /// parallel. `level_builder(level, radius)` configures each level
-    /// as for [`TopKIndex::build`]; each level's cost model is resolved
-    /// once on the **full** data and shared by every shard.
+    /// as for [`TopKIndex::build`]; each level's g-functions are
+    /// sampled and its cost model resolved once on the **full** data,
+    /// and both are shared by every shard.
     pub fn build<M>(
         data: S,
         assignment: ShardAssignment,
@@ -672,8 +679,12 @@ where
         M: FnMut(usize, f64) -> IndexBuilder<F, D>,
     {
         let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r));
-        Self::build_each(data, assignment, builders, |rows, ids, b| {
-            TopKIndex::build_mapped(rows, schedule, |li, _| b[li].clone(), Some(ids))
+        Self::build_each(data, assignment, builders, |rows, ids, rungs| {
+            let rows = Arc::new(rows);
+            let levels = rungs
+                .iter()
+                .map(|(b, g)| b.clone().build_mapped(Arc::clone(&rows), g.clone(), Some(ids)));
+            TopKIndex::assemble(Arc::clone(&rows), schedule, levels.collect())
         })
     }
 }
@@ -682,7 +693,6 @@ impl<S, F, D> ShardedTopKIndex<S, F, D, FrozenStore>
 where
     S: SubsetPointSet + Send + Sync,
     F: LshFamily<S::Point>,
-    F::GFn: Send,
     D: Distance<S::Point>,
 {
     /// Like [`ShardedTopKIndex::build`] but every rung is laid out
@@ -698,12 +708,12 @@ where
         M: FnMut(usize, f64) -> IndexBuilder<F, D>,
     {
         let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r));
-        Self::build_each(data, assignment, builders, |rows, ids, b| {
+        Self::build_each(data, assignment, builders, |rows, ids, rungs| {
             let rows = Arc::new(rows);
-            let levels =
-                b.iter().map(|b| b.clone().build_frozen_mapped(Arc::clone(&rows), Some(ids)));
-            let levels = levels.collect();
-            TopKIndex::assemble(rows, schedule, levels)
+            let levels = rungs.iter().map(|(b, g)| {
+                b.clone().build_frozen_mapped(Arc::clone(&rows), g.clone(), Some(ids))
+            });
+            TopKIndex::assemble(Arc::clone(&rows), schedule, levels.collect())
         })
     }
 }
@@ -730,7 +740,6 @@ impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
 where
     S: PointSet + Send + Sync,
     F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {

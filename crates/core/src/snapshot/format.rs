@@ -594,9 +594,9 @@ impl<'a> ParamReader<'a> {
             .collect())
     }
 
-    /// Takes the unread remainder of the block, consuming it. Used for
-    /// the v2 g-function area, which is stored once and decoded once
-    /// per shard with a fresh reader over these bytes.
+    /// Takes the unread remainder of the block, consuming it. The loader
+    /// takes the g-function area this way, to decode each set once and
+    /// check v1's per-shard repeats byte for byte.
     pub fn take_rest(&mut self) -> &'a [u8] {
         let out = &self.buf[self.pos..];
         self.pos = self.buf.len();

@@ -18,9 +18,12 @@
 //! all-raw directory entries, g-functions repeated per shard) and v2
 //! files (per-section encodings, one shared g-function area) both load
 //! through the same section schema, and queries against either are
-//! byte-identical. [`LoadMode::Auto`] resolves to a concrete backend
-//! here, from what the loader can see without touching the medium:
-//! whether this host can map files, and the file's length.
+//! byte-identical. Either way each g-function set is decoded once and
+//! every shard's tables share it; a v1 file whose shards' sets differ
+//! is [`SnapshotError::Malformed`]. [`LoadMode::Auto`] resolves to a
+//! concrete backend here, from what the loader can see without
+//! touching the medium: whether this host can map files, and the
+//! file's length.
 
 use std::fs::File;
 use std::path::Path;
@@ -304,6 +307,19 @@ fn load_store(
         .map_err(SnapshotError::Malformed)
 }
 
+/// Reads one index's table stores, pairing table `j`'s with the shared
+/// g-function `set[j]`.
+fn load_tables<G>(
+    src: &mut SnapshotSource,
+    cur: &mut EntryCursor<'_>,
+    set: &[Arc<G>],
+    hll: HllConfig,
+) -> Result<Vec<HashTable<G, FrozenStore>>, SnapshotError> {
+    set.iter()
+        .map(|g| Ok(HashTable::from_parts(Arc::clone(g), load_store(src, cur, hll)?)))
+        .collect()
+}
+
 /// Loads a snapshot written by [`save_snapshot`](super::save_snapshot)
 /// (v2) or [`save_snapshot_v1`](super::save_snapshot_v1).
 ///
@@ -378,63 +394,31 @@ where
         }
         None => Vec::new(),
     };
-    let decode_gfn = |r: &mut ParamReader, k: usize| -> Result<F::GFn, SnapshotError> {
-        let g = F::decode_gfn(r)?;
-        if F::gfn_shape(&g) != (raw.dim, k) {
-            return Err(SnapshotError::Malformed("g-function shape disagrees with parameters"));
-        }
-        Ok(g)
+    let decode_set = |r: &mut ParamReader, tables: usize, k: usize| {
+        (0..tables)
+            .map(|_| {
+                let g = F::decode_gfn(r)?;
+                if F::gfn_shape(&g) != (raw.dim, k) {
+                    return Err(SnapshotError::Malformed(
+                        "g-function shape disagrees with parameters",
+                    ));
+                }
+                Ok(Arc::new(g))
+            })
+            .collect::<Result<Vec<_>, SnapshotError>>()
     };
-    let mut rnnr_gfns: Vec<Vec<F::GFn>> = Vec::with_capacity(raw.shards);
-    let mut topk_gfns: Vec<Vec<Vec<F::GFn>>> = Vec::new();
-    if header.version == VERSION_V1 {
-        // v1: every g-function verbatim — all shards' radius tables,
-        // then all shards' ladder tables.
-        for _ in 0..raw.shards {
-            let gfns = (0..raw.rnnr.tables)
-                .map(|_| decode_gfn(&mut r, raw.rnnr.k))
-                .collect::<Result<Vec<_>, _>>()?;
-            rnnr_gfns.push(gfns);
-        }
-        if let Some(tk) = &raw.topk {
-            for _ in 0..raw.shards {
-                let mut per_level = Vec::with_capacity(tk.levels.len());
-                for g in &tk.levels {
-                    per_level.push(
-                        (0..g.tables)
-                            .map(|_| decode_gfn(&mut r, g.k))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
-                }
-                topk_gfns.push(per_level);
-            }
-        }
-        r.finish()?;
-    } else {
-        // v2: the area is stored once (shards carry byte-identical
-        // g-functions — the writer verified it); decode it afresh per
-        // shard so no `Clone` bound is needed on the g-function type.
-        let area = r.take_rest();
-        for _ in 0..raw.shards {
-            let mut ar = ParamReader::new(area);
-            let gfns = (0..raw.rnnr.tables)
-                .map(|_| decode_gfn(&mut ar, raw.rnnr.k))
-                .collect::<Result<Vec<_>, _>>()?;
-            rnnr_gfns.push(gfns);
-            if let Some(tk) = &raw.topk {
-                let mut per_level = Vec::with_capacity(tk.levels.len());
-                for g in &tk.levels {
-                    per_level.push(
-                        (0..g.tables)
-                            .map(|_| decode_gfn(&mut ar, g.k))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
-                }
-                topk_gfns.push(per_level);
-            }
-            ar.finish()?;
-        }
-    }
+    let decode_rnnr = |r: &mut ParamReader| decode_set(r, raw.rnnr.tables, raw.rnnr.k);
+    let decode_ladder = |r: &mut ParamReader| {
+        let levels = raw.topk.iter().flat_map(|tk| &tk.levels);
+        levels.map(|g| decode_set(r, g.tables, g.k)).collect::<Result<Vec<_>, _>>()
+    };
+    // Each set is decoded once and shared by every shard's tables. v1
+    // repeats each set per shard (all shards' radius sets, then all
+    // shards' ladder sets); v2 stores each once.
+    let copies = if header.version == VERSION_V1 { raw.shards } else { 1 };
+    let (rnnr_set, rest) = decode_repeated(r.take_rest(), copies, decode_rnnr)?;
+    let (level_sets, rest) = decode_repeated(rest, copies, decode_ladder)?;
+    ParamReader::new(rest).finish()?;
 
     // --- sections, in the writer's fixed order ---
     let entries = decode_entries(&header, &dir)?;
@@ -449,7 +433,7 @@ where
     let mut data_secs: Vec<Section<f32>> = Vec::with_capacity(raw.shards);
     let mut seen = vec![false; raw.n];
     let mut rnnr_shards = Vec::with_capacity(raw.shards);
-    for gfns in rnnr_gfns {
+    for _ in 0..raw.shards {
         let (i, e) = cur.next()?;
         let owners_sec: Section<PointId> = src.section(i, e)?;
         let owners = owners_sec.to_vec();
@@ -468,15 +452,11 @@ where
         if has_topk && !data_sec.is_shared() {
             data_sec = Section::shared(Arc::new(data_sec.into_vec()));
         }
-        let tables = gfns
-            .into_iter()
-            .map(|g| Ok(HashTable::from_parts(g, load_store(&mut src, &mut cur, hll)?)))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
         rnnr_shards.push(HybridLshIndex::assemble(
             DenseDataset::from_section(data_sec.clone(), raw.dim),
             family.clone(),
             D::default(),
-            tables,
+            load_tables(&mut src, &mut cur, &rnnr_set, hll)?,
             hll,
             raw.rnnr.lazy,
             cost,
@@ -494,26 +474,16 @@ where
     if let Some(tk) = &raw.topk {
         let schedule = RadiusSchedule::new(tk.base, tk.ratio, tk.levels.len());
         let mut ladders = Vec::with_capacity(raw.shards);
-        for (s, per_level) in topk_gfns.into_iter().enumerate() {
-            let data = Arc::new(DenseDataset::from_section(data_secs[s].clone(), raw.dim));
+        for data_sec in &data_secs {
+            let data = Arc::new(DenseDataset::from_section(data_sec.clone(), raw.dim));
             let mut levels = Vec::with_capacity(tk.levels.len());
-            for (group, (gfns, lvl_family)) in
-                tk.levels.iter().zip(per_level.into_iter().zip(&level_families))
+            for ((group, set), lvl_family) in tk.levels.iter().zip(&level_sets).zip(&level_families)
             {
-                let tables = gfns
-                    .into_iter()
-                    .map(|g| {
-                        Ok(HashTable::from_parts(
-                            g,
-                            load_store(&mut src, &mut cur, group.hll_config())?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
                 levels.push(HybridLshIndex::assemble(
                     Arc::clone(&data),
                     lvl_family.clone(),
                     D::default(),
-                    tables,
+                    load_tables(&mut src, &mut cur, set, group.hll_config())?,
                     group.hll_config(),
                     group.lazy,
                     group.cost_model(),
@@ -527,6 +497,31 @@ where
     }
     let rnnr = ShardedIndex::assemble(rnnr_shards, owners_all, assignment, raw.n);
     Ok(LoadedSnapshot { rnnr, topk: topk_index, manifest: manifest_of(&raw), plan })
+}
+
+/// Decodes one g-function set from the front of `area` and checks that
+/// `copies - 1` byte-identical repeats follow it: a v1 file stores every
+/// shard's set, and every shard of a rung must hold the same one.
+/// Returns the set and the bytes after the repeats.
+fn decode_repeated<'a, T>(
+    area: &'a [u8],
+    copies: usize,
+    decode: impl FnOnce(&mut ParamReader<'a>) -> Result<T, SnapshotError>,
+) -> Result<(T, &'a [u8]), SnapshotError> {
+    let mut r = ParamReader::new(area);
+    let set = decode(&mut r)?;
+    let rest = r.take_rest();
+    let one = &area[..area.len() - rest.len()];
+    let repeats =
+        one.len().checked_mul(copies.saturating_sub(1)).ok_or(SnapshotError::Truncated)?;
+    if rest.len() < repeats {
+        return Err(SnapshotError::Truncated);
+    }
+    let (repeated, rest) = rest.split_at(repeats);
+    if repeated.chunks(one.len().max(1)).any(|copy| copy != one) {
+        return Err(SnapshotError::Malformed("shards disagree on g-functions"));
+    }
+    Ok((set, rest))
 }
 
 #[cfg(test)]

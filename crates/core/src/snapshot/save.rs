@@ -14,9 +14,9 @@
 //! with no alignment right after the directory, raw sections follow
 //! aligned for the mmap path (runtime page size when at least a page
 //! long, 64 bytes otherwise), and the g-function area is stored **once**
-//! — the shared-randomness invariant says every shard carries identical
-//! g-functions, which the writer verifies byte-for-byte before relying
-//! on it. [`save_snapshot_v1`] retains the original all-raw,
+//! — every shard of a rung holds the one set its rung sampled or
+//! decoded (the shared-randomness invariant), so the writer writes
+//! shard 0's. [`save_snapshot_v1`] retains the original all-raw,
 //! all-page-aligned layout for compatibility tests and benchmarks.
 
 use std::fs::File;
@@ -309,29 +309,28 @@ where
     })
 }
 
-/// Encodes one shard's full g-function area (radius tables, then every
-/// top-k level's tables) — the unit the v2 format stores once.
-fn shard_gfn_area<F, D>(
+/// Encodes the g-function sets: the radius index's tables, then every
+/// top-k level's tables. Every shard of a rung holds the same set by
+/// construction (sampled or decoded once), so shard 0's is the set; v2
+/// stores each once, v1 once per shard.
+fn gfn_sets<F, D>(
     rnnr: &ShardedIndex<DenseDataset, F, D, FrozenStore>,
     topk: Option<&ShardedTopKIndex<DenseDataset, F, D, FrozenStore>>,
-    s: usize,
-) -> Vec<u8>
+) -> [Vec<u8>; 2]
 where
     F: SnapshotFamily,
     D: SnapshotDistance,
 {
-    let mut w = ParamWriter::new();
-    for table in rnnr.shards()[s].raw_tables() {
-        F::encode_gfn(table.g(), &mut w);
+    let (mut radius, mut ladder) = (ParamWriter::new(), ParamWriter::new());
+    for table in rnnr.shards()[0].raw_tables() {
+        F::encode_gfn(table.g(), &mut radius);
     }
-    if let Some(tk) = topk {
-        for level in tk.shards()[s].levels() {
-            for table in level.raw_tables() {
-                F::encode_gfn(table.g(), &mut w);
-            }
+    for level in topk.iter().flat_map(|tk| tk.shards()[0].levels()) {
+        for table in level.raw_tables() {
+            F::encode_gfn(table.g(), &mut ladder);
         }
     }
-    w.into_bytes()
+    [radius.into_bytes(), ladder.into_bytes()]
 }
 
 /// Collects every section payload in the format's fixed schema order:
@@ -398,19 +397,13 @@ where
     let raw = validate(rnnr, topk)?;
     let dir_count = raw.expected_sections();
 
-    // Scalars, then the g-function area exactly once. Every shard's
-    // area must be byte-identical (the shared-randomness invariant the
-    // sharded builder guarantees); verify rather than trust.
+    // Scalars, then each g-function set exactly once.
     let mut pw = ParamWriter::new();
     raw.encode(&mut pw);
-    let gfn_area = shard_gfn_area(rnnr, topk, 0);
-    for s in 1..raw.shards {
-        if shard_gfn_area(rnnr, topk, s) != gfn_area {
-            return Err(SnapshotError::Inconsistent("shards disagree on g-functions"));
-        }
-    }
     let mut param = pw.into_bytes();
-    param.extend_from_slice(&gfn_area);
+    for set in gfn_sets(rnnr, topk) {
+        param.extend_from_slice(&set);
+    }
 
     let param_off = HEADER_LEN as u64;
     let param_len = param.len() as u64;
@@ -518,21 +511,10 @@ where
     // radius tables, then all shards' ladder tables (the v1 layout).
     let mut pw = ParamWriter::new();
     raw.encode(&mut pw);
-    for shard in rnnr.shards() {
-        for table in shard.raw_tables() {
-            F::encode_gfn(table.g(), &mut pw);
-        }
+    let mut param = pw.into_bytes();
+    for set in gfn_sets(rnnr, topk) {
+        param.extend_from_slice(&set.repeat(raw.shards));
     }
-    if let Some(tk) = topk {
-        for shard in tk.shards() {
-            for level in shard.levels() {
-                for table in level.raw_tables() {
-                    F::encode_gfn(table.g(), &mut pw);
-                }
-            }
-        }
-    }
-    let param = pw.into_bytes();
 
     let param_off = HEADER_LEN as u64;
     let param_len = param.len() as u64;

@@ -1,4 +1,7 @@
-//! One LSH hash table: a g-function plus a pluggable bucket store.
+//! One LSH hash table: a shared g-function plus a pluggable bucket
+//! store.
+
+use std::sync::Arc;
 
 use hlsh_families::GFunction;
 use hlsh_hll::HllConfig;
@@ -10,27 +13,30 @@ use crate::store::{BucketStore, FrozenStore, MapStore};
 /// A single hash table `T_j` with hash function `g_j`, generic over its
 /// storage backend `B` ([`MapStore`] while building/streaming,
 /// [`FrozenStore`] after [`freeze`](Self::freeze)).
+/// The g-function is a shared handle: table `j` of every part of one
+/// rung (shard, memtable, segment) holds the same `Arc`.
 #[derive(Clone, Debug)]
 pub struct HashTable<G, B = MapStore> {
-    g: G,
+    g: Arc<G>,
     store: B,
 }
 
 impl<G, B: BucketStore> HashTable<G, B> {
     /// Creates an empty table around a sampled g-function.
-    pub fn new(g: G) -> Self {
+    pub fn new(g: Arc<G>) -> Self {
         Self { g, store: B::new() }
     }
 
     /// Assembles a table from a g-function and an already-built store —
     /// the blocked build pipeline's terminal step, which builds stores
     /// for all `L` tables in parallel and zips them back together.
-    pub fn from_parts(g: G, store: B) -> Self {
+    pub fn from_parts(g: Arc<G>, store: B) -> Self {
         Self { g, store }
     }
 
-    /// The table's g-function.
-    pub fn g(&self) -> &G {
+    /// The table's g-function, as the handle every table of the rung
+    /// shares (method calls and `&G` arguments deref through it).
+    pub fn g(&self) -> &Arc<G> {
         &self.g
     }
 
@@ -110,7 +116,7 @@ mod tests {
     fn insert_and_lookup() {
         let family = BitSampling::new(64);
         let g = family.sample(8, &mut rng_stream(3, 0));
-        let mut t: HashTable<_> = HashTable::new(g);
+        let mut t: HashTable<_> = HashTable::new(Arc::new(g));
         let a = BinaryVec::from_u64(0xFFFF_0000_FFFF_0000);
         let b = BinaryVec::from_u64(0x0000_FFFF_0000_FFFF);
         t.insert(0, a.words(), cfg(), 128);
@@ -129,7 +135,7 @@ mod tests {
     fn missing_bucket_is_none() {
         let family = BitSampling::new(64);
         let g = family.sample(8, &mut rng_stream(4, 0));
-        let t: HashTable<_> = HashTable::new(g);
+        let t: HashTable<_> = HashTable::new(Arc::new(g));
         let q = BinaryVec::from_u64(42);
         assert!(t.bucket(q.words()).is_none());
         assert_eq!(t.bucket_count(), 0);
@@ -140,7 +146,7 @@ mod tests {
     fn bucket_for_key_matches_bucket() {
         let family = BitSampling::new(64);
         let g = family.sample(8, &mut rng_stream(5, 0));
-        let mut t: HashTable<_> = HashTable::new(g);
+        let mut t: HashTable<_> = HashTable::new(Arc::new(g));
         let p = BinaryVec::from_u64(12345);
         t.insert(7, p.words(), cfg(), 128);
         let key = t.g().bucket_key(p.words());
@@ -154,7 +160,7 @@ mod tests {
     fn freeze_preserves_lookups() {
         let family = BitSampling::new(64);
         let g = family.sample(10, &mut rng_stream(6, 0));
-        let mut t: HashTable<_> = HashTable::new(g);
+        let mut t: HashTable<_> = HashTable::new(Arc::new(g));
         let points: Vec<BinaryVec> = (0..300u64)
             .map(|i| BinaryVec::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();

@@ -231,7 +231,6 @@ impl<S, F, D> TopKIndex<S, F, D, MapStore>
 where
     S: PointSet + Send + Sync,
     F: LshFamily<S::Point>,
-    F::GFn: Send,
     D: Distance<S::Point>,
 {
     /// Builds one hybrid index per schedule level over a shared copy of
@@ -240,24 +239,7 @@ where
     /// `level_builder(level, radius)` returns the fully configured
     /// [`IndexBuilder`] for that level; radius-dependent knobs (hash
     /// width `w`, concatenation width `k`) belong in the closure.
-    pub fn build<M>(data: S, schedule: RadiusSchedule, level_builder: M) -> Self
-    where
-        M: FnMut(usize, f64) -> IndexBuilder<F, D>,
-    {
-        Self::build_mapped(data, schedule, level_builder, None)
-    }
-
-    /// [`build`](Self::build) with the sharded build's id renaming
-    /// applied to every level (see
-    /// [`IndexBuilder::build_mapped`](crate::builder::IndexBuilder)):
-    /// row `i` is indexed under `id_map[i]` in every level's buckets
-    /// and sketches.
-    pub(crate) fn build_mapped<M>(
-        data: S,
-        schedule: RadiusSchedule,
-        mut level_builder: M,
-        id_map: Option<&[PointId]>,
-    ) -> Self
+    pub fn build<M>(data: S, schedule: RadiusSchedule, mut level_builder: M) -> Self
     where
         M: FnMut(usize, f64) -> IndexBuilder<F, D>,
     {
@@ -265,7 +247,7 @@ where
         let levels = schedule
             .radii()
             .enumerate()
-            .map(|(li, r)| level_builder(li, r).build_mapped(Arc::clone(&data), id_map))
+            .map(|(li, r)| level_builder(li, r).build(Arc::clone(&data)))
             .collect();
         Self { data, schedule, levels }
     }
@@ -281,32 +263,6 @@ where
     }
 }
 
-impl<S, F, D> TopKIndex<S, F, D, FrozenStore>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-{
-    /// Reassembles a ladder from already-built levels — the snapshot
-    /// loader's entry point. Every level must index `data` (the loader
-    /// hands each level the same `Arc`).
-    ///
-    /// # Panics
-    /// Panics if the level count disagrees with the schedule or a level
-    /// indexes a different data handle.
-    pub(crate) fn assemble(
-        data: Arc<S>,
-        schedule: RadiusSchedule,
-        levels: Vec<HybridLshIndex<Arc<S>, F, D, FrozenStore>>,
-    ) -> Self {
-        assert_eq!(levels.len(), schedule.levels(), "one level per schedule radius");
-        for level in &levels {
-            assert!(Arc::ptr_eq(level.data(), &data), "levels must share the ladder's data");
-        }
-        Self { data, schedule, levels }
-    }
-}
-
 impl<S, F, D, B> TopKIndex<S, F, D, B>
 where
     S: PointSet,
@@ -314,6 +270,25 @@ where
     D: Distance<S::Point>,
     B: BucketStore,
 {
+    /// Assembles a ladder from already-built levels — the build's, the
+    /// sharded build's and the snapshot loader's last step. Every level
+    /// must index `data` (each is handed the same `Arc`).
+    ///
+    /// # Panics
+    /// Panics if the level count disagrees with the schedule or a level
+    /// indexes a different data handle.
+    pub(crate) fn assemble(
+        data: Arc<S>,
+        schedule: RadiusSchedule,
+        levels: Vec<HybridLshIndex<Arc<S>, F, D, B>>,
+    ) -> Self {
+        assert_eq!(levels.len(), schedule.levels(), "one level per schedule radius");
+        for level in &levels {
+            assert!(Arc::ptr_eq(level.data(), &data), "levels must share the ladder's data");
+        }
+        Self { data, schedule, levels }
+    }
+
     /// The shared indexed data set.
     pub fn data(&self) -> &S {
         self.data.as_ref()
@@ -363,7 +338,6 @@ impl<S, F, D, B> TopKIndex<S, F, D, B>
 where
     S: PointSet + Send + Sync,
     F: LshFamily<S::Point> + Sync,
-    F::GFn: Sync,
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {

@@ -32,6 +32,12 @@ pub enum ClientError {
     /// The server's bytes do not parse, or a response of the wrong
     /// kind arrived.
     Protocol(String),
+    /// An earlier call on this client hit a framing error (a frame too
+    /// large, truncated or with a bad header, or a failed read or
+    /// write), so the stream's position is unknown. Every later call
+    /// fails with this at once, carrying that first error; connect a
+    /// new client.
+    Poisoned(String),
 }
 
 impl std::fmt::Display for ClientError {
@@ -40,6 +46,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "i/o: {e}"),
             ClientError::Server { code, message } => write!(f, "server error {code:?}: {message}"),
             ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            ClientError::Poisoned(cause) => {
+                write!(f, "connection unusable after an earlier framing error: {cause}")
+            }
         }
     }
 }
@@ -65,6 +74,8 @@ impl From<WireError> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The framing error that made the stream unusable, if any.
+    poisoned: Option<String>,
 }
 
 impl Client {
@@ -95,12 +106,25 @@ impl Client {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::new(stream);
-        Ok(Self { reader, writer })
+        Ok(Self { reader, writer, poisoned: None })
     }
 
+    /// One request/response. A framing error poisons the client: a
+    /// reply left partly unread (or a request partly written) leaves the
+    /// stream at an unknown position, and reading on would take body
+    /// bytes for the next header.
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &req.encode())?;
-        let (kind, body) = read_reply(&mut self.reader, protocol::DEFAULT_MAX_FRAME_BYTES)?;
+        if let Some(cause) = &self.poisoned {
+            return Err(ClientError::Poisoned(cause.clone()));
+        }
+        let frame = write_frame(&mut self.writer, &req.encode())
+            .map_err(WireError::Io)
+            .and_then(|()| read_frame(&mut self.reader, protocol::DEFAULT_MAX_FRAME_BYTES));
+        let (kind, body) = frame.map_err(|e| {
+            self.poisoned = Some(e.to_string());
+            ClientError::from(e)
+        })?;
+        let (kind, body) = check_reply(kind, body)?;
         Ok(decode_response(kind, &body)?)
     }
 
@@ -188,6 +212,12 @@ impl Client {
 /// [`ClientError::Server`].
 pub(crate) fn read_reply(r: &mut impl Read, max: usize) -> Result<(u8, Vec<u8>), ClientError> {
     let (kind, body) = read_frame(r, max)?;
+    check_reply(kind, body)
+}
+
+/// Passes a reply frame through; an error frame becomes
+/// [`ClientError::Server`].
+fn check_reply(kind: u8, body: Vec<u8>) -> Result<(u8, Vec<u8>), ClientError> {
     if kind == protocol::kind::ERROR {
         if let Response::Error { code, message } = decode_response(kind, &body)? {
             return Err(ClientError::Server { code, message });
@@ -205,4 +235,70 @@ fn one_per_query<T>(sent: usize, out: Vec<T>) -> Result<Vec<T>, ClientError> {
         )));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+
+    /// The system allocator, recording the largest single request. The
+    /// two calls forward unchanged, so `System`'s contract carries over.
+    struct Largest(AtomicUsize);
+
+    #[allow(unsafe_code)]
+    unsafe impl GlobalAlloc for Largest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            self.0.fetch_max(layout.size(), Ordering::Relaxed);
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static LARGEST: Largest = Largest(AtomicUsize::new(0));
+
+    #[test]
+    fn a_framing_error_poisons_the_client() {
+        // A frame length no test allocates near, far over the limit.
+        let declared = u32::MAX;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_BYTES).unwrap();
+            // An oversized header, then bytes a client reading on would
+            // take for the next frame's header.
+            stream.write_all(&declared.to_le_bytes()).unwrap();
+            stream.write_all(&[0x48; 64]).unwrap();
+            // Hold the connection until the client is done with it.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut client = Client::from_stream(stream).unwrap();
+        let too_large = WireError::TooLarge {
+            declared: declared as usize,
+            limit: protocol::DEFAULT_MAX_FRAME_BYTES,
+        };
+        match client.info() {
+            Err(ClientError::Protocol(m)) => assert_eq!(m, too_large.to_string()),
+            other => panic!("expected the too-large framing error, got {other:?}"),
+        }
+        match client.info() {
+            Err(ClientError::Poisoned(cause)) => assert_eq!(cause, too_large.to_string()),
+            other => panic!("expected the poisoned error, got {other:?}"),
+        }
+        assert!(LARGEST.0.load(Ordering::Relaxed) < declared as usize);
+        drop(client);
+        peer.join().unwrap();
+    }
 }

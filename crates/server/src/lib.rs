@@ -88,7 +88,9 @@
 // `deny`, not `forbid`: the `sockopt` module (raw SO_REUSEADDR bind)
 // and the two syscall shims in `reactor` (epoll / poll) are the
 // crate's documented `unsafe` enclaves — see their module docs for
-// the confined obligations. Everything else stays unsafe-free.
+// the confined obligations; `client`'s tests add a forwarding
+// allocator that records allocation sizes. Everything else stays
+// unsafe-free.
 #![deny(unsafe_code)]
 
 pub mod client;

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use hybrid_lsh::datagen::benchmark_mixture;
-use hybrid_lsh::index::snapshot::format::SectionEncoding;
+use hybrid_lsh::index::snapshot::format::{crc32, Header, SectionEncoding};
 use hybrid_lsh::index::snapshot::{save_snapshot_v1, SectionInfo};
 use hybrid_lsh::prelude::*;
 
@@ -127,4 +127,36 @@ fn v2_layout_labels_follow_the_schema_and_stats_add_up() {
     assert!(bytes(&encoded) > 0, "offsets/prefix always compress");
 
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn v1_shards_with_different_g_functions_are_malformed() {
+    let (n, dim, seed) = (200usize, 6usize, 29u64);
+    let (data, _) = benchmark_mixture(dim, n, 1.2, seed);
+    let rnnr = ShardedIndex::build_frozen(data, ShardAssignment::new(seed, 2), builder(dim, seed));
+    let (v1_path, v2_path) = (temp_path("v1-gfn-mismatch"), temp_path("v2-gfn-mismatch"));
+    save_snapshot_v1(&v1_path, &rnnr, None).expect("save v1");
+    save_snapshot(&v2_path, &rnnr, None).expect("save v2");
+    let mut bytes = std::fs::read(&v1_path).expect("read v1");
+    let v1 = Header::decode(&bytes).expect("v1 header");
+    let v2 = Header::decode(&std::fs::read(&v2_path).expect("read v2")).expect("v2 header");
+
+    // The v1 param block ends with shard 0's g-functions and then shard
+    // 1's; v2 stores the set once, so the difference is one set's size.
+    let set_len = (v1.param_len - v2.param_len) as usize;
+    assert!(set_len > 0);
+    let param_end = (v1.param_off + v1.param_len) as usize;
+    bytes[param_end - set_len / 2] ^= 0x01;
+    let param_crc = crc32(&bytes[v1.param_off as usize..param_end]);
+    bytes[52..56].copy_from_slice(&param_crc.to_le_bytes());
+    let header_crc = crc32(&bytes[..60]);
+    bytes[60..64].copy_from_slice(&header_crc.to_le_bytes());
+    std::fs::write(&v1_path, &bytes).expect("write mutant");
+
+    for mode in MODES {
+        let res = load_snapshot::<PStableL2, L2>(&v1_path, mode).map(|_| ());
+        assert!(matches!(&res, Err(SnapshotError::Malformed(_))), "{mode:?}: {res:?}");
+    }
+    std::fs::remove_file(&v1_path).ok();
+    std::fs::remove_file(&v2_path).ok();
 }
