@@ -333,6 +333,16 @@ where
         Self { data, family, distance, tables, hll_config, lazy_threshold, cost, k }
     }
 
+    /// The same index over `f(data)`, which must hold the same rows:
+    /// how a served structure moves every rung onto one row store.
+    pub(crate) fn map_data<T>(self, f: impl FnOnce(S) -> T) -> HybridLshIndex<T, F, D, B>
+    where
+        T: PointSet<Point = S::Point>,
+    {
+        let Self { data: d, family, distance, tables, hll_config, lazy_threshold, cost, k } = self;
+        HybridLshIndex { data: f(d), family, distance, tables, hll_config, lazy_threshold, cost, k }
+    }
+
     /// Hybrid query (Algorithm 2): estimate costs, pick the cheaper
     /// arm, report every indexed point within distance `r` of `q`.
     ///

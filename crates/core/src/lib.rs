@@ -112,12 +112,12 @@ pub use report::{QueryOutput, QueryReport};
 pub use schedule::RadiusSchedule;
 pub use search::{Strategy, VerifyMode};
 pub use segmented::{
-    MutationError, Segmented, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine,
-    SegmentedTopKIndex,
+    MutationError, Segmented, SegmentedIndex, SegmentedQueryEngine, SegmentedServed,
+    SegmentedTopKEngine, SegmentedTopKIndex,
 };
 pub use sharded::{
-    ShardAssignment, ShardSummary, Sharded, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine,
-    ShardedTopKIndex,
+    ServedShard, ShardAssignment, ShardSummary, Sharded, ShardedIndex, ShardedQueryEngine,
+    ShardedServed, ShardedTopKEngine, ShardedTopKIndex,
 };
 pub use snapshot::{
     load_snapshot, read_layout, read_manifest, save_snapshot, LoadMode, LoadPlan, LoadedSnapshot,

@@ -1,10 +1,10 @@
 //! The canonical mixture-serving parameterisation.
 //!
-//! The `serve` binary and the `throughput`/`topk`/`snapshot` bench
-//! binaries all index the same `benchmark_mixture` corpus with the
-//! same builder settings, so their numbers are directly comparable
-//! (a socket-path measurement against `serve` can be read next to an
-//! in-process `BENCH_*.json` baseline). Those settings used to be
+//! The `serve` binary, the `snapshot` bench binary and the benchmark's
+//! mixture workloads all index the same `benchmark_mixture` corpus
+//! with the same builder settings, so their numbers are directly
+//! comparable (a socket-path measurement against `serve` can be read
+//! next to an in-process `BENCH_*.json` baseline). Those settings used to be
 //! copy-pasted per binary; [`MixturePreset`] is now the single source
 //! of truth, and it is what the serve binary checks a snapshot's
 //! [`SnapshotManifest`] against before trusting a file.

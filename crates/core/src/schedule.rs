@@ -76,6 +76,19 @@ impl RadiusSchedule {
     }
 }
 
+/// Sealed layouts of a structure's rungs: `()` (one rNNR rung), a
+/// [`RadiusSchedule`] (rung `li` is ladder level `li`) and
+/// `Option<RadiusSchedule>` (the rNNR rung, then the levels of the
+/// ladder served with it, if any). A layout that converts into
+/// `Option<RadiusSchedule>` holds a ladder in its last rungs.
+pub(crate) mod layout {
+    /// A layout whose rung 0 is an rNNR index.
+    pub trait RnnrRung {}
+
+    impl RnnrRung for () {}
+    impl RnnrRung for Option<super::RadiusSchedule> {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

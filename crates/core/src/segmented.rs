@@ -8,8 +8,9 @@
 //! per LSH index configuration (an [`IndexBuilder`], its pinned
 //! [`CostModel`] and its HLL configuration). The rNNR index
 //! [`SegmentedIndex`] is the one-rung case; the top-k ladder
-//! [`SegmentedTopKIndex`] has one rung per schedule radius. A shard
-//! holds:
+//! [`SegmentedTopKIndex`] has one rung per schedule radius; what a
+//! living service serves, [`SegmentedServed`], has the rNNR rung, then
+//! the ladder's. A shard holds:
 //!
 //! - a **memtable** — one mutable [`MapStore`]-backed index per rung
 //!   absorbing inserts one point at a time (buckets hold
@@ -88,6 +89,7 @@ use crate::engine::{Engine, Level, RnnrIndex, Scratch, TopKLadder};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::HybridLshIndex;
 use crate::report::QueryOutput;
+use crate::schedule::layout::RnnrRung;
 use crate::schedule::RadiusSchedule;
 use crate::search::{Strategy, VerifyMode};
 use crate::sharded::{relabel_from, ShardAssignment};
@@ -358,6 +360,20 @@ where
     F: LshFamily<[f32]> + Clone,
     D: Distance<[f32]> + Clone,
 {
+    /// Whether `other` holds the same memtable rows and liveness, and
+    /// the same segments: ids, tombstones and rows.
+    fn same_rows(&self, other: &Self) -> bool {
+        let (a, b) = (&self.mem, &other.mem);
+        let same = |(x, y): (&Segment<F, D>, &Segment<F, D>)| {
+            x.meta.ids == y.meta.ids && x.meta.tombstones == y.meta.tombstones && x.data == y.data
+        };
+        a.rows.ids == b.rows.ids
+            && a.rows.live == b.rows.live
+            && a.rungs[0].data() == b.rungs[0].data()
+            && self.segments.len() == other.segments.len()
+            && self.segments.iter().zip(&other.segments).all(same)
+    }
+
     /// Compacts the two smallest segments (by live size) into one.
     fn merge_two_smallest(&mut self, rungs: &[Rung<F, D>]) {
         let mut order: Vec<usize> = (0..self.segments.len()).collect();
@@ -390,7 +406,7 @@ where
 {
     shards: Vec<LsmShard<F, D>>,
     rungs: Vec<Rung<F, D>>,
-    ladder: L,
+    layout: L,
     assignment: ShardAssignment,
     dim: usize,
     live: usize,
@@ -423,7 +439,7 @@ where
     fn with_rungs(
         dim: usize,
         assignment: ShardAssignment,
-        ladder: L,
+        layout: L,
         builders: impl IntoIterator<Item = IndexBuilder<F, D>>,
         flush_threshold: usize,
         max_segments: usize,
@@ -434,7 +450,7 @@ where
         let shards = (0..assignment.shards())
             .map(|_| LsmShard { mem: Memtable::new(&rungs, dim), segments: Vec::new() })
             .collect();
-        Self { shards, rungs, ladder, assignment, dim, live: 0, flush_threshold, max_segments }
+        Self { shards, rungs, layout, assignment, dim, live: 0, flush_threshold, max_segments }
     }
 
     /// Fills an empty index with a whole corpus at once: one clean
@@ -600,6 +616,14 @@ where
         self.shards.iter().map(|s| s.segments.len()).collect()
     }
 
+    /// Every frozen segment's rungs, shard by shard (instrumentation):
+    /// the rungs of one segment all index the one `Arc` of its slab.
+    pub fn segment_rungs(
+        &self,
+    ) -> impl Iterator<Item = &[HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore>]> {
+        self.shards.iter().flat_map(|shard| shard.segments.iter().map(|seg| &seg.rungs[..]))
+    }
+
     /// All live global ids, ascending.
     pub fn live_ids(&self) -> Vec<PointId> {
         let mut ids = Vec::with_capacity(self.live);
@@ -670,34 +694,6 @@ where
     }
 }
 
-impl<F, D> SegmentedIndex<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    /// The cost model pinned at creation, shared by every source.
-    pub fn cost_model(&self) -> CostModel {
-        self.rungs[0].cost
-    }
-
-    /// The HLL configuration shared by every source's buckets.
-    pub fn hll_config(&self) -> HllConfig {
-        self.rungs[0].hll
-    }
-
-    /// Hybrid query with fresh scratch; batch workloads should reuse an
-    /// [`Engine`].
-    pub fn query(&self, q: &[f32], r: f64) -> QueryOutput {
-        Engine::new().query(self, q, r)
-    }
-
-    /// Runs a query under an explicit strategy; see
-    /// [`Engine::query_with_strategy`].
-    pub fn query_with_strategy(&self, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
-        Engine::new().query_with_strategy(self, q, r, strategy)
-    }
-}
-
 impl<F, D> SegmentedTopKIndex<F, D>
 where
     F: LshFamily<[f32]> + Clone,
@@ -759,14 +755,97 @@ where
     }
 }
 
-impl<F, D> SegmentedTopKIndex<F, D>
+/// What a living service serves: the rNNR rung, then the rungs of the
+/// ladder served with it, if any, in one LSM hierarchy — one memtable
+/// row table per shard and one slab, id list and tombstone set per
+/// segment (see [`fuse`](SegmentedServed::fuse)).
+pub type SegmentedServed<F, D> = Segmented<F, D, Option<RadiusSchedule>>;
+
+impl<F, D> SegmentedServed<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
+    /// Fuses a living rNNR index and the ladder served with it into one
+    /// LSM: each segment's ladder rungs move onto the rNNR segment's
+    /// slab, and the ladder's slabs, id lists, tombstones and row tables
+    /// are dropped. Answers are unchanged; every later mutation runs
+    /// once for every rung, under the rNNR index's flush threshold and
+    /// segment budget.
+    ///
+    /// # Panics
+    /// Panics if the two differ in dimensionality, assignment, or any
+    /// shard's memtable rows and liveness or segment ids, tombstones
+    /// and rows.
+    pub fn fuse(rnnr: SegmentedIndex<F, D>, ladder: Option<SegmentedTopKIndex<F, D>>) -> Self {
+        let Segmented { mut shards, mut rungs, assignment, dim, live, .. } = rnnr;
+        let layout = ladder.as_ref().map(|l| l.layout);
+        if let Some(ladder) = ladder {
+            assert!(
+                ladder.assignment == assignment && ladder.dim == dim,
+                "rNNR and top-k indexes must be sharded under the same assignment"
+            );
+            for (shard, other) in shards.iter_mut().zip(ladder.shards) {
+                assert!(shard.same_rows(&other), "rNNR and top-k indexes must hold the same rows");
+                shard.mem.rungs.extend(other.mem.rungs);
+                for (seg, other) in shard.segments.iter_mut().zip(other.segments) {
+                    let rows = &seg.data;
+                    seg.rungs.extend(other.rungs.into_iter().map(|r| r.map_data(|_| rows.clone())));
+                }
+            }
+            rungs.extend(ladder.rungs);
+        }
+        let (flush_threshold, max_segments) = (rnnr.flush_threshold, rnnr.max_segments);
+        Segmented { shards, rungs, layout, assignment, dim, live, flush_threshold, max_segments }
+    }
+}
+
+impl<F, D, L: RnnrRung> Segmented<F, D, L>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// The rNNR rung's cost model, pinned at creation and shared by
+    /// every source.
+    pub fn cost_model(&self) -> CostModel {
+        self.rungs[0].cost
+    }
+
+    /// The HLL configuration shared by every source's rNNR buckets.
+    pub fn hll_config(&self) -> HllConfig {
+        self.rungs[0].hll
+    }
+
+    /// Hybrid query with fresh scratch; batch workloads should reuse an
+    /// [`Engine`].
+    pub fn query(&self, q: &[f32], r: f64) -> QueryOutput {
+        Engine::new().query(self, q, r)
+    }
+
+    /// Runs a query under an explicit strategy; see
+    /// [`Engine::query_with_strategy`].
+    pub fn query_with_strategy(&self, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
+        Engine::new().query_with_strategy(self, q, r, strategy)
+    }
+}
+
+impl<F, D, L: Copy + Into<Option<RadiusSchedule>>> Segmented<F, D, L>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// The radius schedule of the ladder the rungs hold, if any: its
+    /// levels are the last rungs.
+    pub fn ladder(&self) -> Option<RadiusSchedule> {
+        self.layout.into()
+    }
+
     /// The radius schedule shared by every segment and memtable.
+    ///
+    /// # Panics
+    /// Panics if the index holds no ladder.
     pub fn schedule(&self) -> RadiusSchedule {
-        self.ladder
+        self.ladder().expect("no top-k ladder")
     }
 
     /// Answers one top-k query with fresh scratch.
@@ -782,7 +861,7 @@ where
 /// chosen arm runs on every source; outputs are mapped to global ids
 /// and reported in ascending-id order — byte-identical to
 /// [`SegmentedIndex::build_bulk`] on the surviving points.
-impl<F, D> RnnrIndex for SegmentedIndex<F, D>
+impl<F, D, L: RnnrRung> RnnrIndex for Segmented<F, D, L>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
@@ -798,7 +877,7 @@ where
 /// (skip, early exit, arm choice, fallback) is made on merged statistics
 /// against the live point count, so the walk matches a rebuilt ladder
 /// step for step.
-impl<F, D> TopKLadder for SegmentedTopKIndex<F, D>
+impl<F, D, L: Copy + Into<Option<RadiusSchedule>>> TopKLadder for Segmented<F, D, L>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
@@ -806,8 +885,10 @@ where
     type Point = [f32];
 
     fn topk(&self, s: &mut Scratch, q: &[f32], k: usize, strategy: Strategy) -> TopKOutput {
-        let rungs: Vec<_> = (0..self.ladder.levels()).map(|li| self.rung_level(li)).collect();
-        s.walk.run(&mut s.level, &rungs, self.ladder, q, k, strategy)
+        let schedule = self.schedule();
+        let first = self.rungs.len() - schedule.levels();
+        let rungs: Vec<_> = (0..schedule.levels()).map(|li| self.rung_level(first + li)).collect();
+        s.walk.run(&mut s.level, &rungs, schedule, q, k, strategy)
     }
 }
 

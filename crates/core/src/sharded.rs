@@ -5,10 +5,11 @@
 //! **rungs** (each a [`HybridLshIndex`] over the shard's rows):
 //! [`ShardedIndex`] holds one [`HybridLshIndex`] (one rung) per shard,
 //! [`ShardedTopKIndex`] one [`TopKIndex`] (one rung per schedule
-//! radius). Partitioning, the parallel build, freezing, reassembly, the
-//! per-rung Algorithm 2 view and the distributed node hooks are written
-//! once; the aliases add their build entry points and how the
-//! [`Engine`] queries them.
+//! radius), and [`ShardedServed`], what a service serves, one
+//! [`ServedShard`] (the rNNR rung, then the ladder's). Partitioning, the
+//! parallel build, freezing, reassembly, the per-rung Algorithm 2 view,
+//! the queries and the distributed node hooks are written once; the
+//! aliases add their build entry points.
 //!
 //! Per-shard candidate sets union to exactly the unsharded candidate
 //! set, and per-shard HyperLogLog sketches merge losslessly (registers
@@ -64,6 +65,7 @@ use crate::engine::{
 };
 use crate::index::HybridLshIndex;
 use crate::report::QueryOutput;
+use crate::schedule::layout::RnnrRung;
 use crate::schedule::RadiusSchedule;
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
@@ -130,12 +132,13 @@ mod rungs {
         type Family: LshFamily<<Self::Data as PointSet>::Point>;
         type Dist: Distance<<Self::Data as PointSet>::Point>;
         type Store: BucketStore;
+        /// What the rungs stand for.
+        type Layout: Copy;
 
         /// The rungs, in order (rung `li` is `rungs()[li]`).
         fn rungs(&self) -> &[Rung<Self>];
 
-        /// Number of points the shard owns.
-        fn len(&self) -> usize;
+        fn layout(&self) -> Self::Layout;
     }
 
     /// A shard index on [`MapStore`] that freezes every rung.
@@ -156,18 +159,18 @@ mod rungs {
         type Family = F;
         type Dist = D;
         type Store = B;
+        type Layout = ();
 
         fn rungs(&self) -> &[Self] {
             std::slice::from_ref(self)
         }
 
-        fn len(&self) -> usize {
-            HybridLshIndex::len(self)
-        }
+        fn layout(&self) {}
     }
 
-    /// A ladder has one rung per schedule radius.
-    impl<S, F, D, B> ShardRungs for TopKIndex<S, F, D, B>
+    /// A ladder has one rung per schedule radius; a served shard puts
+    /// the rNNR rung first.
+    impl<S, F, D, B, L: Copy> ShardRungs for TopKIndex<S, F, D, B, L>
     where
         S: PointSet,
         F: LshFamily<S::Point>,
@@ -178,13 +181,14 @@ mod rungs {
         type Family = F;
         type Dist = D;
         type Store = B;
+        type Layout = L;
 
         fn rungs(&self) -> &[Rung<Self>] {
             self.levels()
         }
 
-        fn len(&self) -> usize {
-            TopKIndex::len(self)
+        fn layout(&self) -> L {
+            self.schedule
         }
     }
 
@@ -248,6 +252,82 @@ pub type ShardedIndex<S, F, D, B = MapStore> = Sharded<HybridLshIndex<S, F, D, B
 /// per shard, walked *globally* by the [`Engine`] — rankings and
 /// reports are byte-identical to the unsharded [`TopKIndex`].
 pub type ShardedTopKIndex<S, F, D, B = MapStore> = Sharded<TopKIndex<S, F, D, B>>;
+
+/// What a service serves: an rNNR index and the top-k ladder served
+/// with it, if any, as one structure — one owner list, one id map and
+/// one row store per shard, indexed by every rung (see
+/// [`fuse`](ShardedServed::fuse)).
+pub type ShardedServed<S, F, D, B = FrozenStore> = Sharded<ServedShard<S, F, D, B>>;
+
+/// One shard of a [`ShardedServed`] structure: one `Arc` of the shard's
+/// rows, indexed by the rNNR rung and then by one rung per level of the
+/// ladder served with it.
+pub type ServedShard<S, F, D, B> = TopKIndex<S, F, D, B, Option<RadiusSchedule>>;
+
+/// Checks that a ladder covers exactly an rNNR index's partition: the
+/// same assignment and `n`, equal owner lists and equal rows per shard.
+/// The snapshot writer runs it before writing one row copy for both,
+/// and [`ShardedServed::fuse`] before indexing one row copy with both.
+/// Rows that view one shared section (a loaded snapshot's) compare
+/// equal without a scan.
+pub(crate) fn same_partition<S, F, D, B>(
+    rnnr: &ShardedIndex<S, F, D, B>,
+    ladder: &ShardedTopKIndex<S, F, D, B>,
+) -> Result<(), &'static str>
+where
+    S: PointSet + PartialEq,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    if ladder.assignment != rnnr.assignment {
+        return Err("rNNR and top-k indexes must be sharded under the same assignment");
+    }
+    if ladder.n != rnnr.n || ladder.owners != rnnr.owners {
+        return Err("rNNR and top-k indexes must own the same ids per shard");
+    }
+    if ladder.shards.iter().zip(&rnnr.shards).any(|(l, r)| l.data() != r.data()) {
+        return Err("rNNR and top-k indexes must hold the same rows");
+    }
+    Ok(())
+}
+
+impl<S, F, D, B> ShardedServed<S, F, D, B>
+where
+    S: PointSet + PartialEq,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    /// Fuses an rNNR index and the ladder served with it into one
+    /// structure: the rNNR index's rows move into one `Arc` per shard,
+    /// every ladder rung is moved onto it, and the ladder's row copies
+    /// and id maps are dropped. Answers are unchanged.
+    ///
+    /// # Panics
+    /// Panics if the ladder covers another partition than the rNNR
+    /// index: another assignment, other owner lists or other rows.
+    pub fn fuse(
+        rnnr: ShardedIndex<S, F, D, B>,
+        ladder: Option<ShardedTopKIndex<S, F, D, B>>,
+    ) -> Self {
+        if let Some(ladder) = &ladder {
+            same_partition(&rnnr, ladder).unwrap_or_else(|e| panic!("{e}"));
+        }
+        let schedule = ladder.as_ref().map(|l| l.schedule());
+        let mut ladders = ladder.map(|l| l.shards.into_iter());
+        let Sharded { shards, owners, local_of, assignment, n } = rnnr;
+        let shards = shards.into_iter().map(|shard| {
+            let rnnr = shard.map_data(Arc::new);
+            let rows = Arc::clone(rnnr.data());
+            let levels = ladders.as_mut().and_then(Iterator::next).map(|l| l.levels);
+            let levels = levels.into_iter().flatten().map(|l| l.map_data(|_| Arc::clone(&rows)));
+            let levels = std::iter::once(rnnr).chain(levels).collect();
+            TopKIndex { data: rows, schedule, levels }
+        });
+        Sharded { shards: shards.collect(), owners, local_of, assignment, n }
+    }
+}
 
 /// Inverts per-shard owner lists into the `global → local` table.
 fn invert_owners(owners: &[Vec<PointId>], n: usize) -> Vec<PointId> {
@@ -494,7 +574,7 @@ impl<X: ShardRungs> Sharded<X> {
         assert_eq!(owners.len(), shards.len(), "one owner list per shard");
         assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
         for (shard, ids) in shards.iter().zip(&owners) {
-            assert_eq!(shard.len(), ids.len(), "shard size must match its owner list");
+            assert_eq!(shard.rungs()[0].len(), ids.len(), "shard size must match its owner list");
             assert_eq!(shard.rungs().len(), shards[0].rungs().len(), "ragged rungs");
             assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
         }
@@ -560,104 +640,6 @@ where
     }
 }
 
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    /// Hybrid query (Algorithm 2 with a global decision) with fresh
-    /// scratch; batch workloads should reuse an [`Engine`].
-    pub fn query(&self, q: &S::Point, r: f64) -> QueryOutput {
-        Engine::new().query(self, q, r)
-    }
-
-    /// Runs a query under an explicit strategy; see
-    /// [`Engine::query_with_strategy`].
-    pub fn query_with_strategy(&self, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
-        Engine::new().query_with_strategy(self, q, r, strategy)
-    }
-}
-
-/// One query across every shard: S1 probes all shards, S2 merges every
-/// probed sketch into one accumulator, the *global* costs are compared
-/// once, and the chosen arm runs on every shard. Ids are global and
-/// ascending; the id *set* equals the unsharded index's under the same
-/// strategy.
-impl<S, F, D, B> RnnrIndex for ShardedIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    type Point = S::Point;
-
-    fn rnnr(&self, s: &mut Scratch, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
-        s.level.query_sorted(&self.view(0, 0..self.shards.len()), q, r, strategy)
-    }
-}
-
-/// The global schedule walk: every level query fans across shards and
-/// every decision is made on merged statistics.
-impl<S, F, D, B> TopKLadder for ShardedTopKIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    type Point = S::Point;
-
-    fn topk(&self, s: &mut Scratch, q: &S::Point, k: usize, strategy: Strategy) -> TopKOutput {
-        let schedule = self.schedule();
-        let views: Vec<_> =
-            (0..schedule.levels()).map(|li| self.view(li, 0..self.shards.len())).collect();
-        s.walk.run(&mut s.level, &views, schedule, q, k, strategy)
-    }
-}
-
-/// The engine of a [`ShardedIndex`] (an alias of [`Engine`]).
-pub type ShardedQueryEngine = Engine;
-
-/// The engine of a [`ShardedTopKIndex`] (an alias of [`Engine`]).
-pub type ShardedTopKEngine = Engine;
-
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
-    S: PointSet + Sync,
-    F: LshFamily<S::Point> + Sync,
-    D: Distance<S::Point> + Sync,
-    B: BucketStore + Sync,
-{
-    /// Answers a batch of hybrid queries, sharded across all available
-    /// cores (each query still fans over every index shard). Outputs
-    /// are in input order, ids ascending per query.
-    pub fn query_batch<Q>(&self, queries: &[Q], r: f64) -> Vec<QueryOutput>
-    where
-        Q: AsRef<S::Point> + Sync,
-    {
-        self.query_batch_with_strategy(queries, r, Strategy::Hybrid, None)
-    }
-
-    /// Batch querying under an explicit strategy and optional thread
-    /// count (`None` = all available cores); see
-    /// [`RnnrIndex::query_batch_with_strategy`].
-    pub fn query_batch_with_strategy<Q>(
-        &self,
-        queries: &[Q],
-        r: f64,
-        strategy: Strategy,
-        threads: Option<usize>,
-    ) -> Vec<QueryOutput>
-    where
-        Q: AsRef<S::Point> + Sync,
-    {
-        RnnrIndex::query_batch_with_strategy(self, queries, r, strategy, threads)
-    }
-}
-
 impl<S, F, D> ShardedTopKIndex<S, F, D, MapStore>
 where
     S: SubsetPointSet + Send + Sync,
@@ -718,36 +700,113 @@ where
     }
 }
 
-impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
+/// One query across every shard: S1 probes all shards, S2 merges every
+/// probed sketch into one accumulator, the *global* costs are compared
+/// once, and the chosen arm runs on every shard. Ids are global and
+/// ascending; the id *set* equals the unsharded index's under the same
+/// strategy.
+impl<X: ShardRungs> RnnrIndex for Sharded<X>
 where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
+    X::Layout: RnnrRung,
 {
-    /// The radius schedule shared by every shard.
-    pub fn schedule(&self) -> RadiusSchedule {
-        self.shards[0].schedule()
-    }
+    type Point = PointOf<X>;
 
-    /// Answers one top-k query with fresh scratch.
-    pub fn query_topk(&self, q: &S::Point, k: usize) -> TopKOutput {
-        Engine::new().query_topk(self, q, k)
+    fn rnnr(&self, s: &mut Scratch, q: &PointOf<X>, r: f64, strategy: Strategy) -> QueryOutput {
+        s.level.query_sorted(&self.view(0, 0..self.shards.len()), q, r, strategy)
     }
 }
 
-impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
+/// The global schedule walk: every level query fans across shards and
+/// every decision is made on merged statistics.
+impl<X: ShardRungs> TopKLadder for Sharded<X>
 where
-    S: PointSet + Send + Sync,
-    F: LshFamily<S::Point> + Sync,
-    D: Distance<S::Point> + Sync,
-    B: BucketStore + Sync,
+    X::Layout: Into<Option<RadiusSchedule>>,
 {
+    type Point = PointOf<X>;
+
+    fn topk(&self, s: &mut Scratch, q: &PointOf<X>, k: usize, strategy: Strategy) -> TopKOutput {
+        let schedule = self.schedule();
+        let first = self.shards[0].rungs().len() - schedule.levels();
+        let views: Vec<_> =
+            (0..schedule.levels()).map(|li| self.view(first + li, 0..self.shards.len())).collect();
+        s.walk.run(&mut s.level, &views, schedule, q, k, strategy)
+    }
+}
+
+impl<X: ShardRungs> Sharded<X>
+where
+    X::Layout: RnnrRung,
+{
+    /// Hybrid query (Algorithm 2 with a global decision) with fresh
+    /// scratch; batch workloads should reuse an [`Engine`].
+    pub fn query(&self, q: &PointOf<X>, r: f64) -> QueryOutput {
+        Engine::new().query(self, q, r)
+    }
+
+    /// Runs a query under an explicit strategy; see
+    /// [`Engine::query_with_strategy`].
+    pub fn query_with_strategy(&self, q: &PointOf<X>, r: f64, strategy: Strategy) -> QueryOutput {
+        Engine::new().query_with_strategy(self, q, r, strategy)
+    }
+
+    /// Answers a batch of hybrid queries, sharded across all available
+    /// cores (each query still fans over every index shard). Outputs
+    /// are in input order, ids ascending per query.
+    pub fn query_batch<Q>(&self, queries: &[Q], r: f64) -> Vec<QueryOutput>
+    where
+        Self: Sync,
+        Q: AsRef<PointOf<X>> + Sync,
+    {
+        self.query_batch_with_strategy(queries, r, Strategy::Hybrid, None)
+    }
+
+    /// Batch querying under an explicit strategy and optional thread
+    /// count (`None` = all available cores); see
+    /// [`RnnrIndex::query_batch_with_strategy`].
+    pub fn query_batch_with_strategy<Q>(
+        &self,
+        queries: &[Q],
+        r: f64,
+        strategy: Strategy,
+        threads: Option<usize>,
+    ) -> Vec<QueryOutput>
+    where
+        Self: Sync,
+        Q: AsRef<PointOf<X>> + Sync,
+    {
+        RnnrIndex::query_batch_with_strategy(self, queries, r, strategy, threads)
+    }
+}
+
+impl<X: ShardRungs> Sharded<X>
+where
+    X::Layout: Into<Option<RadiusSchedule>>,
+{
+    /// The radius schedule of the ladder every shard holds, if any: its
+    /// levels are each shard's last rungs.
+    pub fn ladder(&self) -> Option<RadiusSchedule> {
+        self.shards[0].layout().into()
+    }
+
+    /// The radius schedule shared by every shard.
+    ///
+    /// # Panics
+    /// Panics if the structure holds no ladder.
+    pub fn schedule(&self) -> RadiusSchedule {
+        self.ladder().expect("no top-k ladder")
+    }
+
+    /// Answers one top-k query with fresh scratch.
+    pub fn query_topk(&self, q: &PointOf<X>, k: usize) -> TopKOutput {
+        Engine::new().query_topk(self, q, k)
+    }
+
     /// Answers a batch of top-k queries across all available cores;
     /// outputs in input order, byte-identical to a sequential loop.
     pub fn query_topk_batch<Q>(&self, queries: &[Q], k: usize) -> Vec<TopKOutput>
     where
-        Q: AsRef<S::Point> + Sync,
+        Self: Sync,
+        Q: AsRef<PointOf<X>> + Sync,
     {
         self.query_topk_batch_with(queries, k, Strategy::Hybrid, None)
     }
@@ -762,11 +821,18 @@ where
         threads: Option<usize>,
     ) -> Vec<TopKOutput>
     where
-        Q: AsRef<S::Point> + Sync,
+        Self: Sync,
+        Q: AsRef<PointOf<X>> + Sync,
     {
         TopKLadder::query_topk_batch_with(self, queries, k, strategy, threads)
     }
 }
+
+/// The engine of a [`ShardedIndex`] (an alias of [`Engine`]).
+pub type ShardedQueryEngine = Engine;
+
+/// The engine of a [`ShardedTopKIndex`] (an alias of [`Engine`]).
+pub type ShardedTopKEngine = Engine;
 
 // Distributed hooks: a shard node holds the full sharded structures but
 // answers only for its shard. Each hook runs one shard's part of a level

@@ -36,7 +36,7 @@ use super::params::{GroupParams, RawParams, TopKParams};
 use super::source::Pod;
 use super::{SnapshotError, MAX_LEVELS, MAX_SHARDS, MAX_TABLES};
 use crate::index::HybridLshIndex;
-use crate::sharded::{ShardedIndex, ShardedTopKIndex};
+use crate::sharded::{same_partition, ShardedIndex, ShardedTopKIndex};
 use crate::store::FrozenStore;
 
 /// What [`save_snapshot`] wrote, for logging and benchmarks.
@@ -252,25 +252,9 @@ where
     // the loader it can share one data copy between them.
     let mut topk_raw = None;
     if let Some(tk) = topk {
-        if tk.assignment() != assignment || tk.len() != n {
-            return Err(SnapshotError::Inconsistent(
-                "top-k index partitioned differently from the radius index",
-            ));
-        }
+        same_partition(rnnr, tk).map_err(SnapshotError::Inconsistent)?;
         if tk.schedule().levels() > MAX_LEVELS {
             return Err(SnapshotError::Inconsistent("schedule level count exceeds the format cap"));
-        }
-        for (s, shard) in tk.shards().iter().enumerate() {
-            if tk.global_ids(s) != rnnr.global_ids(s) {
-                return Err(SnapshotError::Inconsistent(
-                    "top-k owner lists differ from the radius index",
-                ));
-            }
-            if shard.data() != shards[s].data() {
-                return Err(SnapshotError::Inconsistent(
-                    "top-k shard data differs from the radius index",
-                ));
-            }
         }
         let reference = tk.shards().first().expect("assignment implies at least one shard");
         let mut level_groups = Vec::with_capacity(tk.schedule().levels());

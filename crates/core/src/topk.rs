@@ -215,16 +215,21 @@ impl Eq for TopKReport {}
 /// sign-bit family with the δ-rule concatenation width for that
 /// radius). [`freeze`](TopKIndex::freeze) converts every level to the
 /// read-optimised CSR arena for serving.
-pub struct TopKIndex<S, F, D, B = MapStore>
+///
+/// `L` is what the rungs stand for: the schedule (rung `li` is level
+/// `li`), or, in a shard of a served structure
+/// ([`ServedShard`](crate::ServedShard)), `Option<RadiusSchedule>`: the
+/// rNNR index first, then the levels of the ladder served with it.
+pub struct TopKIndex<S, F, D, B = MapStore, L = RadiusSchedule>
 where
     S: PointSet,
     F: LshFamily<S::Point>,
     D: Distance<S::Point>,
     B: BucketStore,
 {
-    data: Arc<S>,
-    schedule: RadiusSchedule,
-    levels: Vec<HybridLshIndex<Arc<S>, F, D, B>>,
+    pub(crate) data: Arc<S>,
+    pub(crate) schedule: L,
+    pub(crate) levels: Vec<HybridLshIndex<Arc<S>, F, D, B>>,
 }
 
 impl<S, F, D> TopKIndex<S, F, D, MapStore>
@@ -263,6 +268,40 @@ where
     }
 }
 
+impl<S, F, D, B, L> TopKIndex<S, F, D, B, L>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    /// The shared indexed data set.
+    pub fn data(&self) -> &S {
+        self.data.as_ref()
+    }
+
+    /// Number of indexed points `n`.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the index holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The rungs over the shared data: the per-level hybrid indexes in
+    /// ascending-radius order (after the rNNR index, in a served shard).
+    pub fn levels(&self) -> &[HybridLshIndex<Arc<S>, F, D, B>] {
+        &self.levels
+    }
+
+    /// The distance function (shared by every level).
+    pub fn distance(&self) -> &D {
+        self.levels[0].distance()
+    }
+}
+
 impl<S, F, D, B> TopKIndex<S, F, D, B>
 where
     S: PointSet,
@@ -289,34 +328,9 @@ where
         Self { data, schedule, levels }
     }
 
-    /// The shared indexed data set.
-    pub fn data(&self) -> &S {
-        self.data.as_ref()
-    }
-
-    /// Number of indexed points `n`.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the index holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The radius schedule the levels were built for.
     pub fn schedule(&self) -> RadiusSchedule {
         self.schedule
-    }
-
-    /// The per-level hybrid indexes, in ascending-radius order.
-    pub fn levels(&self) -> &[HybridLshIndex<Arc<S>, F, D, B>] {
-        &self.levels
-    }
-
-    /// The distance function (shared by every level).
-    pub fn distance(&self) -> &D {
-        self.levels[0].distance()
     }
 
     /// Per-level bucket/sketch statistics, in ascending-radius order

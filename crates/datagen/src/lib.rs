@@ -24,8 +24,8 @@
 //!
 //! # Example
 //!
-//! Generate the standard benchmark mixture (the corpus the
-//! `throughput`/`topk`/`loadgen` bins and the CI gates all use) and
+//! Generate the standard benchmark mixture (the corpus `serve`,
+//! `loadgen` and the CI gates all use) and
 //! check an index's answers against exact ground truth:
 //!
 //! ```

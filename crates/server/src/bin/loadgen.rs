@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Query vectors are drawn from the same `benchmark_mixture` corpus
-//! the server indexes (same `--n/--dim/--seed` ⇒ same points), so the
-//! workload matches the in-process `throughput`/`topk` bench bins and
+//! the server indexes (same `--n/--dim/--seed` ⇒ same points), so
 //! socket-path numbers are directly comparable to `BENCH_*.json`.
 //!
 //! * **closed loop** (default): each client keeps exactly one request

@@ -39,10 +39,9 @@
 //! is the ops guide for all three.
 //!
 //! Builds a frozen `ShardedIndex` (rNNR) and, unless `--no-topk`, a
-//! frozen `ShardedTopKIndex` ladder over the same
-//! `benchmark_mixture` corpus the `throughput`/`topk` bench bins use
-//! (all of them share [`MixturePreset`]), then serves both until
-//! killed. Port 0 binds an ephemeral port; the bound address is
+//! frozen `ShardedTopKIndex` ladder over the `benchmark_mixture`
+//! corpus [`MixturePreset`] describes, then serves both, fused onto
+//! one row store, until killed. Port 0 binds an ephemeral port; the bound address is
 //! printed either way.
 //!
 //! `--snapshot-save PATH` writes the built indexes to a snapshot
@@ -311,11 +310,8 @@ fn main() {
             preset.n, preset.dim, preset.seed, preset.shards, args.topk
         );
         let (data, _) = benchmark_mixture(preset.dim, preset.n, preset.radius, preset.seed);
+        let topk = args.topk.then(|| preset.build_topk(data.clone()));
         let rnnr = preset.build_rnnr(data);
-        let topk = args.topk.then(|| {
-            let (data, _) = benchmark_mixture(preset.dim, preset.n, preset.radius, preset.seed);
-            preset.build_topk(data)
-        });
         if let Some(path) = &args.snapshot_save {
             let t0 = Instant::now();
             let stats = save_snapshot(path.as_ref(), &rnnr, topk.as_ref())
@@ -356,11 +352,8 @@ fn run_live(args: &Args) -> ! {
         preset.n, preset.dim, preset.seed, preset.shards, args.topk
     );
     let (data, _) = benchmark_mixture(preset.dim, preset.n, preset.radius, preset.seed);
+    let topk = args.topk.then(|| preset.build_live_topk(data.clone()));
     let rnnr = preset.build_live_rnnr(data);
-    let topk = args.topk.then(|| {
-        let (data, _) = benchmark_mixture(preset.dim, preset.n, preset.radius, preset.seed);
-        preset.build_live_topk(data)
-    });
     serve_forever(args, Arc::new(LiveLshService::new(rnnr, topk)), ", role=live")
 }
 

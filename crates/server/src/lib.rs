@@ -25,9 +25,11 @@
 //!   call per tick, so the existing scoped-thread sharding does the
 //!   heavy lifting (no async runtime, no external dependencies);
 //! * [`service`] — the [`QueryService`] trait and the one
-//!   [`LshService`], whose aliases [`ShardedLshService`] (frozen) and
-//!   [`LiveLshService`] (living, accepts mutations) serve standalone,
-//!   and [`ShardNodeService`], one node of a distributed deployment;
+//!   [`LshService`] over one structure (the rNNR index and ladder fused
+//!   onto one row store per shard), whose aliases [`ShardedLshService`]
+//!   (frozen) and [`LiveLshService`] (living, accepts mutations) serve
+//!   standalone, and [`ShardNodeService`], one node of a distributed
+//!   deployment;
 //! * [`coordinator`] — the [`Coordinator`], a `QueryService` that fans
 //!   each batch out to remote shard nodes, merges their S1/S2
 //!   summaries, resolves the hybrid decision globally and scatters the

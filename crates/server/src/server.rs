@@ -97,7 +97,8 @@ pub enum AdmissionWindow {
 pub struct ServerConfig {
     /// Largest accepted frame (`len` field) in bytes; larger requests
     /// are answered with [`ErrorCode::TooLarge`] and the connection is
-    /// closed (the payload is never read).
+    /// closed (the payload is never read). An answer over it becomes a
+    /// `TooLarge` frame instead, and the connection stays open.
     pub max_frame_bytes: usize,
     /// The admission-batcher linger policy (see [`AdmissionWindow`]).
     pub admission: AdmissionWindow,
@@ -214,10 +215,18 @@ struct Shared {
 }
 
 impl Shared {
-    /// Posts finished responses and wakes the event loop once.
-    fn complete(&self, batch: Vec<Completion>) {
+    /// Posts finished responses and wakes the event loop once. This is
+    /// the one place worker frames are filled, so the one place an
+    /// answer over the frame limit becomes a `TooLarge` error frame
+    /// (the connection lives on).
+    fn complete(&self, mut batch: Vec<Completion>) {
         if batch.is_empty() {
             return;
+        }
+        for c in &mut batch {
+            if let Err(e) = fits((c.frame.len() - 4) as u64, self.config.max_frame_bytes) {
+                c.frame = Response::from(e).encode();
+            }
         }
         self.completions.lock().unwrap().extend(batch);
         self.wake();
@@ -587,8 +596,13 @@ impl EventLoop {
             Ok(Request::Info) => return self.answer_inline(token, Response::Info(info)),
             Ok(Request::Rnnr { radius, queries }) => check_radius(radius)
                 .map(|()| (JobKind::Rnnr { radius_bits: radius.to_bits() }, queries)),
+            // A top-k answer's size is known before any work: a count
+            // per query and 12 bytes per neighbour, at most min(k, n).
             Ok(Request::TopK { k, queries }) if info.topk_levels > 0 => {
-                Ok((JobKind::TopK { k }, queries))
+                let per_query = 4 + 12 * u64::from(k).min(info.points);
+                let len = 8 + 4 + (queries.count() as u64).saturating_mul(per_query);
+                fits(len, self.shared.config.max_frame_bytes)
+                    .map(|()| (JobKind::TopK { k }, queries))
             }
             Ok(Request::TopK { .. }) => Err(ServiceError::no_ladder()),
             // Mutations bypass the admission batcher: they take the
@@ -826,6 +840,17 @@ fn run_tick(mut jobs: Vec<Job>, shared: &Shared, completions: &mut Vec<Completio
             }
         }
     }
+}
+
+/// Refuses an answer whose `len` (the bytes after the length prefix)
+/// the peer's frame limit would reject.
+fn fits(len: u64, max_frame_bytes: usize) -> Result<(), ServiceError> {
+    if len <= max_frame_bytes as u64 {
+        return Ok(());
+    }
+    let message =
+        format!("an answer of {len} bytes exceeds the {max_frame_bytes}-byte frame limit");
+    Err(ServiceError { code: ErrorCode::TooLarge, message })
 }
 
 /// Answers every job with the same frame.

@@ -1,4 +1,4 @@
-//! The [`QueryService`] trait and the one service over an index.
+//! The [`QueryService`] trait and the one service over one structure.
 //!
 //! The trait (and [`ServiceError`], its failure type) is what the
 //! event-loop server in [`crate::server`] executes against. Three
@@ -6,26 +6,31 @@
 //!
 //! * [`ShardedLshService`] — the standalone server: a frozen sharded
 //!   rNNR index and optional ladder. Mutation frames are refused.
-//! * [`LiveLshService`] — the living index: LSM-segmented indexes that
-//!   accept `Insert`/`Delete` frames while queries stay byte-identical
-//!   to a rebuild on the surviving points.
+//! * [`LiveLshService`] — the living index: an LSM-segmented rNNR
+//!   index and optional ladder that accept `Insert`/`Delete` frames
+//!   while queries stay byte-identical to a rebuild on the surviving
+//!   points.
 //! * [`ShardNodeService`] — one node of a distributed deployment: a
 //!   frozen service that *additionally* answers the shard-extension
 //!   frames (`0x10..=0x1F`) a
 //!   [`Coordinator`](crate::coordinator::Coordinator) uses to fan one
 //!   logical query across machines.
 //!
-//! The first two are aliases of [`LshService`], so a served answer has
-//! one code path: the read guard, then the index's one batch path. The
-//! only difference between them is how the rNNR index takes a mutation
-//! batch, one crate-private trait implemented by both index shapes.
+//! A service holds **one** structure: its constructor fuses the rNNR
+//! index and ladder it is given into a [`ShardedServed`] or a
+//! [`SegmentedServed`], whose rung 0 is the rNNR index and rung `1 + li`
+//! ladder level `li` (the wire's [`ShardTarget`] numbering), over one
+//! row store and id map per shard. The first two deployments are
+//! aliases of [`LshService`], so a served answer has one code path: the
+//! read guard, then the structure's one batch path. They differ only in
+//! how the structure takes a mutation batch, one crate-private trait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use hlsh_core::{
-    FrozenStore, RnnrIndex, SegmentedIndex, SegmentedTopKIndex, Sharded, ShardedIndex,
-    ShardedTopKIndex, Strategy, TopKLadder,
+    FrozenStore, RnnrIndex, SegmentedIndex, SegmentedServed, SegmentedTopKIndex, Sharded,
+    ShardedIndex, ShardedServed, ShardedTopKIndex, Strategy, TopKLadder,
 };
 use hlsh_families::LshFamily;
 use hlsh_vec::{Distance, PointId, PointSet};
@@ -213,72 +218,68 @@ pub trait QueryService: Send + Sync + 'static {
     }
 }
 
-/// The one service over an rNNR index `R` and an optional top-k ladder
-/// `T` over the same data: [`ShardedLshService`] and
+/// The one service over one structure `X`: an rNNR index and the top-k
+/// ladder served with it, if any, fused onto one row store, one id map
+/// and (when living) one LSM per shard. [`ShardedLshService`] and
 /// [`LiveLshService`] are its aliases.
 ///
-/// Both sit under one reader-writer lock. Queries take the read side
-/// and run the index's one batch path under [`Strategy::Hybrid`] —
-/// exactly the in-process execution stack, which is why socket
-/// responses are byte-identical to calling the batch path directly. A
-/// living index applies a mutation batch to both under one write guard,
-/// so every reader sees both cover the same live id set; a frozen index
-/// refuses mutation before the lock is taken.
+/// The structure sits under one reader-writer lock. Queries take the
+/// read side and run the structure's one batch path under
+/// [`Strategy::Hybrid`] — exactly the in-process execution stack, which
+/// is why socket responses are byte-identical to calling the batch path
+/// directly. A living structure applies a mutation batch once, to every
+/// rung, under the write guard, so rNNR and top-k readers see the same
+/// mutation prefix by construction; a frozen one refuses mutation before
+/// the lock is taken.
 ///
 /// [`info`](QueryService::info) never takes the lock: the event loop
 /// calls it for every frame, so a flush or merge under the write guard
 /// must not stall it. The live count it reports is stored under the
 /// write guard after every mutation batch.
-pub struct LshService<R, T> {
-    indexes: RwLock<Indexes<R, T>>,
+pub struct LshService<X> {
+    index: RwLock<X>,
     /// The metadata fixed at construction (its `points` is not read).
     info: ServerInfo,
     /// The live point count.
     points: AtomicU64,
 }
 
-/// The structures an [`LshService`] serves, read and mutated together.
-struct Indexes<R, T> {
-    rnnr: R,
-    topk: Option<T>,
-}
+/// The standard deployment: a frozen sharded rNNR index and, optionally,
+/// a top-k ladder over the same data, fused into one [`ShardedServed`].
+pub type ShardedLshService<S, F, D> = LshService<ShardedServed<S, F, D>>;
 
-/// The standard deployment: a frozen [`ShardedIndex`] for rNNR traffic
-/// plus (optionally) a frozen [`ShardedTopKIndex`] ladder for top-k
-/// traffic, both over the same data and dimensionality.
-pub type ShardedLshService<S, F, D> =
-    LshService<ShardedIndex<S, F, D, FrozenStore>, ShardedTopKIndex<S, F, D, FrozenStore>>;
-
-/// The living-index deployment: LSM-segmented indexes that accept
-/// `Insert`/`Delete` frames, with answers byte-identical to an index
+/// The living-index deployment: an LSM-segmented rNNR index and,
+/// optionally, a ladder, fused into one [`SegmentedServed`] that accepts
+/// `Insert`/`Delete` frames, with answers byte-identical to a structure
 /// rebuilt from scratch on the surviving points — the contract
 /// `tests/mutable_props.rs` pins and the CI churn smoke checks.
-pub type LiveLshService<F, D> = LshService<SegmentedIndex<F, D>, SegmentedTopKIndex<F, D>>;
+pub type LiveLshService<F, D> = LshService<SegmentedServed<F, D>>;
 
-impl<R, T> LshService<R, T> {
-    fn serve(rnnr: R, topk: Option<T>, info: ServerInfo) -> Self {
+impl<X> LshService<X> {
+    fn serve(index: X, info: ServerInfo) -> Self {
         let points = AtomicU64::new(info.points);
-        Self { indexes: RwLock::new(Indexes { rnnr, topk }), info, points }
+        Self { index: RwLock::new(index), info, points }
     }
 
-    /// Runs `f` over the served rNNR index and ladder under the read
-    /// lock — how tests compare socket answers against in-process batch
-    /// calls on the very structures being served.
-    pub fn with_indexes<X>(&self, f: impl FnOnce(&R, Option<&T>) -> X) -> X {
-        let indexes = self.indexes.read().expect("index lock poisoned");
-        f(&indexes.rnnr, indexes.topk.as_ref())
+    /// Runs `f` under the read lock over the served structure, as the
+    /// rNNR index and, when a ladder is served, as the ladder — how
+    /// tests compare socket answers against in-process batch calls on
+    /// the very structure being served.
+    pub fn with_indexes<Y>(&self, f: impl FnOnce(&X, Option<&X>) -> Y) -> Y {
+        let index = self.index.read().expect("index lock poisoned");
+        f(&index, (self.info.topk_levels > 0).then_some(&*index))
     }
 
-    /// Runs `f` over the served rNNR index under the read lock (e.g. to
+    /// Runs `f` over the served structure under the read lock (e.g. to
     /// read a living index's segment counts).
-    pub fn with_rnnr<X>(&self, f: impl FnOnce(&R) -> X) -> X {
-        self.with_indexes(|rnnr, _| f(rnnr))
+    pub fn with_rnnr<Y>(&self, f: impl FnOnce(&X) -> Y) -> Y {
+        self.with_indexes(|index, _| f(index))
     }
 
     /// The read guard, or the typed error once a panicking writer
     /// poisoned the lock.
-    fn read(&self) -> Result<RwLockReadGuard<'_, Indexes<R, T>>, ServiceError> {
-        self.indexes.read().map_err(poisoned)
+    fn read(&self) -> Result<RwLockReadGuard<'_, X>, ServiceError> {
+        self.index.read().map_err(poisoned)
     }
 }
 
@@ -288,32 +289,31 @@ fn poisoned<G>(_: PoisonError<G>) -> ServiceError {
 
 impl<S, F, D> ShardedLshService<S, F, D>
 where
-    S: PointSet<Point = [f32]>,
+    S: PointSet<Point = [f32]> + PartialEq,
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Wraps frozen sharded indexes for serving. `dim` is the vector
-    /// dimensionality requests are validated against.
+    /// Serves a frozen sharded rNNR index and the ladder built over the
+    /// same data, fused into one structure ([`ShardedServed::fuse`]).
+    /// `dim` is the vector dimensionality requests are validated
+    /// against.
+    ///
+    /// # Panics
+    /// Panics if the ladder covers another partition than the rNNR
+    /// index.
     pub fn new(
         rnnr: ShardedIndex<S, F, D, FrozenStore>,
         topk: Option<ShardedTopKIndex<S, F, D, FrozenStore>>,
         dim: usize,
     ) -> Self {
-        if let Some(t) = &topk {
-            assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
-            assert_eq!(
-                t.assignment(),
-                rnnr.assignment(),
-                "rNNR and top-k indexes must be sharded under the same assignment"
-            );
-        }
+        let index = ShardedServed::fuse(rnnr, topk);
         let info = ServerInfo {
-            points: rnnr.len() as u64,
+            points: index.len() as u64,
             dim: dim as u32,
-            shards: rnnr.assignment().shards() as u32,
-            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
+            shards: index.assignment().shards() as u32,
+            topk_levels: index.ladder().map_or(0, |s| s.levels() as u32),
         };
-        Self::serve(rnnr, topk, info)
+        Self::serve(index, info)
     }
 }
 
@@ -322,20 +322,21 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Wraps segmented indexes for serving. Both must be built over
-    /// the same corpus (same live ids) and the same dimensionality.
+    /// Serves a living rNNR index and the ladder built over the same
+    /// corpus, fused into one LSM ([`SegmentedServed::fuse`]).
+    ///
+    /// # Panics
+    /// Panics if the two differ in dimensionality, assignment or
+    /// contents.
     pub fn new(rnnr: SegmentedIndex<F, D>, topk: Option<SegmentedTopKIndex<F, D>>) -> Self {
-        if let Some(t) = &topk {
-            assert_eq!(t.dim(), rnnr.dim(), "rNNR and top-k ladders must share dimensionality");
-            assert_eq!(t.len(), rnnr.len(), "rNNR and top-k indexes must cover the same data");
-        }
+        let index = SegmentedServed::fuse(rnnr, topk);
         let info = ServerInfo {
-            points: rnnr.len() as u64,
-            dim: rnnr.dim() as u32,
-            shards: rnnr.assignment().shards() as u32,
-            topk_levels: topk.as_ref().map_or(0, |t| t.schedule().levels() as u32),
+            points: index.len() as u64,
+            dim: index.dim() as u32,
+            shards: index.assignment().shards() as u32,
+            topk_levels: index.ladder().map_or(0, |s| s.levels() as u32),
         };
-        Self::serve(rnnr, topk, info)
+        Self::serve(index, info)
     }
 
     /// Runs one mutation batch under the write guard, then stores the
@@ -343,39 +344,36 @@ where
     /// it.
     fn mutate(
         &self,
-        apply: impl FnOnce(
-            &mut Indexes<SegmentedIndex<F, D>, SegmentedTopKIndex<F, D>>,
-        ) -> Result<u32, ServiceError>,
+        apply: impl FnOnce(&mut SegmentedServed<F, D>) -> Result<u32, ServiceError>,
     ) -> Result<u32, ServiceError> {
-        let mut indexes = self.indexes.write().map_err(poisoned)?;
-        let applied = apply(&mut indexes);
-        self.points.store(indexes.rnnr.len() as u64, Ordering::Relaxed);
+        let mut index = self.index.write().map_err(poisoned)?;
+        let applied = apply(&mut index);
+        self.points.store(index.len() as u64, Ordering::Relaxed);
         applied
     }
 }
 
-/// How a served rNNR index takes mutation frames. Sealed to the two
-/// index shapes a service serves: the living [`SegmentedIndex`] applies
-/// the batch to itself and its ladder, the frozen [`Sharded`] refuses
-/// at once.
-pub(crate) trait Mutation<T>: Sized {
+/// How a served structure takes mutation frames. Sealed to the two
+/// shapes a service serves: the living [`SegmentedServed`] applies the
+/// batch once, to every rung; the frozen [`Sharded`] refuses at once.
+pub(crate) trait Mutation: Sized {
     /// See [`QueryService::insert_batch`].
     fn insert(
-        service: &LshService<Self, T>,
+        service: &LshService<Self>,
         ids: &[PointId],
         points: &QueryBlock,
     ) -> Result<u32, ServiceError>;
 
     /// See [`QueryService::delete_batch`].
-    fn delete(service: &LshService<Self, T>, ids: &[PointId]) -> Result<u32, ServiceError>;
+    fn delete(service: &LshService<Self>, ids: &[PointId]) -> Result<u32, ServiceError>;
 }
 
-impl<X, T> Mutation<T> for Sharded<X> {
-    fn insert(_: &LshService<Self, T>, _: &[PointId], _: &QueryBlock) -> Result<u32, ServiceError> {
+impl<X> Mutation for Sharded<X> {
+    fn insert(_: &LshService<Self>, _: &[PointId], _: &QueryBlock) -> Result<u32, ServiceError> {
         Err(ServiceError::frozen())
     }
 
-    fn delete(_: &LshService<Self, T>, _: &[PointId]) -> Result<u32, ServiceError> {
+    fn delete(_: &LshService<Self>, _: &[PointId]) -> Result<u32, ServiceError> {
         Err(ServiceError::frozen())
     }
 }
@@ -392,7 +390,7 @@ fn mutation_error(e: hlsh_core::MutationError) -> ServiceError {
     }
 }
 
-impl<F, D> Mutation<SegmentedTopKIndex<F, D>> for SegmentedIndex<F, D>
+impl<F, D> Mutation for SegmentedServed<F, D>
 where
     F: LshFamily<[f32]> + Clone,
     F::GFn: Send,
@@ -412,51 +410,42 @@ where
                 points.data.len(),
             )));
         }
-        // Validation completes against the rNNR index before either
-        // structure is touched — the batch either fully applies to
-        // both or to neither.
-        service.mutate(|Indexes { rnnr, topk }| {
+        // Validation completes before the structure is touched — the
+        // batch either fully applies or not at all.
+        service.mutate(|index| {
             let mut batch = std::collections::HashSet::with_capacity(ids.len());
             for &id in ids {
-                if !batch.insert(id) || rnnr.contains(id) {
+                if !batch.insert(id) || index.contains(id) {
                     return Err(ServiceError::duplicate_id(id));
                 }
             }
             let dim = dim as usize;
             for (i, &id) in ids.iter().enumerate() {
-                let row = &points.data[i * dim..(i + 1) * dim];
-                rnnr.insert(id, row).map_err(mutation_error)?;
-                if let Some(topk) = topk {
-                    topk.insert(id, row).map_err(mutation_error)?;
-                }
+                index.insert(id, &points.data[i * dim..(i + 1) * dim]).map_err(mutation_error)?;
             }
             Ok(ids.len() as u32)
         })
     }
 
     fn delete(service: &LiveLshService<F, D>, ids: &[PointId]) -> Result<u32, ServiceError> {
-        service.mutate(|Indexes { rnnr, topk }| {
+        service.mutate(|index| {
             let mut batch = std::collections::HashSet::with_capacity(ids.len());
             for &id in ids {
-                if !batch.insert(id) || !rnnr.contains(id) {
+                if !batch.insert(id) || !index.contains(id) {
                     return Err(ServiceError::unknown_id(id));
                 }
             }
             for &id in ids {
-                rnnr.delete(id).map_err(mutation_error)?;
-                if let Some(topk) = topk {
-                    topk.delete(id).map_err(mutation_error)?;
-                }
+                index.delete(id).map_err(mutation_error)?;
             }
             Ok(ids.len() as u32)
         })
     }
 }
 
-impl<R, T> QueryService for LshService<R, T>
+impl<X> QueryService for LshService<X>
 where
-    R: RnnrIndex<Point = [f32]> + Mutation<T> + Send + Sync + 'static,
-    T: TopKLadder<Point = [f32]> + Send + Sync + 'static,
+    X: RnnrIndex<Point = [f32]> + TopKLadder<Point = [f32]> + Mutation + Send + Sync + 'static,
 {
     fn info(&self) -> ServerInfo {
         ServerInfo { points: self.points.load(Ordering::Relaxed), ..self.info }
@@ -468,9 +457,8 @@ where
         radius: f64,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<PointId>>, ServiceError> {
-        let indexes = self.read()?;
-        let outputs =
-            indexes.rnnr.query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads);
+        let index = self.read()?;
+        let outputs = index.query_batch_with_strategy(queries, radius, Strategy::Hybrid, threads);
         Ok(outputs.into_iter().map(|o| o.ids).collect())
     }
 
@@ -480,9 +468,11 @@ where
         k: usize,
         threads: Option<usize>,
     ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
-        let indexes = self.read()?;
-        let ladder = indexes.topk.as_ref().ok_or_else(ServiceError::no_ladder)?;
-        let outputs = ladder.query_topk_batch_with(queries, k, Strategy::Hybrid, threads);
+        let index = self.read()?;
+        if self.info.topk_levels == 0 {
+            return Err(ServiceError::no_ladder());
+        }
+        let outputs = index.query_topk_batch_with(queries, k, Strategy::Hybrid, threads);
         Ok(outputs
             .into_iter()
             .map(|o| o.neighbors.iter().map(|n| (n.id, n.dist)).collect())
@@ -490,11 +480,11 @@ where
     }
 
     fn insert_batch(&self, ids: &[PointId], points: &QueryBlock) -> Result<u32, ServiceError> {
-        R::insert(self, ids, points)
+        X::insert(self, ids, points)
     }
 
     fn delete_batch(&self, ids: &[PointId]) -> Result<u32, ServiceError> {
-        R::delete(self, ids)
+        X::delete(self, ids)
     }
 }
 
@@ -598,57 +588,41 @@ where
         request: &ShardRequest,
         threads: Option<usize>,
     ) -> Result<ShardResponse, ServiceError> {
-        let indexes = self.inner.read()?;
-        let rnnr = &indexes.rnnr;
+        let index = self.inner.read()?;
         let shard = self.shard_id as usize;
-        let ladder = || {
-            let ladder = indexes.topk.as_ref();
-            ladder.ok_or_else(|| ServiceError::unsupported("this shard node has no top-k ladder"))
-        };
-        // A wire target as a validated ladder rung — `None` for the
-        // rNNR index.
+        let levels = self.inner.info.topk_levels;
+        let no_ladder = || ServiceError::unsupported("this shard node has no top-k ladder");
+        // A wire target as its validated rung: 0 for the rNNR index,
+        // `1 + li` for ladder level `li`.
         let rung = |target: ShardTarget| match target {
-            ShardTarget::Rnnr => Ok(None),
-            ShardTarget::TopKLevel(li) => {
-                let levels = ladder()?.schedule().levels();
-                if li as usize >= levels {
-                    return Err(ServiceError::malformed(format!(
-                        "ladder level {li} out of range ({levels} levels)"
-                    )));
-                }
-                Ok(Some(li as usize))
-            }
+            ShardTarget::Rnnr => Ok(0),
+            ShardTarget::TopKLevel(_) if levels == 0 => Err(no_ladder()),
+            ShardTarget::TopKLevel(li) if li >= levels => Err(ServiceError::malformed(format!(
+                "ladder level {li} out of range ({levels} levels)"
+            ))),
+            ShardTarget::TopKLevel(li) => Ok(1 + li as usize),
         };
         let rows = |queries: &QueryBlock| {
             check_dim(self.inner.info.dim, queries.dim, queries.count())?;
             Ok::<_, ServiceError>(queries.rows())
         };
+        let params = |rung| params_of(index.hll_config(rung), index.cost_model(rung));
         match request {
-            ShardRequest::Info => {
-                let levels = match indexes.topk.as_ref() {
-                    Some(t) => (0..t.schedule().levels())
-                        .map(|li| ShardLevelInfo {
-                            radius: t.schedule().radius(li),
-                            params: params_of(t.hll_config(li), t.cost_model(li)),
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-                Ok(ShardResponse::Info(ShardInfo {
-                    shard_id: self.shard_id,
-                    shards: self.inner.info.shards,
-                    points: rnnr.len() as u64,
-                    dim: self.inner.info.dim,
-                    rnnr: params_of(rnnr.hll_config(0), rnnr.cost_model(0)),
-                    levels,
-                }))
-            }
+            ShardRequest::Info => Ok(ShardResponse::Info(ShardInfo {
+                shard_id: self.shard_id,
+                shards: self.inner.info.shards,
+                points: index.len() as u64,
+                dim: self.inner.info.dim,
+                rnnr: params(0),
+                levels: index.ladder().map_or_else(Vec::new, |schedule| {
+                    let level =
+                        |li| ShardLevelInfo { radius: schedule.radius(li), params: params(1 + li) };
+                    (0..schedule.levels()).map(level).collect()
+                }),
+            })),
             ShardRequest::Summarize { target, queries } => {
                 let rows = rows(queries)?;
-                let summaries = match rung(*target)? {
-                    None => rnnr.shard_summaries(shard, 0, &rows, threads),
-                    Some(li) => ladder()?.shard_summaries(shard, li, &rows, threads),
-                };
+                let summaries = index.shard_summaries(shard, rung(*target)?, &rows, threads);
                 Ok(ShardResponse::Summaries(summaries))
             }
             ShardRequest::Execute { target, arm, radius, queries } => {
@@ -657,8 +631,9 @@ where
                 let lsh = matches!(arm, crate::protocol::Arm::Lsh);
                 Ok(match rung(*target)? {
                     // An ids frame lists each query's ids ascending.
-                    None => ShardResponse::Ids(
-                        rnnr.shard_arm_batch(shard, 0, &rows, *radius, lsh, threads)
+                    0 => ShardResponse::Ids(
+                        index
+                            .shard_arm_batch(shard, 0, &rows, *radius, lsh, threads)
                             .into_iter()
                             .map(|mut ids: Vec<PointId>| {
                                 ids.sort_unstable();
@@ -666,14 +641,17 @@ where
                             })
                             .collect(),
                     ),
-                    Some(li) => ShardResponse::Pairs(
-                        ladder()?.shard_arm_batch(shard, li, &rows, *radius, lsh, threads),
+                    rung => ShardResponse::Pairs(
+                        index.shard_arm_batch(shard, rung, &rows, *radius, lsh, threads),
                     ),
                 })
             }
             ShardRequest::Scan { queries } => {
                 let rows = rows(queries)?;
-                Ok(ShardResponse::Pairs(ladder()?.shard_fallback_scan_batch(shard, &rows, threads)))
+                if levels == 0 {
+                    return Err(no_ladder());
+                }
+                Ok(ShardResponse::Pairs(index.shard_fallback_scan_batch(shard, &rows, threads)))
             }
         }
     }
@@ -718,7 +696,7 @@ mod tests {
     #[test]
     fn info_answers_while_a_writer_holds_the_lock() {
         let service = Arc::new(live_service());
-        let guard = service.indexes.write().unwrap();
+        let guard = service.index.write().unwrap();
         let (tx, rx) = mpsc::channel();
         let reader = Arc::clone(&service);
         let handle = std::thread::spawn(move || tx.send(reader.info()).unwrap());
@@ -734,7 +712,7 @@ mod tests {
         let service = Arc::new(live_service());
         let writer = Arc::clone(&service);
         let died = std::thread::spawn(move || {
-            let _guard = writer.indexes.write().unwrap();
+            let _guard = writer.index.write().unwrap();
             panic!("a writer dies holding the guard");
         });
         assert!(died.join().is_err());
@@ -773,7 +751,7 @@ mod tests {
             .cost_model(CostModel::from_ratio(2.0));
         let rnnr = ShardedIndex::build_frozen(data, ShardAssignment::new(4, 2), builder);
         let service = Arc::new(ShardedLshService::new(rnnr, None, 2));
-        let guard = service.indexes.write().unwrap();
+        let guard = service.index.write().unwrap();
         let (tx, rx) = mpsc::channel();
         let writer = Arc::clone(&service);
         let handle = std::thread::spawn(move || {

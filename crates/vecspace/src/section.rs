@@ -149,10 +149,11 @@ impl<T: fmt::Debug> fmt::Debug for Section<T> {
 }
 
 /// Equality is by contents, never by backing: an mmap-loaded section
-/// equals the owned section it was written from.
+/// equals the owned section it was written from. Two views of one
+/// shared backing compare equal without a scan.
 impl<T: PartialEq> PartialEq for Section<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        std::ptr::eq(self.as_slice(), other.as_slice()) || self.as_slice() == other.as_slice()
     }
 }
 

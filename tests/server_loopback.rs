@@ -15,9 +15,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hybrid_lsh::prelude::*;
+use hybrid_lsh::server::service::ServiceError;
 use hybrid_lsh::server::{
     spawn, Client, ClientError, ErrorCode, LiveLshService, QueryBlock, QueryService, ServerConfig,
-    ServerHandle, ShardNodeService, ShardedLshService,
+    ServerHandle, ServerInfo, ShardNodeService, ShardedLshService,
 };
 
 const DIM: usize = 16;
@@ -222,6 +223,87 @@ fn oversized_requests_are_rejected_and_connection_closed() {
     // rejection.
     let mut client = connect(&fx.server);
     assert_eq!(client.info().unwrap().points, 3_000);
+    fx.server.shutdown();
+}
+
+/// A frame limit small enough that no answer test allocates much.
+const SMALL_FRAME: usize = 64 * 1024;
+
+/// A service whose top-k path must never run: it reports a
+/// 100 000-point index with a ladder and answers every rNNR query with
+/// id 7.
+#[derive(Default)]
+struct NoTopK {
+    topk_called: std::sync::atomic::AtomicBool,
+}
+
+impl QueryService for NoTopK {
+    fn info(&self) -> ServerInfo {
+        ServerInfo { points: 100_000, dim: DIM as u32, shards: 1, topk_levels: 1 }
+    }
+
+    fn rnnr_batch(
+        &self,
+        queries: &[Vec<f32>],
+        _: f64,
+        _: Option<usize>,
+    ) -> Result<Vec<Vec<PointId>>, ServiceError> {
+        Ok(vec![vec![7]; queries.len()])
+    }
+
+    fn topk_batch(
+        &self,
+        queries: &[Vec<f32>],
+        _: usize,
+        _: Option<usize>,
+    ) -> Result<Vec<Vec<(PointId, f64)>>, ServiceError> {
+        self.topk_called.store(true, std::sync::atomic::Ordering::SeqCst);
+        Ok(vec![Vec::new(); queries.len()])
+    }
+}
+
+#[test]
+fn an_oversize_topk_answer_is_refused_before_any_work() {
+    let stub = Arc::new(NoTopK::default());
+    let config = ServerConfig { max_frame_bytes: SMALL_FRAME, ..ServerConfig::default() };
+    let mut server =
+        spawn(Arc::clone(&stub) as Arc<dyn QueryService>, "127.0.0.1:0", config).expect("bind");
+    let mut client = connect(&server);
+    // Two queries at k = 3 000 may answer 12 + 2 · (4 + 12 · 3 000)
+    // bytes: over 64 KiB, so the server refuses before it runs them.
+    let queries = vec![vec![0.5f32; DIM]; 2];
+    match client.query_topk_batch(&queries, 3_000) {
+        Err(ClientError::Server { code: ErrorCode::TooLarge, .. }) => {}
+        other => panic!("expected a TooLarge error frame, got {other:?}"),
+    }
+    assert!(!stub.topk_called.load(std::sync::atomic::Ordering::SeqCst), "top-k ran");
+    // The connection stays open and answers the next call.
+    assert_eq!(client.query_batch(&queries, RADIUS).unwrap(), vec![vec![7], vec![7]]);
+    assert!(!stub.topk_called.load(std::sync::atomic::Ordering::SeqCst), "top-k ran");
+    server.shutdown();
+}
+
+#[test]
+fn an_oversize_rnnr_answer_is_refused_and_the_connection_lives_on() {
+    let mut fx = fixture(ServerConfig { max_frame_bytes: SMALL_FRAME, ..ServerConfig::default() });
+    let mut client = connect(&fx.server);
+    // Every point lies within the radius, so the answers hold every
+    // candidate the chosen arm finds: about 40 000 ids over the 96
+    // queries, some 160 KB.
+    let many: Vec<Vec<f32>> = fx.queries.iter().cycle().take(96).cloned().collect();
+    let huge = fx.service.with_rnnr(|rnnr| rnnr.query_batch(&many, 1e6));
+    assert!(huge.iter().map(|o| 4 + 4 * o.ids.len()).sum::<usize>() > SMALL_FRAME);
+    match client.query_batch(&many, 1e6) {
+        Err(ClientError::Server { code: ErrorCode::TooLarge, .. }) => {}
+        other => panic!("expected a TooLarge error frame, got {:?}", other.map(|a| a.len())),
+    }
+    let expect: Vec<Vec<u32>> = fx
+        .service
+        .with_rnnr(|rnnr| rnnr.query_batch(&fx.queries, RADIUS))
+        .into_iter()
+        .map(|o| o.ids)
+        .collect();
+    assert_eq!(client.query_batch(&fx.queries, RADIUS).unwrap(), expect);
     fx.server.shutdown();
 }
 
